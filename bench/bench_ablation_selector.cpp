@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "apps/himeno/himeno.hpp"
-#include "bench_util.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "simmpi/cluster.hpp"
@@ -90,8 +89,7 @@ int main() {
           std::optional<xfer::Strategy>(xfer::Strategy::pipelined(128_KiB)),
           std::optional<xfer::Strategy>()}) {
       cfg.forced_strategy = force;
-      const auto run = benchutil::best_of(
-          3, [&] { return apps::himeno::run_cluster(*c.prof, c.nodes, cfg); });
+      const auto run = apps::himeno::run_cluster(*c.prof, c.nodes, cfg);
       row.push_back(fmt(run.gflops, 2));
     }
     h.add_row(std::move(row));

@@ -25,9 +25,9 @@
 //                    inner/boundary overlap) as edge-size curve points; the
 //                    jacobi2d points straddle the cxlpod one-sided threshold
 //   chaos_replay     7 fault classes x 3 strategies, one seeded scenario each
-//   rank_scaling     p2p ring + reduced Himeno at 100/500/1000 ranks under the
-//                    cooperative fiber scheduler (16/64 in smoke); one row per
-//                    rank count with RSS and cross-scheduler determinism gates
+//   rank_scaling     p2p ring + reduced Himeno at 100/500/1000 ranks (16/64 in
+//                    smoke); one row per rank count with RSS and worker-count
+//                    determinism gates
 //   service_soak     multi-tenant svc::Service burst of 240 short mixed jobs
 //                    (48 in smoke) x3 runs; gates per-job trace-hash
 //                    stability and records p99 job latency
@@ -64,15 +64,9 @@
 #include "support/sched.hpp"
 #include "support/units.hpp"
 #include "svc/service.hpp"
+#include "transfer/pool.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
-
-// The identical source builds against the pre-pool tree (for before/after
-// numbers); pool statistics are reported only when the pool exists.
-#if __has_include("transfer/pool.hpp")
-#include "transfer/pool.hpp"
-#define CLMPI_BENCH_HAVE_POOL 1
-#endif
 
 namespace clmpi {
 namespace {
@@ -92,7 +86,7 @@ struct ScenarioResult {
   double virtual_makespan_s{0.0};
   std::uint64_t trace_hash{0};
   mpi::FaultCounters counters;
-  double pool_hit_rate{-1.0};   ///< -1 when the build has no staging pool
+  double pool_hit_rate{-1.0};   ///< -1 when the scenario does not measure it
   std::size_t pool_high_water{0};
   double p99_job_latency_s{-1.0};  ///< service_soak only; -1 elsewhere
   std::vector<obs::Sample> metrics;  ///< nonzero obs counters from the timed reps
@@ -134,9 +128,7 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     r.counters = res.faults;
   }
 
-#ifdef CLMPI_BENCH_HAVE_POOL
   xfer::StagingPool::reset_all_stats();
-#endif
   obs::Registry::instance().reset();
   r.wall = benchutil::time_wall(cfg.warmup, cfg.reps, [&] {
     mpi::Cluster::Options o;
@@ -146,13 +138,11 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     mpi::Cluster::run(o, body);
   });
   r.metrics = drain_metrics();
-#ifdef CLMPI_BENCH_HAVE_POOL
   const xfer::StagingPool::Stats stats = xfer::StagingPool::aggregate_stats();
   r.pool_hit_rate = stats.acquires > 0
                         ? static_cast<double>(stats.hits) / static_cast<double>(stats.acquires)
                         : 0.0;
   r.pool_high_water = stats.high_water_in_use;
-#endif
   return r;
 }
 
@@ -233,52 +223,16 @@ ScenarioResult rma_put_fanin(const Config& cfg, int epochs) {
       });
 }
 
-/// RAII environment override (value == nullptr unsets).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
-
 // --- progress engine: continuation-only fan-in (no blocking waits) -----------
 
 // Same fan-in shape as mailbox_fanin, but no rank ever parks in wait():
 // completion is observed purely through on_settle continuations plus a
-// cooperative yield-spin on an atomic remaining-count. msgs_per_sender must
-// be a multiple of the coalescer's count threshold so every batch flushes
-// synchronously at post time (no reliance on the driver tick for liveness).
-// The scenario is its own determinism gate: the traced run repeats three
-// times and the hashes/makespans must match exactly, and the timed reps must
-// record zero progress.blocking_waits. The traced runs are pinned to the
-// fiber launcher: three thread-per-rank senders racing equal-ready batches
-// into one RX resource get wall-order-dependent backfill slots
-// (vt/resource.hpp), so a threads-mode hash gate flakes under machine load —
-// the limitation docs/SCHEDULER.md records for contended workloads. The
-// timed reps below still run thread-per-rank; only the determinism oracle
-// needs the cooperative scheduler's deterministic grant order.
+// sched::yield() spin on an atomic remaining-count. msgs_per_sender must be
+// a multiple of the coalescer's count threshold so every batch flushes
+// synchronously at post time (no reliance on the idle backstop for
+// liveness). The scenario is its own determinism gate: the traced run
+// repeats three times and the hashes/makespans must match exactly, and the
+// timed reps must record zero progress.blocking_waits.
 ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   constexpr int kRanks = 4;
   constexpr std::size_t kSize = 512;  // sub-eager: exercises the coalescer
@@ -309,10 +263,9 @@ ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
         remaining->fetch_sub(1, std::memory_order_acq_rel);
       });
     }
-    // sched::yield() is launcher-aware: on a plain thread it is an OS yield,
-    // on a fiber it suspends the fiber so the other ranks (and the driver's
-    // completions) can run — a raw std::this_thread::yield() here would
-    // livelock the cooperative scheduler.
+    // sched::yield() suspends the rank's fiber so the other ranks of its
+    // strand can run — a raw std::this_thread::yield() here would livelock
+    // the strand.
     while (remaining->load(std::memory_order_acquire) != 0) {
       sched::yield();
     }
@@ -327,11 +280,8 @@ ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   r.name = "progress_starved";
   r.msgs_per_rep = static_cast<double>((kRanks - 1) * msgs_per_sender);
 
-  // Determinism gate: three traced runs must agree bit-for-bit (fiber
-  // launcher — see the scenario comment; the timed reps below stay on the
-  // default thread-per-rank launcher).
+  // Determinism gate: three traced runs must agree bit-for-bit.
   {
-    ScopedEnv sched("CLMPI_SCHED", "fibers");
     for (int run = 0; run < 3; ++run) {
       vt::Tracer tracer;
       mpi::Cluster::Options o;
@@ -598,7 +548,7 @@ ScenarioResult chaos_replay(const Config& cfg) {
   return r;
 }
 
-// --- rank scaling: the cooperative scheduler's headline numbers --------------
+// --- rank scaling: the fiber scheduler's headline numbers -------------------
 
 /// Current resident set (VmRSS) in KiB, from /proc/self/status; 0 off-Linux.
 std::uint64_t vm_rss_kb() {
@@ -612,23 +562,46 @@ std::uint64_t vm_rss_kb() {
   return 0;
 }
 
-/// Fig. 8-style scaling sweeps under the cooperative scheduler: a blocking
-/// p2p-bandwidth ring and a reduced Himeno grid at rank counts far past what
-/// thread-per-rank is meant for (the paper's evaluation stops at 100 nodes;
-/// the fiber launcher runs 1000+ on a worker pool in bounded memory). Each
-/// rank count emits one scenario row whose counters carry the curve points:
-/// ranks, post-run VmRSS per mode, and the fiber-vs-threads virtual times.
+/// A traced run's virtual fingerprint, kept with its tracer so a failed
+/// gate can name the first differing span.
+struct Traced {
+  std::shared_ptr<vt::Tracer> tracer = std::make_shared<vt::Tracer>();
+  double makespan_s{0.0};
+};
+
+/// Worker counts the rank-scaling gates compare.
+constexpr int kGateWorkers[] = {1, 4, 16};
+
+/// Exit(1), like progress_starved's gate, unless every run in `runs` (one
+/// per worker count in kGateWorkers) matches the first, naming the first
+/// differing span.
+void gate_worker_counts(const char* what, int nranks, const std::vector<Traced>& runs) {
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    if (runs[i].tracer->hash() == runs[0].tracer->hash() &&
+        runs[i].makespan_s == runs[0].makespan_s) {
+      continue;
+    }
+    const auto d = vt::Tracer::first_divergence(*runs[0].tracer, *runs[i].tracer);
+    std::fprintf(stderr,
+                 "rank_scaling: %d-rank %s differs between %d and %d workers "
+                 "(0x%016llx vs 0x%016llx, makespan %.17g vs %.17g)\n%s\n",
+                 nranks, what, kGateWorkers[0], kGateWorkers[i],
+                 static_cast<unsigned long long>(runs[0].tracer->hash()),
+                 static_cast<unsigned long long>(runs[i].tracer->hash()), runs[0].makespan_s,
+                 runs[i].makespan_s, d ? vt::to_string(*d).c_str() : "same spans");
+    std::exit(1);
+  }
+}
+
+/// Fig. 8-style scaling sweeps: a blocking p2p-bandwidth ring and a reduced
+/// Himeno grid at rank counts past the paper's 100 nodes (1000+ ranks run
+/// as fibers on a small worker pool in bounded memory). Each rank count
+/// emits one scenario row whose counters carry the curve points: ranks,
+/// post-run VmRSS and the Himeno makespan.
 ///
-/// Determinism gates (exit(1), like progress_starved's):
-///   * ring: threads and fibers must produce bit-identical trace hash and
-///     makespan — the lockstep ring is inside the deterministic envelope of
-///     BOTH launchers at every rank count;
-///   * himeno: two fiber runs must be bit-identical (run-to-run identity).
-///     Cross-mode is recorded in the counters rather than gated: under the
-///     threads launcher Himeno's makespan varies run to run (the progress
-///     driver's wall-clock tick lands at different points in the overlapped
-///     halo exchange), while under fibers the idle-hook backstop makes every
-///     run identical — reproducibility the thread launcher cannot offer.
+/// Determinism gates (exit(1)): the ring and Himeno each run on pools of 1,
+/// 4 and 16 workers and must produce bit-identical trace hashes and
+/// makespans — the worker count must never reach virtual time.
 std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
   const std::vector<int> rank_counts =
       cfg.smoke ? std::vector<int>{16, 64} : std::vector<int>{100, 500, 1000};
@@ -649,17 +622,6 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
         s.wait(rank.clock());
       }
     };
-    auto traced_ring = [&](const char* mode) {
-      ScopedEnv sched("CLMPI_SCHED", mode);
-      vt::Tracer tracer;
-      mpi::Cluster::Options o;
-      o.nranks = nranks;
-      o.profile = &sys::ricc();
-      o.tracer = &tracer;
-      const mpi::RunResult res = mpi::Cluster::run(o, ring_body);
-      return std::pair<std::uint64_t, double>{tracer.hash(), res.makespan_s};
-    };
-
     // Himeno, shrunk so the per-rank slab stays small at 1000 ranks: the
     // interior must divide by 2*nranks, so scale it with the rank count.
     apps::himeno::Config grid;
@@ -667,66 +629,48 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
     grid.jmax = 32;
     grid.kmax = 64;
     grid.iterations = 2;
-    auto traced_himeno = [&](const char* mode) {
-      ScopedEnv sched("CLMPI_SCHED", mode);
-      vt::Tracer tracer;
-      const apps::himeno::RunSummary s =
-          apps::himeno::run_cluster(sys::ricc(), nranks, grid, &tracer);
-      return std::pair<std::uint64_t, double>{tracer.hash(), s.makespan_s};
-    };
+
+    std::vector<Traced> rings;
+    std::vector<Traced> himenos;
+    for (const int workers : kGateWorkers) {
+      sched::Scheduler pool(sched::Scheduler::Options{.workers = workers});
+      mpi::Cluster::Options o;
+      o.nranks = nranks;
+      o.profile = &sys::ricc();
+      o.scheduler = &pool;
+      Traced& ring = rings.emplace_back();
+      o.tracer = ring.tracer.get();
+      ring.makespan_s = mpi::Cluster::run(o, ring_body).makespan_s;
+      Traced& himeno = himenos.emplace_back();
+      o.tracer = himeno.tracer.get();
+      const auto run = mpi::Cluster::run(
+          o, [&grid](mpi::Rank& rank) { (void)apps::himeno::run_rank(rank, grid); });
+      himeno.makespan_s = run.makespan_s;
+    }
+    gate_worker_counts("ring", nranks, rings);
+    gate_worker_counts("himeno", nranks, himenos);
+    const std::uint64_t rss_kb = vm_rss_kb();
 
     ScenarioResult r;
     r.name = "rank_scaling_" + std::to_string(nranks);
     r.msgs_per_rep = static_cast<double>(nranks) * ring_rounds;
+    r.trace_hash = rings[0].tracer->hash();
+    r.virtual_makespan_s = rings[0].makespan_s;
 
-    const auto ring_threads = traced_ring("threads");
-    const std::uint64_t rss_threads_kb = vm_rss_kb();
-    const auto ring_fibers = traced_ring("fibers");
-    const std::uint64_t rss_fibers_kb = vm_rss_kb();
-    if (ring_fibers != ring_threads) {
-      std::fprintf(stderr,
-                   "rank_scaling: %d-rank ring diverged between schedulers "
-                   "(threads 0x%016llx / fibers 0x%016llx)\n",
-                   nranks, static_cast<unsigned long long>(ring_threads.first),
-                   static_cast<unsigned long long>(ring_fibers.first));
-      std::exit(1);
-    }
-    const auto himeno_threads = traced_himeno("threads");
-    const auto himeno_fibers = traced_himeno("fibers");
-    const auto himeno_fibers2 = traced_himeno("fibers");
-    if (himeno_fibers != himeno_fibers2) {
-      std::fprintf(stderr,
-                   "rank_scaling: %d-rank himeno not reproducible under fibers "
-                   "(0x%016llx vs 0x%016llx)\n",
-                   nranks, static_cast<unsigned long long>(himeno_fibers.first),
-                   static_cast<unsigned long long>(himeno_fibers2.first));
-      std::exit(1);
-    }
-    r.trace_hash = ring_fibers.first;
-    r.virtual_makespan_s = ring_fibers.second;
-
-    // Wall reps: the fiber launcher, end to end (spawn + run + teardown).
-    {
-      ScopedEnv sched("CLMPI_SCHED", "fibers");
-      obs::Registry::instance().reset();
-      const int reps = nranks >= 500 ? std::min(cfg.reps, 3) : cfg.reps;
-      r.wall = benchutil::time_wall(cfg.warmup, reps, [&] {
-        mpi::Cluster::Options o;
-        o.nranks = nranks;
-        o.profile = &sys::ricc();
-        mpi::Cluster::run(o, ring_body);
-      });
-    }
+    // Wall reps: end to end (spawn + run + teardown) on the default pool.
+    obs::Registry::instance().reset();
+    const int reps = nranks >= 500 ? std::min(cfg.reps, 3) : cfg.reps;
+    r.wall = benchutil::time_wall(cfg.warmup, reps, [&] {
+      mpi::Cluster::Options o;
+      o.nranks = nranks;
+      o.profile = &sys::ricc();
+      mpi::Cluster::run(o, ring_body);
+    });
     r.metrics = drain_metrics();
     r.metrics.push_back({"rank_scaling.ranks", static_cast<std::uint64_t>(nranks)});
-    r.metrics.push_back({"rank_scaling.rss_threads_kb", rss_threads_kb});
-    r.metrics.push_back({"rank_scaling.rss_fibers_kb", rss_fibers_kb});
-    r.metrics.push_back({"rank_scaling.himeno_makespan_us_fibers",
-                         static_cast<std::uint64_t>(himeno_fibers.second * 1e6)});
-    r.metrics.push_back({"rank_scaling.himeno_makespan_us_threads",
-                         static_cast<std::uint64_t>(himeno_threads.second * 1e6)});
-    r.metrics.push_back({"rank_scaling.himeno_mode_match",
-                         himeno_fibers == himeno_threads ? std::uint64_t{1} : 0});
+    r.metrics.push_back({"rank_scaling.rss_kb", rss_kb});
+    r.metrics.push_back({"rank_scaling.himeno_makespan_us",
+                         static_cast<std::uint64_t>(himenos[0].makespan_s * 1e6)});
     out.push_back(std::move(r));
   }
   return out;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 #include <vector>
 
 namespace clmpi::benchutil {
@@ -42,24 +41,6 @@ WallTiming time_wall(int warmup, int reps, Fn&& fn) {
                    ? samples[mid]
                    : 0.5 * (samples[mid - 1] + samples[mid]);
   return t;
-}
-
-/// Run `fn` `n` times and keep the result with the smallest makespan.
-///
-/// The simulation executes on real racing threads; virtual-resource
-/// backfilling makes the schedule nearly order-independent, but residual
-/// scheduling jitter can only *delay* operations relative to the ideal
-/// schedule. The minimum-makespan repetition is therefore the best estimate
-/// of the jitter-free result (the analogue of taking the best of several
-/// wall-clock runs on a real, noisy cluster).
-template <typename Fn>
-auto best_of(int n, Fn&& fn) {
-  auto best = fn();
-  for (int i = 1; i < n; ++i) {
-    auto candidate = fn();
-    if (candidate.makespan_s < best.makespan_s) best = std::move(candidate);
-  }
-  return best;
 }
 
 }  // namespace clmpi::benchutil

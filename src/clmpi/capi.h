@@ -454,8 +454,9 @@ clmpi_job clmpiSubmitJob(const clmpi_job_desc* desc, cl_int* errcode_ret);
 /// Block until the job reaches a terminal state; fill `*result` (optional).
 cl_int clmpiWaitJob(clmpi_job job, clmpi_job_result* result);
 
-/// Request cooperative cancellation. CL_SUCCESS when delivered to a live
-/// job, CLMPI_CANCELLED when the job was already terminal.
+/// Request cancellation, honoured at the job's cancellation points.
+/// CL_SUCCESS when delivered to a live job, CLMPI_CANCELLED when the job was
+/// already terminal.
 cl_int clmpiCancelJob(clmpi_job job);
 
 /// Non-blocking snapshot of the job's counters into `*result`.

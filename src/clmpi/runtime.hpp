@@ -268,7 +268,7 @@ class Runtime {
   std::deque<Job> jobs_;
   std::vector<ocl::EventPtr> issued_;
   bool shutdown_{false};
-  // Fiber under the cooperative scheduler, plain thread otherwise.
+  // A fiber on the rank's strand (a plain thread off the scheduler).
   sched::ServiceHandle dispatcher_;
 };
 

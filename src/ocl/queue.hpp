@@ -147,7 +147,7 @@ class CommandQueue {
   std::vector<EventPtr> since_barrier_;
   EventPtr barrier_gate_;
 
-  // Fiber under the cooperative scheduler (when the queue is created from a
+  // A fiber on the creator's strand (when the queue is created from a
   // fiber), plain thread otherwise.
   sched::ServiceHandle worker_;
 };

@@ -1,15 +1,13 @@
 #include "simmpi/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <mutex>
 #include <numeric>
-#include <optional>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
@@ -23,125 +21,32 @@ namespace clmpi::mpi {
 
 namespace detail {
 
-namespace {
-
-/// Process-wide progress driver: ONE long-lived thread services every live
-/// cluster, instead of each Cluster::run paying a thread spawn + join
-/// (~50-60 us on this class of machine — real money for millisecond-scale
-/// runs). Cores register at run start and deregister at teardown; the
-/// deregistration blocks while a tick is mid-pass (the tick holds the
-/// registry mutex), so a removed core is never touched again. The thread is
-/// detached and the singleton leaked: at process exit it is parked on the
-/// leaked cv with an empty registry, touching nothing else.
-class ProgressDriverService {
- public:
-  static ProgressDriverService& instance() {
-    static auto* service = new ProgressDriverService();
-    return *service;
-  }
-
-  void add(ClusterCore* core) {
-    std::lock_guard lock(mutex_);
-    cores_.push_back(core);
-    ++version_;
-    if (!started_) {
-      started_ = true;
-      std::thread([this] {
-        log::set_thread_label("progress-driver");
-        loop();
-      }).detach();
-    }
-    cv_.notify_all();
-  }
-
-  void remove(ClusterCore* core) {
-    std::lock_guard lock(mutex_);
-    std::erase(cores_, core);
-    ++version_;
-  }
-
- private:
-  void loop() {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (cores_.empty()) {
-        cv_.wait(lock, [&] { return !cores_.empty(); });
-        continue;  // re-read the tick under the current config
-      }
-      const std::uint64_t v = version_;
-      const bool changed = cv_.wait_for(lock, progress_config().driver_tick,
-                                        [&] { return version_ != v; });
-      // A registry change only re-arms the sleep (picking up a possibly
-      // changed tick); the flush pass runs on timeout alone, so a cluster
-      // that configured a long tick before starting is never flushed early.
-      if (changed) continue;
-      if (obs::metrics_enabled()) progress_metrics().driver_ticks.add();
-      // The tick is the liveness backstop for queued batches no blocking
-      // wait will ever flush (poll-only peers, ranks that never wait), and
-      // drains completions a producer left behind after losing the consumer
-      // race. Everything here is wall-clock-only: the envelopes' virtual
-      // stamps were fixed at post time.
-      for (ClusterCore* core : cores_) {
-        // Cooperative (fiber-mode) clusters get their flush+drain backstop
-        // from the scheduler's idle hook instead: a wall-clock flush here
-        // would race the deterministic cooperative schedule and perturb the
-        // wire post order. Deadline rescue stays — it is wall-clock by
-        // definition (the real-time grace of an armed deadline).
-        if (!core->cooperative.load(std::memory_order_relaxed)) {
-          for (SendCoalescer& co : core->coalescers) co.flush_all(FlushTrigger::tick);
-          for (Mailbox& mb : core->mailboxes) mb.drain_completions();
-        }
-        // Job cancellation is wall-clock by definition, like deadline
-        // rescue: fail the cancelled job's still-pending operations so its
-        // blocked ranks wake and unwind.
-        if (core->job != nullptr && core->job->cancel_requested()) {
-          core->fail_pending_as_cancelled();
-        }
-        std::unique_lock dl(core->deadline_mutex);
-        core->rescue_stale_deadlines(dl);
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<ClusterCore*> cores_;
-  std::uint64_t version_{0};
-  bool started_{false};
-};
-
-}  // namespace
-
 void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
   std::lock_guard lock(deadline_mutex);
   armed_requests.push_back(std::move(state));
-  // With the progress engine on, the shared driver's tick already rescues
-  // stale deadlines for this core — no dedicated reaper thread needed.
-  if (!progress && !deadline_reaper.joinable() && !reaper_stop) {
-    deadline_reaper = std::thread([this] {
-      log::set_thread_label("deadline-reaper");
-      deadline_reaper_loop();
-    });
-  }
 }
 
-void ClusterCore::rescue_stale_deadlines(std::unique_lock<std::mutex>& lock) {
-  std::vector<std::shared_ptr<RequestState>> live;
-  live.reserve(armed_requests.size());
-  for (auto& weak : armed_requests) {
-    if (auto s = weak.lock()) live.push_back(std::move(s));
+void ClusterCore::backstop() {
+  if (progress) {
+    for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
+    for (Mailbox& mb : mailboxes) mb.drain_completions();
+  }
+  if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
+  std::vector<std::shared_ptr<RequestState>> armed;
+  {
+    std::lock_guard lock(deadline_mutex);
+    std::erase_if(armed_requests, [&armed](const std::weak_ptr<RequestState>& weak) {
+      auto s = weak.lock();
+      if (s == nullptr || s->done()) return true;
+      armed.push_back(std::move(s));
+      return false;
+    });
   }
   // Rescue outside the registry lock: timeout callbacks may re-enter the
   // cluster (fire events, post follow-up operations).
-  lock.unlock();
   const auto grace = deadline_grace();
   const auto now = std::chrono::steady_clock::now();
-  for (auto& s : live) s->rescue_if_stale(now, grace);
-  lock.lock();
-  std::erase_if(armed_requests, [](const std::weak_ptr<RequestState>& weak) {
-    const auto s = weak.lock();
-    return s == nullptr || s->done();
-  });
+  for (auto& s : armed) s->rescue_if_stale(now, grace);
 }
 
 void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
@@ -177,43 +82,6 @@ void ClusterCore::fail_pending_as_cancelled() {
   }
 }
 
-void ClusterCore::deadline_reaper_loop() {
-  std::unique_lock lock(deadline_mutex);
-  while (!reaper_stop) {
-    // Tick a few times per grace period: a stale operation is rescued at
-    // most ~1.25 grace after arming. The scan is cheap — only deadline-armed
-    // operations ever register, and the set is pruned as they resolve.
-    const auto tick = std::max<std::chrono::milliseconds>(deadline_grace() / 4,
-                                                          std::chrono::milliseconds(10));
-    if (deadline_cv.wait_for(lock, tick, [&] { return reaper_stop; })) break;
-    rescue_stale_deadlines(lock);
-  }
-}
-
-void ClusterCore::start_progress_driver() {
-  ProgressDriverService::instance().add(this);
-}
-
-void ClusterCore::stop_progress_driver() {
-  ProgressDriverService::instance().remove(this);
-  // One final flush+drain pass after deregistration, so no envelope is left
-  // stranded in a coalescer at teardown (the service can no longer be
-  // mid-pass on this core once remove() returns).
-  for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
-  for (Mailbox& mb : mailboxes) mb.drain_completions();
-  std::unique_lock lock(deadline_mutex);
-  rescue_stale_deadlines(lock);
-}
-
-void ClusterCore::stop_deadline_reaper() {
-  {
-    std::lock_guard lock(deadline_mutex);
-    reaper_stop = true;
-  }
-  deadline_cv.notify_all();
-  if (deadline_reaper.joinable()) deadline_reaper.join();
-}
-
 }  // namespace detail
 
 namespace {
@@ -243,6 +111,22 @@ std::mutex g_trace_export_mutex;
 std::uint64_t g_trace_export_seq = 0;      // last sequence number handed out
 std::uint64_t g_trace_exported_seq = 0;    // highest sequence that exported
 
+/// The pool Cluster::run uses without Options::scheduler: sized once from
+/// CLMPI_FIBER_WORKERS (or the core count), and leaked like every
+/// process-wide service here — its workers park on a condition variable
+/// between runs.
+sched::Scheduler& default_pool() {
+  static auto* pool = new sched::Scheduler(sched::Scheduler::Options{});
+  return *pool;
+}
+
+/// Strand tags for runs on the default pool: process-unique, so concurrent
+/// runs never share a strand.
+std::uint64_t next_strand_tag() {
+  static std::atomic<std::uint64_t> next{0};
+  return ++next;
+}
+
 }  // namespace
 
 Rank::Rank(detail::ClusterCore* core, int id, int nranks)
@@ -267,6 +151,9 @@ void Rank::compute(vt::Duration d, const std::string& label) {
 RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
   CLMPI_REQUIRE(options.nranks > 0, "cluster needs at least one rank");
   CLMPI_REQUIRE(options.profile != nullptr, "cluster needs a system profile");
+  // The caller blocks until the run's strand closes; a fiber doing so would
+  // stall the strand it runs on.
+  CLMPI_REQUIRE(!sched::on_fiber(), "Cluster::run called from a scheduler fiber");
   // Rank-count quota: checked before anything is allocated, so an oversized
   // job fails typed without having touched shared state.
   if (options.job != nullptr) options.job->check_ranks(options.nranks);
@@ -316,10 +203,8 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(*core.network, n);
   core.progress = detail::progress_config().enabled;
   if (core.progress) {
-    // One coalescer per source node, sized before any rank thread exists;
-    // the driver starts eagerly so completions progress from the first post.
+    // One coalescer per source node, sized before any rank fiber exists.
     for (int n = 0; n < options.nranks; ++n) core.coalescers.emplace_back();
-    core.start_progress_driver();
   }
 
   // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
@@ -330,15 +215,10 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
 
   std::mutex state_mutex;
-  std::condition_variable done_cv;
-  int remaining = options.nranks;
   std::exception_ptr first_error;
   int suppressed = 0;
   std::vector<char> rank_done(static_cast<std::size_t>(options.nranks), 0);
 
-  // One body shared by both launchers; runs on a dedicated thread
-  // (CLMPI_SCHED=threads, the default) or on a scheduler fiber
-  // (CLMPI_SCHED=fibers).
   const auto rank_main = [&](int r) {
     ctx::current().blocked_mirror = &core.blocked_sites[static_cast<std::size_t>(r)];
     // Tenancy: the rank task (and, via spawn_service propagation, every
@@ -374,146 +254,73 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       // CancelledErrors — the line above already recorded the real cause).
       if (options.job != nullptr) options.job->request_cancel();
     }
-    {
-      std::lock_guard lock(state_mutex);
-      rank_done[static_cast<std::size_t>(r)] = 1;
-      --remaining;
-    }
-    done_cv.notify_all();
-    sched::note_progress();
+    std::lock_guard lock(state_mutex);
+    rank_done[static_cast<std::size_t>(r)] = 1;
   };
 
-  const sched::Mode mode = sched::mode_from_env();
-  std::vector<std::thread> threads;
-  std::optional<sched::Scheduler> scheduler;
-  sched::Scheduler* external = options.scheduler;
-  if (external != nullptr) {
-    // Service mode: ranks run as job-tagged fibers on the shared persistent
-    // scheduler. The per-job idle task is the cooperative liveness backstop
-    // (coalescer flush + completion drain + cancel rescue), registered for
-    // exactly the job's lifetime; `&core` keys its removal.
-    core.cooperative.store(true, std::memory_order_relaxed);
-    external->add_idle_task(&core, [&core] {
-      if (core.progress) {
-        for (detail::SendCoalescer& co : core.coalescers) {
-          co.flush_all(detail::FlushTrigger::tick);
-        }
-        for (detail::Mailbox& mb : core.mailboxes) mb.drain_completions();
-      }
-      if (core.job != nullptr && core.job->cancel_requested()) {
-        core.fail_pending_as_cancelled();
-      }
-    });
-    const std::string tag = "job" + std::to_string(options.job_tag) + ".rank";
-    for (int r = 0; r < options.nranks; ++r) {
-      external->spawn([&rank_main, r] { rank_main(r); }, tag + std::to_string(r),
-                      options.job_tag);
-    }
-  } else if (mode == sched::Mode::fibers) {
-    core.cooperative.store(true, std::memory_order_relaxed);
-    scheduler.emplace(sched::Scheduler::Options{});
-    if (core.progress) {
-      // Cooperative stand-in for the progress driver's wall-clock coalescer
-      // flush: run the backstop only at scheduler quiescence, serialized
-      // with fiber execution, so batch composition stays a function of the
-      // cooperative schedule rather than of a racing real-time tick.
-      scheduler->set_idle_hook([&core] {
-        for (detail::SendCoalescer& co : core.coalescers) {
-          co.flush_all(detail::FlushTrigger::tick);
-        }
-        for (detail::Mailbox& mb : core.mailboxes) mb.drain_completions();
-      });
-    }
-    for (int r = 0; r < options.nranks; ++r) {
-      scheduler->spawn([&rank_main, r] { rank_main(r); }, "rank" + std::to_string(r));
-    }
-    scheduler->start();
-  } else {
-    threads.reserve(static_cast<std::size_t>(options.nranks));
-    for (int r = 0; r < options.nranks; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
+  // The run is one strand: its rank fibers, and every service fiber they
+  // spawn, execute serially in a schedule that depends on nothing but the
+  // program. The strand's idle task is the cluster's liveness backstop.
+  sched::Scheduler& pool = options.scheduler != nullptr ? *options.scheduler : default_pool();
+  const std::uint64_t strand = options.job_tag != 0 ? options.job_tag : next_strand_tag();
+  const std::string prefix =
+      options.job_tag != 0 ? "job" + std::to_string(options.job_tag) + ".rank" : "rank";
+  std::vector<sched::Scheduler::Task> tasks;
+  tasks.reserve(static_cast<std::size_t>(options.nranks));
+  for (int r = 0; r < options.nranks; ++r) {
+    tasks.push_back({[&rank_main, r] { rank_main(r); }, prefix + std::to_string(r)});
   }
+  pool.submit(strand, std::move(tasks), [&core] { core.backstop(); });
 
-  if (options.watchdog_seconds > 0.0) {
-    double watchdog_s = options.watchdog_seconds;
+  double watchdog_s = options.watchdog_seconds;
 #ifdef CLMPI_SANITIZE_BUILD
-    // Sanitizer instrumentation slows the simulated ranks several-fold;
-    // scale the deadlock watchdog so sanitize runs are not shot while
-    // merely slow.
-    watchdog_s *= 4.0;
+  // Sanitizer instrumentation slows the simulated ranks several-fold; scale
+  // the deadlock watchdog so sanitize runs are not shot while merely slow.
+  watchdog_s *= 4.0;
 #endif
-    std::unique_lock lock(state_mutex);
-    const bool finished =
-        done_cv.wait_for(lock, std::chrono::duration<double>(watchdog_s),
-                         [&] { return remaining == 0; });
-    if (!finished) {
-      // A rank is stuck in a blocking operation: this is a communication
-      // deadlock in the user program, the same hang a real MPI job would
-      // exhibit. There is no safe way to unwind a foreign stuck task, so
-      // dump everything we know about where each rank is parked, flush the
-      // observability state, and abort.
-      std::cerr << "clmpi::mpi::Cluster watchdog: " << remaining << " of " << options.nranks
-                << " ranks still blocked after " << watchdog_s
-                << "s of real time — communication deadlock; aborting.\n";
-      for (int r = 0; r < options.nranks; ++r) {
-        if (rank_done[static_cast<std::size_t>(r)]) continue;
-        const char* site =
-            core.blocked_sites[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
-        std::cerr << "  rank" << r << ": blocked at "
-                  << (site != nullptr ? site : "<running or unknown>") << "\n";
-      }
-      if (const sched::Scheduler* snap_from = scheduler ? &*scheduler : external) {
-        for (const auto& f : snap_from->snapshot()) {
-          // On a shared service scheduler, only this job's fibers are ours
-          // to report.
-          if (external != nullptr && f.job != options.job_tag) continue;
-          std::cerr << "  fiber " << f.label << ": "
-                    << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
-        }
-      }
-      for (const auto& s : obs::Registry::instance().snapshot()) {
-        if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
-      }
-      if (core.tracer != nullptr && !obs::trace_export_path().empty()) {
-        obs::write_trace_file(*core.tracer, obs::trace_export_path());
-        std::cerr << "  trace flushed to " << obs::trace_export_path() << "\n";
-      }
-      std::cerr.flush();
-      std::abort();
+  if (!pool.wait_strand(strand, watchdog_s)) {
+    // A rank is stuck in a blocking operation: this is a communication
+    // deadlock in the user program, the same hang a real MPI job would
+    // exhibit. There is no safe way to unwind a foreign stuck task, so dump
+    // everything we know about where each rank is parked, flush the
+    // observability state, and abort.
+    std::lock_guard lock(state_mutex);
+    const auto remaining = std::count(rank_done.begin(), rank_done.end(), 0);
+    std::cerr << "clmpi::mpi::Cluster watchdog: " << remaining << " of " << options.nranks
+              << " ranks still blocked after " << watchdog_s
+              << "s of real time — communication deadlock; aborting.\n";
+    for (int r = 0; r < options.nranks; ++r) {
+      if (rank_done[static_cast<std::size_t>(r)]) continue;
+      const char* site =
+          core.blocked_sites[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
+      std::cerr << "  rank" << r << ": blocked at "
+                << (site != nullptr ? site : "<running or unknown>") << "\n";
     }
+    for (const auto& f : pool.snapshot()) {
+      if (f.strand != strand) continue;  // a shared pool: only ours to report
+      std::cerr << "  fiber " << f.label << ": "
+                << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
+    }
+    for (const auto& s : obs::Registry::instance().snapshot()) {
+      if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
+    }
+    if (core.tracer != nullptr && !obs::trace_export_path().empty()) {
+      obs::write_trace_file(*core.tracer, obs::trace_export_path());
+      std::cerr << "  trace flushed to " << obs::trace_export_path() << "\n";
+    }
+    std::cerr.flush();
+    std::abort();
   }
 
-  if (external != nullptr) {
-    // Shared scheduler: other jobs' fibers keep it busy, so "join" for this
-    // job means waiting for its own ranks (the aux-service joins below cover
-    // the service fibers they spawned).
-    std::unique_lock lock(state_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  } else if (scheduler) {
-    // Waits for every fiber — ranks and the service fibers they spawned
-    // (queue workers, dispatchers, collective progression) — then joins the
-    // worker pool.
-    scheduler->join();
-  } else {
-    for (auto& t : threads) t.join();
-  }
-  // Join non-blocking-collective progression services before the mailboxes
-  // and network (owned by `core`) go away. They terminate once every rank
-  // has issued its side of the collective, which the rank joins above
-  // guarantee for well-formed programs.
+  // The strand closed, so every fiber — ranks, queue workers, dispatchers,
+  // collective progression — finished; the handles only need releasing.
   {
     std::lock_guard lock(core.aux_mutex);
     for (auto& s : core.aux_services) s.join();
   }
-  // Detach the per-job idle task before `core` is torn down; removal blocks
-  // while an idle pass is mid-flight, so the task never touches a dead core.
-  if (external != nullptr) external->remove_idle_task(&core);
-  // The shared driver and the reaper dereference request states that the
-  // mailboxes keep alive; detach from the driver and stop the reaper before
-  // `core` (and everything it owns) is torn down.
-  if (core.progress) core.stop_progress_driver();
-  core.stop_deadline_reaper();
+  // One final backstop pass, so no envelope is left stranded in a coalescer
+  // and no completion in a queue when `core` is torn down.
+  core.backstop();
   if (core.faults) result.faults = core.faults->counters();
   // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
   // JSON. Last run wins when a process runs several clusters — decided by

@@ -1,10 +1,11 @@
 // Cluster: the top-level runner of the simulated machine.
 //
-// Cluster::run spawns one real thread per MPI rank (one rank per node, as in
-// the paper's evaluation), executes the supplied body on each, and reports
-// per-rank virtual end times. A real-time watchdog converts accidental
-// communication deadlocks (which block real threads, exactly as they would
-// block real MPI processes) into a diagnosed abort instead of a hang.
+// Cluster::run executes the supplied body once per MPI rank (one rank per
+// node, as in the paper's evaluation), each as a fiber of one serial strand
+// on a fiber worker pool (support/sched.hpp), and reports per-rank virtual
+// end times. A real-time watchdog converts accidental communication
+// deadlocks (which block ranks exactly as they would block real MPI
+// processes) into a diagnosed abort instead of a hang.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,7 @@ class Rank {
   /// MPI_COMM_WORLD for this rank.
   [[nodiscard]] Comm& world() noexcept { return world_; }
 
-  /// The host thread's virtual clock.
+  /// The rank's host virtual clock.
   [[nodiscard]] vt::Clock& clock() noexcept { return clock_; }
 
   [[nodiscard]] const sys::SystemProfile& profile() const;
@@ -87,13 +88,12 @@ class Cluster {
     /// Deterministic fault-injection plan; all-zero rates disable injection.
     FaultPlan faults{};
 
-    // --- service (multi-tenant) mode — set by svc::Service ---------------
-    /// Run rank fibers on this external persistent scheduler instead of
-    /// creating one (overrides CLMPI_SCHED; the run is always cooperative).
-    /// The scheduler must already be started and outlive the run.
+    /// Run the rank fibers on this persistent scheduler instead of the
+    /// process-wide default pool (svc::Service passes its own; tests pass
+    /// pools of a chosen worker count). Must be started and outlive the run.
     sched::Scheduler* scheduler{nullptr};
-    /// Tenancy tag for fibers spawned onto the external scheduler (the
-    /// fair-pick round robin keys on it). Meaningful only with `scheduler`.
+    /// Strand tag of the run (svc::Service passes the job id); 0 = a
+    /// process-unique tag. Runs sharing a scheduler need distinct tags.
     std::uint64_t job_tag{0};
     /// Quota/cancellation control block; null = standalone (no hooks). Must
     /// outlive the run.
@@ -101,7 +101,8 @@ class Cluster {
   };
 
   /// Run `body` on every rank; blocks until all ranks return. The first
-  /// exception thrown by any rank is re-thrown here after all threads join.
+  /// exception thrown by any rank is re-thrown here after every rank ended.
+  /// Must not be called from a scheduler fiber (a rank body).
   static RunResult run(const Options& options, const std::function<void(Rank&)>& body);
 };
 

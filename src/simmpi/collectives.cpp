@@ -259,9 +259,9 @@ Request Comm::spawn_collective(vt::Clock& clock,
                                std::function<void(Comm&, vt::Clock&)> body) {
   auto state = detail::make_request_state();
   const vt::TimePoint start = clock.now();
-  // The progression task (fiber under the cooperative scheduler, thread
-  // otherwise) works on its own Comm copy and private clock, starting at the
-  // issue time. Cluster::run joins it before tear-down.
+  // The progression task (a fiber on the caller's strand) works on its own
+  // Comm copy and private clock, starting at the issue time. Cluster::run
+  // joins it before tear-down.
   core_->register_aux_service(sched::spawn_service(
       "coll-progress", [state, self = *this, start, body = std::move(body)]() mutable {
         vt::Clock private_clock(start);

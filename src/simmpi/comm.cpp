@@ -107,8 +107,9 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
   env.sreq = state;
   // Arm the deadline BEFORE posting: completion may race this thread the
   // moment the envelope is visible, and the clamp must already be in place.
-  // Registration with the reaper gives the deadline liveness even when no
-  // thread ever blocks on the request (callback-driven runtime commands).
+  // Registration with the cluster's backstop gives the deadline liveness
+  // even when no task ever blocks on the request (callback-driven runtime
+  // commands).
   if (opts.deadline > vt::Duration{}) {
     state->arm_deadline(ready + opts.deadline);
     core_->register_deadline(state);
@@ -310,7 +311,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
 Request PersistentRequest::start(vt::TimePoint ready) {
   // Runtime-facing (explicit-time) replays never coalesce: their waiters go
   // through event latches, which do not know about coalescers; the direct
-  // post keeps them independent of the driver tick.
+  // post keeps them independent of the idle backstop.
   return start_at(ready, /*coalescable=*/false);
 }
 

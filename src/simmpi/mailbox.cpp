@@ -21,8 +21,6 @@ struct MailboxMetrics {
   obs::Counter& shard_hit = obs::Registry::instance().counter("simmpi.mailbox.shard_hit");
   obs::Counter& wildcard_slowpath =
       obs::Registry::instance().counter("simmpi.mailbox.wildcard_slowpath");
-  obs::Counter& probe_wakeup =
-      obs::Registry::instance().counter("simmpi.mailbox.probe_wakeup");
   obs::Counter& eager_inline =
       obs::Registry::instance().counter("simmpi.mailbox.eager_inline");
   obs::Counter& unexpected = obs::Registry::instance().counter("simmpi.mailbox.unexpected");
@@ -72,13 +70,11 @@ void note_link_failure(Network* net, const Envelope& env, int dst_node, bool sen
   if (receiver_observed) faults->note_block_failure(dst_node, env.src_node);
 }
 
-#ifndef NDEBUG
 std::string describe_decomp(std::size_t decomp) {
   if (decomp == wire_decomp_unset) return "unset";
   if (decomp == 0) return "single message";
   return "pipelined blocks of " + std::to_string(decomp) + " B";
 }
-#endif
 
 }  // namespace
 
@@ -185,18 +181,6 @@ std::size_t Mailbox::shard_of(int src_rank, int tag, int context) noexcept {
 void Mailbox::settle(std::vector<Completion>& batch) {
   if (batch.empty()) return;
   completions_.settle_batch(batch);
-}
-
-void Mailbox::note_arrival() {
-  arrivals_.fetch_add(1, std::memory_order_seq_cst);
-  sched::note_progress();
-  if (probe_waiters_.load(std::memory_order_seq_cst) > 0) {
-    if (obs::metrics_enabled()) metrics().probe_wakeup.add();
-    // Empty critical section: a probe between its predicate check and its
-    // block would otherwise miss the notification.
-    { std::lock_guard lock(probe_mutex_); }
-    arrival_cv_.notify_all();
-  }
 }
 
 vt::Resource::Span Mailbox::charge_attempts(const Envelope& env, vt::TimePoint ready,
@@ -313,7 +297,7 @@ void Mailbox::post_send(Envelope env) {
     deliver(env, pr, batch);
   } else {
     if (obs::metrics_enabled()) metrics().unexpected.add();
-    note_arrival();
+    sched::note_progress();  // a probe may be waiting for this arrival
   }
   settle(batch);
 }
@@ -406,10 +390,7 @@ void Mailbox::post_send_batch(std::vector<Envelope>& envs) {
   }
   if (unexpected > 0) {
     if (obs::metrics_enabled()) metrics().unexpected.add(unexpected);
-    // One epoch bump for the whole batch: probes re-scan the queues on any
-    // epoch change, so collapsing N wakeups into one is observationally
-    // equivalent (and N-1 fewer futex wakes).
-    note_arrival();
+    sched::note_progress();  // a probe may be waiting for these arrivals
   }
   settle(batch);
 }
@@ -479,16 +460,8 @@ void Mailbox::post_recv(PostedRecv pr) {
 
 std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int context) {
   const bool wildcard = src_rank == any_source || tag == any_tag;
-
-  probe_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  struct WaiterGuard {
-    std::atomic<int>& count;
-    ~WaiterGuard() { count.fetch_sub(1, std::memory_order_seq_cst); }
-  } guard{probe_waiters_};
-
+  ctx::BlockedScope blocked("mpi.probe");
   for (;;) {
-    const std::uint64_t before = arrivals_.load(std::memory_order_seq_cst);
-
     const Envelope* hit = nullptr;
     MsgStatus st;
     vt::TimePoint available;
@@ -522,19 +495,8 @@ std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int co
       }
     }
     if (hit != nullptr) return {st, available};
-
-    if (sched::on_fiber()) {
-      // Fiber path: yield and rescan. The arrival epoch is not needed — the
-      // rescan itself observes whatever arrived while we were suspended.
-      ctx::BlockedScope blocked("mpi.probe");
-      sched::yield();
-      continue;
-    }
-    ctx::BlockedScope blocked("mpi.probe");
-    std::unique_lock lock(probe_mutex_);
-    arrival_cv_.wait(lock, [&] {
-      return arrivals_.load(std::memory_order_seq_cst) != before;
-    });
+    // Yield and rescan: the rescan observes whatever arrived meanwhile.
+    sched::yield();
   }
 }
 
@@ -568,47 +530,57 @@ std::optional<MsgStatus> Mailbox::iprobe(int src_rank, int tag, int context) {
 }
 
 void Mailbox::deliver(Envelope& env, PostedRecv& pr, std::vector<Completion>& out) {
-#ifndef NDEBUG
-  // Both endpoints of a transfer-layer message must agree on the wire
-  // decomposition; a forced-strategy mismatch otherwise surfaces as an
-  // obscure truncation (or short read) below. Fail BOTH endpoints with a
-  // defined error instead of throwing on whichever thread happened to
-  // deliver — the peer would otherwise hang in its wait.
+  const MsgStatus st{env.src_rank, env.tag, env.bytes};
+  if (env.eager && !env.injected) {
+    // The receive raced ahead of the send in real time, so the eager
+    // injection was not recorded in post_send. Charge the wire exactly as
+    // post_send would have — at the *send's* post time with the sender's
+    // cap — so the virtual timeline does not depend on which side arrived
+    // at the mailbox first.
+    const auto span = charge_attempts(env, env.post_time, env.bw_cap);
+    env.arrival = span.end;
+    env.injected = true;
+    if (!env.fault_delivered) {
+      note_link_failure(net_, env, node_, /*sender_observed=*/true,
+                        /*receiver_observed=*/false);
+      out.push_back({env.sreq, span.end, MsgStatus{}, fail_error(env)});
+    } else {
+      out.push_back({env.sreq, span.end, st, nullptr});
+    }
+  }
+
+  // A matched pair that cannot be delivered is a user error. It fails as
+  // typed completions, never as a throw: deliver runs on whichever task
+  // posted second, so a throw would unwind that task and leave the other
+  // endpoint's request pending forever.
+  std::exception_ptr mismatch;
   if (env.wire_decomp != wire_decomp_unset && pr.wire_decomp != wire_decomp_unset &&
       env.wire_decomp != pr.wire_decomp) {
-    auto err = std::make_exception_ptr(PreconditionError(
+    // Both endpoints of a transfer-layer message must agree on the wire
+    // decomposition; a forced-strategy mismatch would otherwise surface as
+    // an obscure truncation (or short read) below.
+    mismatch = std::make_exception_ptr(PreconditionError(
         "wire decomposition mismatch between forced transfer strategies: sender uses " +
         describe_decomp(env.wire_decomp) + ", receiver expects " +
         describe_decomp(pr.wire_decomp) + " (tag " + std::to_string(env.tag) + ", " +
         std::to_string(env.bytes) + " B)"));
-    const vt::TimePoint when = vt::max(env.post_time, pr.post_time);
-    if (!env.injected) out.push_back({env.sreq, when, MsgStatus{}, err});
-    out.push_back({pr.rreq, when, MsgStatus{}, err});
+  } else if (env.bytes > pr.buffer.size()) {
+    mismatch = std::make_exception_ptr(PreconditionError(
+        "message truncation: received message (" + std::to_string(env.bytes) +
+        " B) larger than the posted buffer (" + std::to_string(pr.buffer.size()) + " B)"));
+  }
+  if (mismatch) {
+    // The receive fails when it would have completed. An eager sender
+    // already completed at injection; a rendezvous sender waits on this
+    // match, so it fails with the receive.
+    const vt::TimePoint when =
+        env.eager ? vt::max(env.arrival, pr.post_time) : vt::max(env.post_time, pr.post_time);
+    if (!env.eager) out.push_back({env.sreq, when, MsgStatus{}, mismatch});
+    out.push_back({pr.rreq, when, MsgStatus{}, mismatch});
     return;
   }
-#endif
-  CLMPI_REQUIRE(env.bytes <= pr.buffer.size(),
-                "message truncation: received message larger than the posted buffer");
-  const MsgStatus st{env.src_rank, env.tag, env.bytes};
 
   if (env.eager) {
-    if (!env.injected) {
-      // The receive raced ahead of the send in real time, so the eager
-      // injection was not recorded in post_send. Charge the wire exactly as
-      // post_send would have — at the *send's* post time with the sender's
-      // cap — so the virtual timeline does not depend on which side arrived
-      // at the mailbox first.
-      const auto span = charge_attempts(env, env.post_time, env.bw_cap);
-      env.arrival = span.end;
-      env.injected = true;
-      if (!env.fault_delivered) {
-        note_link_failure(net_, env, node_, /*sender_observed=*/true,
-                          /*receiver_observed=*/false);
-        out.push_back({env.sreq, span.end, MsgStatus{}, fail_error(env)});
-      } else {
-        out.push_back({env.sreq, span.end, st, nullptr});
-      }
-    }
     // The receive completes at max(arrival, recv post time).
     const vt::TimePoint when = vt::max(env.arrival, pr.post_time);
     if (!env.fault_delivered) {

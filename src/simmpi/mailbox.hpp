@@ -180,7 +180,7 @@ class Mailbox {
   /// caller can recycle it.
   void post_send_batch(std::vector<Envelope>& envs);
 
-  /// Progress-driver hook: drain any completions queued by producers that
+  /// Idle-backstop hook: drain any completions queued by producers that
   /// lost the consumer race and left before the queue emptied.
   void drain_completions() { completions_.drain(); }
 
@@ -276,9 +276,6 @@ class Mailbox {
   /// Push `batch` (if non-empty) and run the completion queue.
   void settle(std::vector<Completion>& batch);
 
-  /// Bump the arrival counter and wake blocked probes.
-  void note_arrival();
-
   Network* net_;
   int node_;
 
@@ -292,12 +289,6 @@ class Mailbox {
 
   /// Global posting/arrival order stamps (monotone, not dense).
   std::atomic<std::uint64_t> seq_{0};
-
-  /// Probe support: arrival epoch + cv, woken on every unexpected arrival.
-  std::mutex probe_mutex_;
-  std::condition_variable arrival_cv_;
-  std::atomic<std::uint64_t> arrivals_{0};
-  std::atomic<int> probe_waiters_{0};
 
   CompletionQueue completions_;
 };

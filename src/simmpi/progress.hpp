@@ -7,9 +7,10 @@
 //
 //   * Continuations (request.hpp): completion callbacks chain async stages
 //     without a thread parked in wait(); the blocking waits are thin shims.
-//   * Driver (cluster.cpp): a per-cluster thread that flushes coalescers,
-//     drains mailbox completion queues and fires deadline rescues on a fixed
-//     real-time tick, so no rank has to block to make a peer's operation
+//   * Backstop (ClusterCore::backstop): the idle task of the run's strand
+//     flushes coalescers, drains mailbox completion queues and fires
+//     deadline and cancel rescues whenever a pass over the rank fibers made
+//     no progress, so no rank has to block to make a peer's operation
 //     complete.
 //   * Coalescing (this file): bursts of sub-eager sends to the same
 //     (destination mailbox, context) are queued and posted as ONE batched
@@ -31,12 +32,11 @@
 //              about to be posted directly; the queued batch flushes first
 //              so the mailbox sees arrivals in program order (wildcard
 //              receives match on global arrival stamps);
-//   tick     — the progress driver's real-time backstop, which bounds how
-//              long a batch can sit queued when nothing ever blocks.
+//   tick     — the strand's idle backstop, which bounds how long a batch
+//              can sit queued when nothing ever blocks.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -50,11 +50,10 @@ namespace clmpi::mpi::detail {
 
 /// Engine knobs. Initialized once from the environment (CLMPI_PROGRESS:
 /// unset or anything but "0" = enabled); tests mutate the singleton BETWEEN
-/// cluster runs only (rank threads read it without synchronization).
+/// cluster runs only (rank fibers read it without synchronization).
 struct ProgressConfig {
-  /// Master switch: progress driver + coalescing. With the engine off the
-  /// simulator behaves exactly as before this subsystem existed (lazy
-  /// deadline reaper, every send posted directly).
+  /// Master switch for coalescing. With the engine off every send is
+  /// posted directly.
   bool enabled{true};
   /// Only messages at or below this payload size are coalescable.
   std::size_t coalesce_max_msg{4096};
@@ -64,8 +63,6 @@ struct ProgressConfig {
   /// Flush trigger: VIRTUAL time between a batch's oldest queued post_time
   /// and a newly offered message's post_time.
   vt::Duration coalesce_horizon{vt::microseconds(100.0)};
-  /// Real-time cadence of the progress driver thread.
-  std::chrono::milliseconds driver_tick{1};
 };
 
 /// Mutable process-wide config singleton (env-initialized on first use).
@@ -96,8 +93,6 @@ struct ProgressMetrics {
       obs::Registry::instance().counter("progress.coalesce.flush.direct");
   obs::Counter& flush_tick =
       obs::Registry::instance().counter("progress.coalesce.flush.tick");
-  obs::Counter& driver_ticks =
-      obs::Registry::instance().counter("progress.driver.ticks");
   obs::Counter& persistent_inits =
       obs::Registry::instance().counter("progress.persistent.inits");
   obs::Counter& persistent_starts =
@@ -125,7 +120,7 @@ class SendCoalescer {
   /// matches program order.
   void flush_key(const Mailbox& box, int context);
 
-  /// Flush every queued batch (blocking-wait hook, driver tick, teardown).
+  /// Flush every queued batch (blocking-wait hook, idle backstop, teardown).
   void flush_all(FlushTrigger trigger);
 
   /// Lock-free emptiness probe for the hot no-op paths.

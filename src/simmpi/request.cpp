@@ -161,23 +161,14 @@ void wait_all(std::span<Request> requests, vt::Clock& clock) {
 
 std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
   CLMPI_REQUIRE(!requests.empty(), "wait_any over zero requests");
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t winner{SIZE_MAX};
-  };
-  auto shared = std::make_shared<Shared>();
   // Any of the waited requests may depend on traffic still queued in a
   // coalescer (ours, or a peer's that our queued sends would unblock):
-  // flush the hinted coalescers before parking.
+  // flush the hinted coalescers before polling.
   for (Request& r : requests) {
     CLMPI_REQUIRE(r.valid(), "wait_any over a null request");
     r.state()->flush_hinted();
   }
-  if (sched::on_fiber()) {
-    // Fiber path: poll the done flags directly instead of arming completion
-    // callbacks — the lock-free done() peek per resume is cheaper than a
-    // callback registration per request, and there is no cv to wake.
+  {
     ctx::BlockedScope blocked("mpi.wait_any");
     const auto any_done = [&] {
       for (const Request& r : requests) {
@@ -186,19 +177,6 @@ std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
       return false;
     };
     while (!any_done()) sched::yield();
-  } else {
-    ctx::BlockedScope blocked("mpi.wait_any");
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      requests[i].on_complete([shared, i](vt::TimePoint, const MsgStatus&) {
-        {
-          std::lock_guard lock(shared->mutex);
-          if (shared->winner == SIZE_MAX) shared->winner = i;
-        }
-        shared->cv.notify_all();
-      });
-    }
-    std::unique_lock lock(shared->mutex);
-    shared->cv.wait(lock, [&] { return shared->winner != SIZE_MAX; });
   }
   // At least one request has completed. Pick the earliest *virtual*
   // completion among the requests that are done (lowest index on ties), not
@@ -230,7 +208,7 @@ bool test_all(std::span<Request> requests, vt::Clock& clock) {
 namespace detail {
 
 /// Read per call: the value only matters on paths that are already blocking
-/// (or on the reaper's slow tick), and tests override it via the env.
+/// (or in the idle backstop), and tests override it via the env.
 std::chrono::milliseconds deadline_grace() {
   if (const char* env = std::getenv("CLMPI_DEADLINE_GRACE_MS");
       env != nullptr && *env != '\0') {
@@ -251,7 +229,6 @@ void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr e
                                  const std::exception_ptr&)>>
       to_run;
   std::exception_ptr err;
-  bool notify = false;
   {
     std::lock_guard lock(mutex_);
     // A real resolution can race the deadline rescue; the rescue won, and
@@ -276,11 +253,7 @@ void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr e
     // Release-publish AFTER the completion fields: a lock-free done() reader
     // may then read them without the mutex.
     done_flag_.store(true, std::memory_order_release);
-    // Notify elision: spinning waiters and continuation-driven consumers are
-    // not registered, so the futex wake is paid only for true cv blockers.
-    notify = waiters_ > 0;
   }
-  if (notify) cv_.notify_all();
   sched::note_progress();
   for (auto& fn : to_run) fn(when, st, err);
 }
@@ -306,7 +279,6 @@ bool RequestState::rescue_timeout() {
                                  const std::exception_ptr&)>>
       to_run;
   std::exception_ptr err;
-  bool notify = false;
   {
     std::lock_guard lock(mutex_);
     if (!deadline_armed_ || done_) return false;
@@ -321,9 +293,7 @@ bool RequestState::rescue_timeout() {
     err = error_;
     to_run.swap(callbacks_);
     done_flag_.store(true, std::memory_order_release);
-    notify = waiters_ > 0;
   }
-  if (notify) cv_.notify_all();
   sched::note_progress();
   for (auto& fn : to_run) fn(deadline_, MsgStatus{}, err);
   return true;
@@ -335,7 +305,6 @@ bool RequestState::cancel_now(std::exception_ptr error) {
       to_run;
   vt::TimePoint when{};
   std::exception_ptr err;
-  bool notify = false;
   {
     std::lock_guard lock(mutex_);
     if (done_) return false;
@@ -350,9 +319,7 @@ bool RequestState::cancel_now(std::exception_ptr error) {
     err = error_;
     to_run.swap(callbacks_);
     done_flag_.store(true, std::memory_order_release);
-    notify = waiters_ > 0;
   }
-  if (notify) cv_.notify_all();
   sched::note_progress();
   for (auto& fn : to_run) fn(when, MsgStatus{}, err);
   return true;
@@ -383,19 +350,9 @@ vt::TimePoint RequestState::block_until_done() {
     // answer): put that on the wire before doing anything else.
     flush_hinted();
     if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
-    // Cooperative spin before the cv slow path: on a small (often 1-core)
-    // host a yield hands the CPU straight to the completing thread, and the
-    // common fast handoff resolves without a futex sleep/wake round trip.
-    // On a fiber the poll-yield path below IS the cheap handoff; skip the
-    // OS-thread spin, it would stall every fiber sharing this worker.
-    if (!sched::on_fiber()) {
-      for (int i = 0; i < 128 && !done(); ++i) std::this_thread::yield();
-    }
-  }
-  if (!done() && sched::on_fiber()) {
-    // Fiber path: stay in the scheduler's ready queue and re-poll the done
-    // flag per resume — the worker thread is never parked, so peer ranks
-    // (and the service fibers completing this request) keep running.
+    // Poll-yield: the waiting fiber stays in its strand's rotation and
+    // re-polls the done flag per resume, so peer ranks (and the service
+    // fibers completing this request) keep running.
     ctx::BlockedScope blocked("mpi.request.wait");
     bool armed = false;
     {
@@ -403,6 +360,9 @@ vt::TimePoint RequestState::block_until_done() {
       armed = deadline_armed_;
     }
     if (armed) {
+      // Liveness rescue: if nothing resolves this operation within the
+      // real-time grace, treat it as never completing (rescue_timeout fails
+      // it at its virtual deadline). Either way done() holds afterwards.
       const auto limit = std::chrono::steady_clock::now() + deadline_grace();
       while (!done() && std::chrono::steady_clock::now() < limit) sched::yield();
       if (!done()) {
@@ -411,24 +371,6 @@ vt::TimePoint RequestState::block_until_done() {
       }
     }
     while (!done()) sched::yield();
-  } else if (!done()) {
-    ctx::BlockedScope blocked("mpi.request.wait");
-    std::unique_lock lock(mutex_);
-    ++waiters_;
-    if (deadline_armed_) {
-      // Liveness rescue: if nothing resolves this operation within the
-      // real-time grace, treat it as never completing (rescue_timeout fails
-      // it at its virtual deadline). Either way done_ holds afterwards.
-      if (!cv_.wait_for(lock, deadline_grace(), [&] { return done_; })) {
-        lock.unlock();
-        const bool rescued = rescue_timeout();
-        if (rescued && obs::metrics_enabled()) progress_metrics().rescued_waits.add();
-        lock.lock();
-      }
-    } else {
-      cv_.wait(lock, [&] { return done_; });
-    }
-    --waiters_;
   }
   // done() held at least once: the completion fields are frozen, so they
   // are safe to read without the mutex.

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <cstddef>
 #include <functional>
@@ -102,7 +101,7 @@ bool test_all(std::span<Request> requests, vt::Clock& clock);
 namespace detail {
 
 /// Real-time grace allowed to a deadline-armed operation before a blocking
-/// waiter (or the cluster's deadline reaper) concludes it will never
+/// waiter (or the cluster's idle backstop) concludes it will never
 /// resolve. CLMPI_DEADLINE_GRACE_MS overrides the 2000 ms default.
 std::chrono::milliseconds deadline_grace();
 
@@ -138,12 +137,12 @@ class RequestState {
   /// Liveness rescue entry point: fail a still-pending deadline-armed
   /// operation with a TimeoutError AT its virtual deadline. Returns false
   /// (no-op) if the operation is not armed or already resolved. Used by a
-  /// blocking waiter after its grace expires, and by the cluster's deadline
-  /// reaper for operations nothing ever blocks on (the clMPI runtime's
+  /// blocking waiter after its grace expires, and by the cluster's idle
+  /// backstop for operations nothing ever blocks on (the clMPI runtime's
   /// callback-driven commands).
   bool rescue_timeout();
 
-  /// Reaper form of the rescue: only fires once `now - armed_at >= grace`.
+  /// Backstop form of the rescue: only fires once `now - armed_at >= grace`.
   void rescue_if_stale(std::chrono::steady_clock::time_point now,
                        std::chrono::milliseconds grace);
 
@@ -164,8 +163,8 @@ class RequestState {
     return done_flag_.load(std::memory_order_acquire);
   }
   /// Blocks until complete; rethrows the operation's exception on failure.
-  /// Flushes the coalescer named by the flush hint, then spins briefly
-  /// (cooperative yields) before the condition-variable slow path; counts
+  /// Flushes the coalescer named by the flush hint, then poll-yields the
+  /// calling fiber (on a plain thread: spins on OS yields); counts
   /// progress.blocking_waits on entry when the request is still pending and
   /// progress.rescued_waits when the deadline rescue resolves it.
   vt::TimePoint block_until_done();
@@ -192,14 +191,10 @@ class RequestState {
   [[nodiscard]] std::exception_ptr make_timeout_error() const;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   bool done_{false};
   /// Lock-free mirror of done_, release-published after the completion
   /// fields are written.
   std::atomic<bool> done_flag_{false};
-  /// Blocked (cv) waiters; settle elides the notify_all when zero — spinning
-  /// and continuation-driven waiters never pay the futex wake.
-  int waiters_{0};
   SendCoalescer* flush_co_{nullptr};
   bool deadline_armed_{false};
   /// True when the request resolved as a deadline timeout; a late real
@@ -207,7 +202,8 @@ class RequestState {
   /// was already fixed at the deadline).
   bool timed_out_{false};
   vt::TimePoint deadline_{};
-  /// Real time at which the deadline was armed; the reaper's staleness clock.
+  /// Real time at which the deadline was armed; the backstop's staleness
+  /// clock.
   std::chrono::steady_clock::time_point armed_at_{};
   vt::TimePoint completion_{};
   MsgStatus status_{};

@@ -1,7 +1,7 @@
 // Execution context: per-task state that used to hide in thread_locals.
 //
-// With the cooperative scheduler (support/sched.hpp), a rank is a fiber that
-// may migrate between worker threads, so "per-thread" state silently keyed on
+// Under the fiber scheduler (support/sched.hpp), a rank is a fiber that may
+// migrate between worker threads, so "per-thread" state silently keyed on
 // thread identity (the capi binding, the strategy-selection memo, the staging
 // pool's node cache, the log label) would leak across ranks sharing a worker.
 // ExecContext is the replacement: one instance per logical task — a fiber
@@ -15,8 +15,7 @@
 //
 // ctx::current() always returns a context: the scheduler installs the running
 // fiber's around each resume, and a plain thread falls back to a thread_local
-// instance — so call sites need no mode check and threads-mode behaviour is
-// exactly the old thread_local behaviour.
+// instance — so call sites need no fiber check.
 #pragma once
 
 #include <atomic>
@@ -51,8 +50,8 @@ class ExecContext {
   /// watchdog via the scheduler's fiber snapshot.
   std::atomic<const char*> blocked{nullptr};
   /// Optional mirror slot owned by the cluster (one per rank, outliving the
-  /// context), so the watchdog can dump per-RANK sites in both scheduler
-  /// modes without touching a possibly-dead rank's context.
+  /// context), so the watchdog can dump per-RANK sites without touching a
+  /// possibly-dead rank's context.
   std::atomic<const char*>* blocked_mirror{nullptr};
 
   /// The service job this task runs under; null for standalone runs. Set by

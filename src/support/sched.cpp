@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -20,23 +19,17 @@
 // across stack switches; without them ASan misattributes frames and TSan
 // reports phantom races between tasks that share a worker.
 #if defined(__SANITIZE_ADDRESS__)
-#define CLMPI_SCHED_ASAN 1
+#define CLMPI_FIBER_ASAN 1
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
-#define CLMPI_SCHED_TSAN 1
+#define CLMPI_FIBER_TSAN 1
 #include <sanitizer/tsan_interface.h>
 #endif
 
 namespace clmpi::sched {
 
 namespace {
-
-/// Global progress epoch (idle-backoff heartbeat). Only maintained while at
-/// least one scheduler is live, so threads-mode hot paths pay one relaxed
-/// load and nothing else.
-std::atomic<int> g_schedulers{0};
-std::atomic<std::uint64_t> g_epoch{0};
 
 long env_long(const char* name) {
   const char* env = std::getenv(name);
@@ -62,6 +55,16 @@ std::size_t default_stack_bytes() {
 #endif
 }
 
+/// Fiber resumes per strand checkout. A count, never a time slice: where a
+/// quantum ends must not depend on the host.
+constexpr int kQuantum = 64;
+/// Wall-clock nap of a quiescent strand (every fiber waits on the wall clock
+/// or on another thread): doubles per consecutive quiescent pass.
+constexpr std::chrono::microseconds kNapMin{20};
+constexpr std::chrono::microseconds kNapMax{1000};
+
+struct Strand;
+
 struct Fiber {
   ucontext_t uc{};
   ucontext_t* ret_uc{nullptr};  ///< resuming worker's context, set per resume
@@ -72,90 +75,81 @@ struct Fiber {
   std::function<void()> fn;
   std::atomic<bool> finished{false};
   bool started{false};
-  std::uint64_t job{0};  ///< tenancy tag; 0 = untagged (single-job mode)
+  Strand* strand{nullptr};
   ctx::ExecContext ctx;
   Scheduler::Impl* owner{nullptr};
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   void* fake_stack{nullptr};
   const void* ret_stack_bottom{nullptr};
   std::size_t ret_stack_size{0};
 #endif
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   void* tsan_fiber{nullptr};
   void* tsan_ret{nullptr};
 #endif
 };
 
+/// One serial execution context: the fibers of one cluster run.
+struct Strand {
+  std::uint64_t tag{0};
+  std::function<void()> idle;
+  // Touched only by the worker holding the strand while it is checked out,
+  // under Scheduler::Impl::mutex otherwise.
+  std::deque<Fiber*> ready;  ///< every unfinished fiber (poll-yield)
+  std::uint64_t epoch{0};    ///< bumped by note_progress() on this strand
+  std::uint64_t seen_epoch{0};
+  std::size_t fruitless{0};  ///< resumes since the epoch last moved
+  std::chrono::microseconds nap{0};
+  // Guarded by Scheduler::Impl::mutex.
+  std::chrono::steady_clock::time_point wake{};  ///< end of the current nap
+  std::vector<std::unique_ptr<Fiber>> fibers;    ///< ownership, for snapshot()
+};
+
 thread_local Fiber* t_current = nullptr;
+/// The strand this worker holds (set for a whole quantum, idle task included).
+thread_local Strand* t_strand = nullptr;
 thread_local ucontext_t t_worker_uc;
 /// Handoff slot for the trampoline's argument: written by the worker right
 /// before the FIRST switch into a fiber, read at trampoline entry on the
 /// same OS thread before anything can intervene.
 thread_local Fiber* t_trampoline_arg = nullptr;
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
 thread_local void* t_worker_fake = nullptr;
 #endif
 
 }  // namespace
 
 struct Scheduler::Impl {
-  Options opts;
   std::size_t stack_bytes{0};
 
-  // Ready structure: one FIFO per job tag plus a round-robin rotation of
-  // job tags with runnable fibers. Invariant (under `mutex`): a tag appears
-  // in `rotation` exactly once iff its deque is non-empty.
   mutable std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::deque<Fiber*>> ready_jobs;
-  std::deque<std::uint64_t> rotation;
-  std::vector<std::unique_ptr<Fiber>> all;
-  std::atomic<int> live{0};
+  std::condition_variable work_cv;    ///< parked workers
+  std::condition_variable closed_cv;  ///< wait_strand callers
+  std::unordered_map<std::uint64_t, std::unique_ptr<Strand>> strands;
+  std::deque<Strand*> rotation;  ///< runnable strands nobody holds
+  std::vector<Strand*> napping;  ///< quiescent strands, by Strand::wake
+  int parked{0};
+  bool stopping{false};
   std::vector<std::thread> workers;
-  bool started{false};
-  std::atomic<bool> stopping{false};
 
-  // Idle backstops: the single pre-start hook (single-job path) plus
-  // dynamically registered per-job tasks (service path). Both run under
-  // `idle_mutex`, so remove_idle_task blocks while a pass is in flight and
-  // a removed task can never run again after removal returns.
-  std::mutex idle_mutex;
-  std::function<void()> idle_hook;
-  std::vector<std::pair<const void*, std::function<void()>>> idle_tasks;
+  /// Outcome of one quantum.
+  enum class Pass { runnable, quiescent, closed };
 
-  void spawn(std::function<void()> fn, std::string label, std::uint64_t job);
-  void push_ready(Fiber* f);   // requires `mutex`
-  Fiber* pop_ready();          // requires `mutex`
+  std::unique_ptr<Fiber> make_fiber(std::function<void()> fn, std::string label);
+  void spawn_here(std::function<void()> fn, std::string label);
+  Strand* checkout(std::unique_lock<std::mutex>& lock);  // nullptr = exit
+  Pass run_quantum(Strand& s);
+  void release(Strand& s, Pass pass);  // requires `mutex`
   void worker_loop(int index);
   void resume(Fiber* f);
   void retire(Fiber* f);
 };
 
-void Scheduler::Impl::push_ready(Fiber* f) {
-  auto& q = ready_jobs[f->job];
-  if (q.empty()) rotation.push_back(f->job);
-  q.push_back(f);
-}
-
-Fiber* Scheduler::Impl::pop_ready() {
-  if (rotation.empty()) return nullptr;
-  const std::uint64_t id = rotation.front();
-  rotation.pop_front();
-  const auto it = ready_jobs.find(id);
-  Fiber* f = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) {
-    ready_jobs.erase(it);  // keep the map bounded across many short jobs
-  } else {
-    rotation.push_back(id);
-  }
-  return f;
-}
-
 namespace {
 
 [[noreturn]] void trampoline() {
   Fiber* f = t_trampoline_arg;
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   // First entry: complete the switch that brought us here and learn the
   // resuming worker's stack (where yields will return to).
   __sanitizer_finish_switch_fiber(nullptr, &f->ret_stack_bottom, &f->ret_stack_size);
@@ -164,19 +158,18 @@ namespace {
     f->fn();
   } catch (...) {
     // Fiber bodies own their error handling (rank bodies report through the
-    // cluster's first_error path, services poison their events/requests). An
-    // exception escaping to here would have killed the process in threads
-    // mode too — keep that contract.
+    // cluster's first_error path, services poison their events/requests), so
+    // an exception escaping to here is a bug, like one escaping a thread.
     CLMPI_WARN("unhandled exception escaped a scheduler fiber; terminating");
     std::terminate();
   }
   f->fn = nullptr;  // release captures before the stack goes away
   f->finished.store(true, std::memory_order_release);
   note_progress();
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   // nullptr fake-stack save: this fiber never runs again.
   __sanitizer_start_switch_fiber(nullptr, f->ret_stack_bottom, f->ret_stack_size);
 #endif
@@ -186,17 +179,10 @@ namespace {
 
 }  // namespace
 
-Mode mode_from_env() {
-  const char* env = std::getenv("CLMPI_SCHED");
-  if (env != nullptr && std::string_view(env) == "fibers") return Mode::fibers;
-  return Mode::threads;
-}
-
 bool on_fiber() noexcept { return t_current != nullptr; }
 
 void note_progress() noexcept {
-  if (g_schedulers.load(std::memory_order_relaxed) == 0) return;
-  g_epoch.fetch_add(1, std::memory_order_relaxed);
+  if (Strand* s = t_strand) ++s->epoch;
 }
 
 void yield() {
@@ -205,24 +191,24 @@ void yield() {
     std::this_thread::yield();
     return;
   }
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   __sanitizer_start_switch_fiber(&f->fake_stack, f->ret_stack_bottom, f->ret_stack_size);
 #endif
   swapcontext(&f->uc, f->ret_uc);
-  // Resumed — possibly on a different worker thread (rank migration).
-#ifdef CLMPI_SCHED_ASAN
+  // Resumed — possibly on a different worker thread (strand migration).
+#ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f->fake_stack, &f->ret_stack_bottom, &f->ret_stack_size);
 #endif
 }
 
-void Scheduler::Impl::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
+std::unique_ptr<Fiber> Scheduler::Impl::make_fiber(std::function<void()> fn,
+                                                   std::string label) {
   auto f = std::make_unique<Fiber>();
   f->owner = this;
   f->fn = std::move(fn);
-  f->job = job;
   f->ctx.log_label = std::move(label);
 
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -240,15 +226,23 @@ void Scheduler::Impl::spawn(std::function<void()> fn, std::string label, std::ui
   f->uc.uc_stack.ss_size = f->stack_size;
   f->uc.uc_link = nullptr;
   makecontext(&f->uc, &trampoline, 0);
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   f->tsan_fiber = __tsan_create_fiber(0);
   __tsan_set_fiber_name(f->tsan_fiber, f->ctx.log_label.c_str());
 #endif
+  return f;
+}
 
-  live.fetch_add(1, std::memory_order_acq_rel);
+void Scheduler::Impl::spawn_here(std::function<void()> fn, std::string label) {
+  // Called from a fiber, so this worker holds the fiber's strand: the FIFO
+  // append needs no lock and lands at a schedule-determined point.
+  Strand* s = t_strand;
+  auto f = make_fiber(std::move(fn), std::move(label));
+  f->strand = s;
+  s->ready.push_back(f.get());
+  ++s->epoch;  // a fiber that has not run yet: the strand is not quiescent
   std::lock_guard lock(mutex);
-  push_ready(f.get());
-  all.push_back(std::move(f));
+  s->fibers.push_back(std::move(f));
 }
 
 void Scheduler::Impl::resume(Fiber* f) {
@@ -259,15 +253,15 @@ void Scheduler::Impl::resume(Fiber* f) {
   }
   t_current = f;
   ctx::set_current(&f->ctx);
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   f->tsan_ret = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(f->tsan_fiber, 0);
 #endif
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   __sanitizer_start_switch_fiber(&t_worker_fake, f->stack_base, f->stack_size);
 #endif
   swapcontext(&t_worker_uc, &f->uc);
-#ifdef CLMPI_SCHED_ASAN
+#ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(t_worker_fake, nullptr, nullptr);
 #endif
   ctx::set_current(nullptr);
@@ -275,7 +269,7 @@ void Scheduler::Impl::resume(Fiber* f) {
 }
 
 void Scheduler::Impl::retire(Fiber* f) {
-#ifdef CLMPI_SCHED_TSAN
+#ifdef CLMPI_FIBER_TSAN
   __tsan_destroy_fiber(f->tsan_fiber);
   f->tsan_fiber = nullptr;
 #endif
@@ -283,151 +277,176 @@ void Scheduler::Impl::retire(Fiber* f) {
   f->mapping = nullptr;
   f->stack_base = nullptr;
   f->ctx.clear_slots();
-  {
-    // Drop the Fiber record itself: a persistent scheduler hosts thousands
-    // of short jobs over its life and must not accumulate their corpses.
-    std::lock_guard lock(mutex);
-    std::erase_if(all, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
+  // Drop the Fiber record itself: a persistent scheduler hosts thousands of
+  // short strands over its life and must not accumulate their corpses.
+  std::lock_guard lock(mutex);
+  std::erase_if(f->strand->fibers, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
+}
+
+Strand* Scheduler::Impl::checkout(std::unique_lock<std::mutex>& lock) {
+  for (;;) {
+    if (!napping.empty()) {
+      const auto now = std::chrono::steady_clock::now();
+      std::erase_if(napping, [&](Strand* s) {
+        if (s->wake > now) return false;
+        rotation.push_back(s);
+        return true;
+      });
+    }
+    if (!rotation.empty()) {
+      Strand* s = rotation.front();
+      rotation.pop_front();
+      if (!rotation.empty() && parked > 0) work_cv.notify_one();
+      return s;
+    }
+    if (strands.empty() && stopping) return nullptr;
+    ++parked;
+    if (napping.empty()) {
+      work_cv.wait(lock);
+    } else {
+      // By value: while this worker waits, another may wake, run and close
+      // that strand.
+      const auto wake = (*std::min_element(napping.begin(), napping.end(), [](Strand* a, Strand* b) {
+        return a->wake < b->wake;
+      }))->wake;
+      work_cv.wait_until(lock, wake);
+    }
+    --parked;
   }
-  live.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
+  t_strand = &s;
+  Pass pass = Pass::runnable;
+  for (int i = 0; i < kQuantum; ++i) {
+    if (s.ready.empty()) {
+      pass = Pass::closed;
+      break;
+    }
+    Fiber* f = s.ready.front();
+    s.ready.pop_front();
+    resume(f);
+    if (f->finished.load(std::memory_order_acquire)) {
+      retire(f);  // the trampoline noted progress
+      continue;
+    }
+    s.ready.push_back(f);
+    if (s.epoch != s.seen_epoch) {
+      s.seen_epoch = s.epoch;
+      s.fruitless = 0;
+      s.nap = std::chrono::microseconds{0};
+      continue;
+    }
+    if (++s.fruitless < s.ready.size()) continue;
+    // A full pass over the strand advanced nothing: run its backstop, which
+    // may release queued work (coalesced sends, cancel-failed requests).
+    // Both the pass length and the epoch are the strand's own, so where the
+    // backstop fires is a function of the strand's schedule alone.
+    s.fruitless = 0;
+    if (s.idle) s.idle();
+    if (s.epoch != s.seen_epoch) {
+      s.seen_epoch = s.epoch;
+      s.nap = std::chrono::microseconds{0};
+      continue;
+    }
+    pass = Pass::quiescent;
+    break;
+  }
+  if (pass == Pass::runnable && s.ready.empty()) pass = Pass::closed;
+  t_strand = nullptr;
+  return pass;
+}
+
+void Scheduler::Impl::release(Strand& s, Pass pass) {
+  switch (pass) {
+    case Pass::closed:
+      // The last fiber finished: close the strand (destroying its idle task)
+      // and wake whoever waits for it.
+      strands.erase(s.tag);
+      closed_cv.notify_all();
+      if (strands.empty() && stopping) work_cv.notify_all();
+      return;
+    case Pass::quiescent:
+      s.nap = std::clamp(s.nap * 2, kNapMin, kNapMax);
+      s.wake = std::chrono::steady_clock::now() + s.nap;
+      napping.push_back(&s);
+      return;
+    case Pass::runnable:
+      rotation.push_back(&s);
+      return;
+  }
 }
 
 void Scheduler::Impl::worker_loop(int index) {
   log::set_thread_label("sched-worker" + std::to_string(index));
-  std::uint64_t seen_epoch = g_epoch.load(std::memory_order_relaxed);
-  std::size_t fruitless = 0;
-  for (;;) {
-    Fiber* f = nullptr;
-    {
-      std::lock_guard lock(mutex);
-      f = pop_ready();
-    }
-    if (f == nullptr) {
-      if (live.load(std::memory_order_acquire) == 0) {
-        if (!opts.persistent || stopping.load(std::memory_order_acquire)) return;
-        // Persistent pool between jobs: nothing to run until a submit.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      // Every unfinished fiber is mid-resume on another worker (or a spawn
-      // is in flight); back off rather than hammer the queue lock.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
-    }
-    resume(f);
-    if (f->finished.load(std::memory_order_acquire)) {
-      retire(f);
-      continue;
-    }
-    {
-      std::lock_guard lock(mutex);
-      push_ready(f);
-    }
-    // Idle backoff: a blocked fiber re-enters the ready queue, so when every
-    // live fiber waits on an external thread (progress driver, a plain-thread
-    // peer) the pool would spin. The progress epoch tells us whether anything
-    // completed since the last pass; after a full fruitless round, nap.
-    const std::uint64_t e = g_epoch.load(std::memory_order_relaxed);
-    if (e != seen_epoch) {
-      seen_epoch = e;
-      fruitless = 0;
-    } else if (++fruitless > static_cast<std::size_t>(
-                                 std::max(1, live.load(std::memory_order_relaxed)))) {
-      fruitless = 0;
-      // Quiescence: every live fiber was resumed once and nothing advanced.
-      // Run the backstop hooks first — they may release queued work
-      // (coalesced sends, cancel-failed requests) that unblocks a fiber on
-      // the next pass; only nap when even the hooks produced no progress.
-      bool ran_backstop = false;
-      {
-        std::lock_guard ilock(idle_mutex);
-        if (idle_hook) {
-          idle_hook();
-          ran_backstop = true;
-        }
-        for (auto& [token, task] : idle_tasks) {
-          (void)token;
-          task();
-          ran_backstop = true;
-        }
-      }
-      if (ran_backstop && g_epoch.load(std::memory_order_relaxed) != seen_epoch) continue;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
+  std::unique_lock lock(mutex);
+  while (Strand* s = checkout(lock)) {
+    lock.unlock();
+    const Pass pass = run_quantum(*s);
+    lock.lock();
+    release(*s, pass);
   }
 }
 
 Scheduler::Scheduler(Options options) : impl_(std::make_unique<Impl>()) {
-  impl_->opts = options;
   impl_->stack_bytes =
       std::max<std::size_t>(options.stack_bytes > 0 ? options.stack_bytes : default_stack_bytes(),
                             std::size_t{64} << 10);
-  g_schedulers.fetch_add(1, std::memory_order_relaxed);
-}
-
-Scheduler::~Scheduler() {
-  stop();
-  join();
-  g_schedulers.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void Scheduler::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
-  impl_->spawn(std::move(fn), std::move(label), job);
-}
-
-void Scheduler::set_idle_hook(std::function<void()> hook) {
-  CLMPI_REQUIRE(!impl_->started, "idle hook must be installed before start()");
-  impl_->idle_hook = std::move(hook);
-}
-
-void Scheduler::add_idle_task(const void* token, std::function<void()> task) {
-  std::lock_guard lock(impl_->idle_mutex);
-  impl_->idle_tasks.emplace_back(token, std::move(task));
-}
-
-void Scheduler::remove_idle_task(const void* token) {
-  std::lock_guard lock(impl_->idle_mutex);
-  std::erase_if(impl_->idle_tasks,
-                [token](const auto& entry) { return entry.first == token; });
-}
-
-void Scheduler::start() {
-  CLMPI_REQUIRE(!impl_->started, "scheduler started twice");
-  impl_->started = true;
-  const int configured = impl_->opts.workers > 0 ? impl_->opts.workers : default_workers();
-  int n = configured;
-  if (!impl_->opts.persistent) {
-    // One-shot mode: no point in more workers than fibers.
-    const int tasks = std::max(1, impl_->live.load(std::memory_order_relaxed));
-    n = std::clamp(configured, 1, tasks);
-  }
-  n = std::max(1, n);
+  const int n = std::max(1, options.workers > 0 ? options.workers : default_workers());
   impl_->workers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     impl_->workers.emplace_back([this, i] { impl_->worker_loop(i); });
   }
 }
 
-void Scheduler::stop() { impl_->stopping.store(true, std::memory_order_release); }
-
-void Scheduler::join() {
-  for (auto& w : impl_->workers) {
-    if (w.joinable()) w.join();
+Scheduler::~Scheduler() {
+  {
+    std::lock_guard lock(impl_->mutex);
+    impl_->stopping = true;
   }
-  impl_->workers.clear();
+  impl_->work_cv.notify_all();
+  for (auto& w : impl_->workers) w.join();
+}
+
+void Scheduler::submit(std::uint64_t strand, std::vector<Task> tasks,
+                       std::function<void()> idle) {
+  CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
+  auto s = std::make_unique<Strand>();
+  s->tag = strand;
+  s->idle = std::move(idle);
+  for (Task& t : tasks) {
+    s->fibers.push_back(impl_->make_fiber(std::move(t.fn), std::move(t.label)));
+    s->fibers.back()->strand = s.get();
+    s->ready.push_back(s->fibers.back().get());
+  }
+  std::lock_guard lock(impl_->mutex);
+  CLMPI_REQUIRE(!impl_->strands.contains(strand), "strand tag already in use");
+  impl_->rotation.push_back(s.get());
+  impl_->strands.emplace(strand, std::move(s));
+  if (impl_->parked > 0) impl_->work_cv.notify_one();
+}
+
+bool Scheduler::wait_strand(std::uint64_t strand, double timeout_s) {
+  std::unique_lock lock(impl_->mutex);
+  const auto closed = [&] { return !impl_->strands.contains(strand); };
+  if (timeout_s <= 0.0) {
+    impl_->closed_cv.wait(lock, closed);
+    return true;
+  }
+  return impl_->closed_cv.wait_for(lock, std::chrono::duration<double>(timeout_s), closed);
 }
 
 std::vector<Scheduler::FiberInfo> Scheduler::snapshot() const {
   std::vector<FiberInfo> out;
   std::lock_guard lock(impl_->mutex);
-  for (const auto& f : impl_->all) {
-    if (f->finished.load(std::memory_order_acquire)) continue;
-    out.push_back({f->ctx.log_label, f->ctx.blocked.load(std::memory_order_relaxed), f->job});
+  for (const auto& [tag, s] : impl_->strands) {
+    for (const auto& f : s->fibers) {
+      if (f->finished.load(std::memory_order_acquire)) continue;
+      out.push_back({f->ctx.log_label, f->ctx.blocked.load(std::memory_order_relaxed), tag});
+    }
   }
   return out;
 }
-
-std::size_t Scheduler::stack_bytes() const noexcept { return impl_->stack_bytes; }
 
 ServiceHandle::~ServiceHandle() {
   if (joinable()) join();
@@ -444,7 +463,7 @@ void ServiceHandle::join() {
   }
   if (fiber_done_ != nullptr) {
     // Fiber-backed service: poll-yield until its wrapper flags completion.
-    // Works from a fiber (cooperative) and from a plain thread (os yield).
+    // Works from a fiber (a fiber yield) and from a plain thread (an OS yield).
     ctx::BlockedScope blocked("sched.service.join");
     while (!fiber_done_->load(std::memory_order_acquire)) yield();
     fiber_done_.reset();
@@ -454,21 +473,21 @@ void ServiceHandle::join() {
 ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
   ServiceHandle h;
   // Tenancy propagation: a runtime service works on behalf of the task that
-  // started it, so it inherits the spawner's job (scheduler tag AND context
+  // started it, so it inherits the spawner's job (strand AND context
   // pointer — quota charges from inside the service bill the right tenant).
   tenant::JobControl* job_ctx = ctx::current().job;
   Fiber* cur = t_current;
   if (cur != nullptr) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     h.fiber_done_ = done;
-    cur->owner->spawn(
+    cur->owner->spawn_here(
         [done, job_ctx, fn = std::move(fn)] {
           ctx::current().job = job_ctx;
           fn();
           done->store(true, std::memory_order_release);
           note_progress();
         },
-        std::move(label), cur->job);
+        std::move(label));
     return h;
   }
   h.thread_ = std::thread([label = std::move(label), job_ctx, fn = std::move(fn)] {

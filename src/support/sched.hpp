@@ -1,37 +1,39 @@
 // Cooperative rank scheduler: stackful fibers over a small worker pool.
 //
-// Thread-per-rank caps simulated cluster size at what the OS will give us in
-// threads; the paper's evaluation runs 100 nodes, and the scaling benches
-// want 1000+. In fiber mode (CLMPI_SCHED=fibers) each rank body runs as a
-// resumable ucontext fiber, multiplexed over `CLMPI_FIBER_WORKERS` OS
-// threads (default: hardware concurrency). Every blocking point in the
+// Every simulated cluster runs its rank bodies as resumable ucontext fibers,
+// multiplexed over a pool of worker OS threads. Every blocking point in the
 // runtime — Request waits, collective rendezvous, window fences, mailbox
 // probes, event waits, the dispatcher's and the queue workers' idle waits —
 // goes through sched::wait / sched::yield, which suspends the FIBER instead
 // of parking the OS thread.
 //
-// Blocking model: poll-yield. A blocked fiber stays in the round-robin ready
-// queue and re-checks its predicate on every resume. There is no wakeup
-// bookkeeping to lose: completions produced by other fibers, by the progress
-// driver, or by any plain thread are observed on the next resume regardless
-// of who produced them. The cost — fruitless resumes while everybody waits
-// on an external thread — is bounded by an idle backoff: workers watch a
-// global progress epoch (note_progress(), bumped at every completion site)
-// and sleep briefly when a full pass over the ready queue advanced nothing.
+// Strands: every fiber carries a strand tag (one per cluster run). A strand
+// is a serial execution context: a worker checks a strand out, resumes its
+// ready fibers in FIFO order for a bounded quantum, and puts it back in the
+// rotation; two workers never hold the same strand at once. All parallelism
+// comes from running different strands (clusters) concurrently.
 //
-// Determinism contract: the scheduler never touches virtual time. All
-// timestamps are computed from vt::Clock values fixed at post time, so trace
-// hashes, makespans and fault counters are bit-identical between
-// CLMPI_SCHED=threads and CLMPI_SCHED=fibers (tests/test_sched.cpp holds the
-// two modes to that; the chaos suite's seed-identity oracle already holds
-// each mode to itself).
+// Blocking model: poll-yield. A blocked fiber stays in its strand's FIFO and
+// re-checks its predicate on every resume. Completion sites call
+// note_progress(), which bumps the progress epoch of the strand running the
+// caller. After a full pass over a strand's fibers in which that epoch did
+// not move, the worker runs the strand's idle task (the runtime's liveness
+// backstop); if even that made no progress, the strand naps for a short,
+// growing wall-clock backoff. Workers with no runnable strand park on a
+// condition variable.
+//
+// Determinism contract: the order in which a strand's fibers run, and the
+// points at which its idle task fires, are functions of the strand alone —
+// not of the worker count, of which worker holds it, or of co-tenant
+// strands. The scheduler never touches virtual time, so trace hashes,
+// makespans and fault counters do not depend on the worker count
+// (tests/test_sched.cpp holds 1, 4 and 16 workers to that).
 //
 // Sanitizers: fiber stack switches are annotated for ASan
 // (__sanitizer_{start,finish}_switch_fiber) and TSan (__tsan_*_fiber), so
-// CLMPI_SANITIZE=address / thread builds run fiber mode cleanly.
+// CLMPI_SANITIZE=address / thread builds run fibers cleanly.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -46,13 +48,6 @@
 
 namespace clmpi::sched {
 
-enum class Mode { threads, fibers };
-
-/// CLMPI_SCHED: "fibers" selects the cooperative scheduler, anything else
-/// (including unset) the classic thread-per-rank launcher. Read per call so
-/// tests can flip modes between cluster runs.
-Mode mode_from_env();
-
 /// True when the calling code runs on a scheduler fiber.
 [[nodiscard]] bool on_fiber() noexcept;
 
@@ -63,16 +58,17 @@ void yield();
 
 /// Completion-side hook: something observable by a blocked task happened
 /// (request settled, event completed, message arrived, epoch closed). Bumps
-/// the global progress epoch that gates the workers' idle backoff — cheap
-/// (one relaxed add), safe to call from any thread, never required for
-/// correctness (blocked fibers re-poll regardless).
+/// the progress epoch of the strand the caller runs on (a fiber, or that
+/// strand's idle task); a no-op anywhere else. Never required for
+/// correctness — blocked fibers re-poll regardless — it only decides when a
+/// strand counts as quiescent.
 void note_progress() noexcept;
 
 /// Fiber-aware condition wait. Publishes `site` as the caller's blocked site
-/// (watchdog diagnostics) in both modes. Fiber path: unlock-yield-relock
-/// until `pred()` holds — the cv is not used (poll-yield needs no wakeup).
-/// Thread path: exactly cv.wait(lock, pred). `site` must be a string
-/// literal (or otherwise outlive the wait).
+/// (watchdog diagnostics). Fiber path: unlock-yield-relock until `pred()`
+/// holds — the cv is not used (poll-yield needs no wakeup). Thread path:
+/// exactly cv.wait(lock, pred). `site` must be a string literal (or
+/// otherwise outlive the wait).
 template <typename Pred>
 void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv, Pred&& pred,
           const char* site) {
@@ -86,25 +82,6 @@ void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv, Pred&
     return;
   }
   cv.wait(lock, std::forward<Pred>(pred));
-}
-
-/// Fiber-aware wait with a real-time timeout (the deadline-grace slow path).
-/// Returns pred() — false only when the timeout expired first.
-template <typename Pred>
-bool wait_for(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-              std::chrono::milliseconds timeout, Pred&& pred, const char* site) {
-  ctx::BlockedScope blocked(site);
-  if (on_fiber()) {
-    const auto limit = std::chrono::steady_clock::now() + timeout;
-    while (!pred()) {
-      if (std::chrono::steady_clock::now() >= limit) return pred();
-      lock.unlock();
-      yield();
-      lock.lock();
-    }
-    return true;
-  }
-  return cv.wait_for(lock, timeout, std::forward<Pred>(pred));
 }
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
@@ -132,89 +109,61 @@ class ServiceHandle {
 /// Spawn `fn` as a service task labelled `label` (becomes its log label).
 ServiceHandle spawn_service(std::string label, std::function<void()> fn);
 
-/// The fiber scheduler backing one Cluster::run in fiber mode — or, in
-/// persistent mode, the process-wide worker pool a svc::Service multiplexes
-/// MANY concurrent cluster runs (jobs) onto.
+/// The fiber worker pool every Cluster::run executes on: a process-wide pool
+/// by default (Cluster::run), or one owned by a svc::Service or a test.
+/// Workers live as long as the pool and park while no strand is runnable.
 ///
-/// Multi-tenancy: every fiber carries a job tag (0 = untagged). The ready
-/// structure is one FIFO deque per job plus a round-robin rotation across
-/// jobs with runnable fibers, so each scheduling decision picks the next
-/// job in rotation and the oldest ready fiber of that job. Fairness is
-/// deterministic: a job's fibers execute in exactly the FIFO order they
-/// would with the job alone on the scheduler (co-tenants only interleave
-/// BETWEEN its resumes, never reorder them), which is what keeps per-job
-/// trace hashes independent of co-tenancy. With a single job the rotation
-/// degenerates to the classic single-deque round robin.
+/// Multi-tenancy: every fiber carries the tag of the strand it was
+/// submitted on (service fibers inherit their spawner's). Each strand keeps
+/// its own FIFO of ready fibers; the rotation
+/// holds the strands that are runnable and not checked out. A strand's
+/// fibers execute in exactly the order they would with the strand alone on
+/// a one-worker pool, which keeps per-job trace hashes independent of
+/// co-tenancy and of the worker count.
 class Scheduler {
  public:
   struct Options {
-    /// Worker OS threads; 0 = min(hardware concurrency, task count).
+    /// Worker OS threads; 0 = CLMPI_FIBER_WORKERS or hardware concurrency.
     int workers{0};
     /// Per-fiber stack bytes; 0 = CLMPI_FIBER_STACK_KB or the built-in
     /// default (256 KiB, 1 MiB under sanitizer builds).
     std::size_t stack_bytes{0};
-    /// Persistent (service) mode: workers idle when no fibers are live
-    /// instead of exiting, so jobs can keep arriving; stop() begins the
-    /// shutdown and join() then waits for the drain. start() sizes the pool
-    /// from `workers` alone (there may be zero fibers yet).
-    bool persistent{false};
   };
 
+  /// Starts the workers.
   explicit Scheduler(Options options);
-  /// Joins the workers; every fiber must have finished (Cluster::run joins
-  /// via join() on the success path and aborts via the watchdog otherwise).
-  /// A persistent scheduler is stopped first.
+  /// Waits until every strand closed, then joins the workers.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Queue a fiber under job tag `job` (0 = untagged). Thread-safe; fibers
-  /// spawn service fibers mid-run (these inherit the spawner's job tag —
-  /// see spawn_service). `label` becomes the fiber's log label.
-  void spawn(std::function<void()> fn, std::string label, std::uint64_t job = 0);
+  /// One fiber of a submitted strand.
+  struct Task {
+    std::function<void()> fn;
+    std::string label;
+  };
 
-  /// Launch the worker pool. Call once, after the initial spawns.
-  void start();
+  /// Open strand `strand` with `tasks` queued in order before any of them
+  /// runs, and `idle` as its idle task (may be empty): run by the worker
+  /// holding the strand, serialized with its fibers, after a full pass in
+  /// which the strand made no progress. The strand must not exist yet; it
+  /// closes — and `idle` is destroyed — once its last fiber finished.
+  void submit(std::uint64_t strand, std::vector<Task> tasks, std::function<void()> idle);
 
-  /// Install a quiescence backstop, run by a worker after a full pass over
-  /// the ready queue advanced nothing (before the idle nap). This is where
-  /// wall-clock backstops of the runtime (the progress engine's coalescer
-  /// tick flush) move in fiber mode: a racing real-time thread would perturb
-  /// post order against the deterministic cooperative schedule, while the
-  /// hook runs serialized with fiber execution at a schedule-determined
-  /// point. Call before start(); the hook must be callable from any worker.
-  void set_idle_hook(std::function<void()> hook);
-
-  /// Register / remove a quiescence backstop while the scheduler runs (the
-  /// per-job variant of set_idle_hook: each service job adds its coalescer
-  /// flush + cancel backstop for its lifetime). Tasks run serialized with the
-  /// legacy idle hook; remove_idle_task blocks while an idle pass is in
-  /// flight, so after it returns the task is guaranteed never to run again.
-  void add_idle_task(const void* token, std::function<void()> task);
-  void remove_idle_task(const void* token);
-
-  /// Persistent mode: stop admitting idle waits — workers exit once no fiber
-  /// is live. Call before join() (the destructor does both). No-op in
-  /// one-shot mode.
-  void stop();
-
-  /// Block until every fiber (including ones spawned mid-run) finished, then
-  /// join the workers.
-  void join();
+  /// Block until strand `strand` closed (every fiber of it finished, and no
+  /// worker holds it any more) or `timeout_s` seconds of real time passed
+  /// (<= 0: no limit); false on timeout.
+  bool wait_strand(std::uint64_t strand, double timeout_s);
 
   /// Diagnostic snapshot of every unfinished fiber: (label, blocked site or
-  /// nullptr, job tag). Safe to call from the watchdog while workers run.
+  /// nullptr, strand tag). Safe to call from the watchdog while workers run.
   struct FiberInfo {
     std::string label;
     const char* blocked{nullptr};
-    std::uint64_t job{0};
+    std::uint64_t strand{0};
   };
   [[nodiscard]] std::vector<FiberInfo> snapshot() const;
-
-  /// Stack bytes per fiber after defaulting (for the scaling bench's
-  /// memory accounting).
-  [[nodiscard]] std::size_t stack_bytes() const noexcept;
 
   struct Impl;
 

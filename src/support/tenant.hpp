@@ -69,8 +69,8 @@ class JobControl {
 
   // --- cancellation ---------------------------------------------------------
 
-  /// Request cooperative cancellation. Idempotent; returns true on the first
-  /// call (the one that flipped the flag).
+  /// Request cancellation. Idempotent; returns true on the first call (the
+  /// one that flipped the flag).
   bool request_cancel() noexcept { return !cancelled_.exchange(true, std::memory_order_relaxed); }
 
   [[nodiscard]] bool cancel_requested() const noexcept {

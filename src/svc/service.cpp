@@ -55,12 +55,9 @@ const char* to_string(JobState s) noexcept {
 
 Service::Service(Options options)
     : opts_(options),
-      pool_(sched::Scheduler::Options{.workers = options.workers,
-                                      .stack_bytes = 0,
-                                      .persistent = true}) {
+      pool_(sched::Scheduler::Options{.workers = options.workers}) {
   if (opts_.queue_limit == 0) opts_.queue_limit = 1;
   if (opts_.max_active == 0) opts_.max_active = 1;
-  pool_.start();
   runners_.reserve(opts_.max_active);
   for (std::size_t i = 0; i < opts_.max_active; ++i) {
     runners_.emplace_back([this, i] { runner_loop(static_cast<int>(i)); });
@@ -77,8 +74,8 @@ Service::~Service() {
   monitor_cv_.notify_all();
   for (std::thread& t : runners_) t.join();
   if (monitor_.joinable()) monitor_.join();
-  // pool_ (a member) is destroyed after this body: persistent stop + join,
-  // with every job fiber already finished because the runners drained.
+  // pool_ (a member) is destroyed after this body and joins its workers;
+  // every job's strand already closed because the runners drained.
 }
 
 std::uint64_t Service::submit(JobSpec spec) {

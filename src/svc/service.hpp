@@ -5,10 +5,8 @@
 // Cluster::run per process, a Service owns
 //
 //   * one persistent fiber-scheduler worker pool (support/sched.hpp) that
-//     every job's rank fibers share, scheduled by the deterministic per-job
-//     round robin (job-tagged fibers, fair pick),
-//   * the process-wide progress driver (already shared — jobs register
-//     their cores like any cluster run),
+//     every job's rank fibers share, each job one serial strand in the
+//     pool's round robin (so a job's schedule ignores its co-tenants),
 //   * a bounded admission queue with typed rejection (Status::rejected),
 //   * a small set of runner threads (`max_active`) that dequeue jobs and
 //     drive Cluster::run in service mode (external scheduler + JobControl),
@@ -19,7 +17,7 @@
 //     the allocation points (transfer/pool, simmpi comm) against the job's
 //     tenant::JobControl; an overrunning job fails itself with QuotaError
 //     and can never starve a co-tenant;
-//   * cancellation/deadline — cooperative cancel flag observed at the
+//   * cancellation/deadline — a cancel flag observed at the
 //     runtime's cancellation points, plus the cancel backstop that fails
 //     the job's pending operations so blocked ranks unwind (built on PR 4's
 //     timeout rescue protocol);
@@ -77,7 +75,7 @@ struct JobSpec {
   tenant::JobQuotas quotas{};   ///< 0 = unlimited
   /// Wall-clock job deadline measured from SUBMISSION, seconds; 0 = none.
   /// An overdue job is cancelled (queued: immediately; running: via the
-  /// cooperative cancel protocol).
+  /// cancel protocol of JobControl).
   double deadline_s{0.0};
 };
 
@@ -127,8 +125,8 @@ class Service {
   /// Throws Error(Status::invalid_job) for an unknown id.
   JobResult wait(std::uint64_t id);
 
-  /// Request cooperative cancellation. Returns true when the cancel was
-  /// delivered to a queued or running job (the job will report
+  /// Request cancellation. Returns true when the cancel was delivered to a
+  /// queued or running job (the job will report
   /// JobState::cancelled unless completion won the race), false when the
   /// job already reached a terminal state. Throws on unknown id.
   bool cancel(std::uint64_t id);

@@ -25,7 +25,7 @@ void raise_high_water(std::atomic<std::size_t>& mark, std::size_t value) noexcep
 void StagingPool::Buffer::release() noexcept {
   // Credit the tenant for the full reserved capacity (the amount charged at
   // acquire). Releases may run on any thread — completion callbacks, the
-  // progress driver — so the credit is just a relaxed atomic sub.
+  // idle backstop — so the credit is just a relaxed atomic sub.
   if (job_ != nullptr && !storage_.empty()) {
     job_->credit_staging(storage_.size());
   }

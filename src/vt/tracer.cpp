@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace clmpi::vt {
 
@@ -164,6 +165,59 @@ std::uint64_t Tracer::hash() const {
   std::uint64_t acc = 0;
   for (const auto& s : spans_) acc += span_hash(s);
   return acc;
+}
+
+namespace {
+
+bool span_less(const TraceSpan& x, const TraceSpan& y) {
+  return std::tie(x.lane, x.start.s, x.end.s, x.kind, x.label) <
+         std::tie(y.lane, y.start.s, y.end.s, y.kind, y.label);
+}
+
+bool span_equal(const TraceSpan& x, const TraceSpan& y) {
+  return x.lane == y.lane && x.label == y.label && x.kind == y.kind &&
+         std::bit_cast<std::uint64_t>(x.start.s) == std::bit_cast<std::uint64_t>(y.start.s) &&
+         std::bit_cast<std::uint64_t>(x.end.s) == std::bit_cast<std::uint64_t>(y.end.s);
+}
+
+const char* kind_name(SpanKind kind) noexcept {
+  switch (kind) {
+    case SpanKind::compute: return "compute";
+    case SpanKind::host_to_device: return "h2d";
+    case SpanKind::device_to_host: return "d2h";
+    case SpanKind::wire: return "wire";
+    case SpanKind::wait: return "wait";
+    case SpanKind::other: return "other";
+  }
+  return "?";
+}
+
+std::string describe_span(const std::optional<TraceSpan>& s) {
+  if (!s) return "<no more spans>";
+  std::ostringstream out;
+  out.precision(17);
+  out << "lane " << s->lane << " " << kind_name(s->kind) << " [" << s->start.s << ", "
+      << s->end.s << "] s '" << s->label << "'";
+  return out.str();
+}
+
+}  // namespace
+
+std::optional<Divergence> Tracer::first_divergence(const Tracer& a, const Tracer& b) {
+  std::vector<TraceSpan> x = a.spans();
+  std::vector<TraceSpan> y = b.spans();
+  std::sort(x.begin(), x.end(), span_less);
+  std::sort(y.begin(), y.end(), span_less);
+  const auto [ix, iy] = std::mismatch(x.begin(), x.end(), y.begin(), y.end(), span_equal);
+  if (ix == x.end() && iy == y.end()) return std::nullopt;
+  Divergence d;
+  if (ix != x.end()) d.a = *ix;
+  if (iy != y.end()) d.b = *iy;
+  return d;
+}
+
+std::string to_string(const Divergence& d) {
+  return "a: " + describe_span(d.a) + "\nb: " + describe_span(d.b);
 }
 
 void Tracer::clear() {

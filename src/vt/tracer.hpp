@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,17 @@ struct TraceSpan {
   TimePoint start;
   TimePoint end;
 };
+
+/// Where two traces part: the first position at which their content-sorted
+/// span lists differ, with the span each side holds there (empty when that
+/// side ran out of spans).
+struct Divergence {
+  std::optional<TraceSpan> a;
+  std::optional<TraceSpan> b;
+};
+
+/// One line per side: "a: lane host1 wire [start, end] s 'label'".
+std::string to_string(const Divergence& d);
 
 /// Thread-safe trace sink. Pass a Tracer* to runtime components that should
 /// record their activity; nullptr disables tracing at near-zero cost.
@@ -57,6 +69,12 @@ class Tracer {
   /// real-time interleaving in which threads called record() — the chaos
   /// suite's reproducibility invariant.
   [[nodiscard]] std::uint64_t hash() const;
+
+  /// The first differing span of two traces, comparing their spans sorted by
+  /// (lane, start, end, kind, label) — so, like hash(), independent of
+  /// record() order. Empty when both hold the same spans.
+  [[nodiscard]] static std::optional<Divergence> first_divergence(const Tracer& a,
+                                                                  const Tracer& b);
 
   void clear();
 

@@ -62,32 +62,22 @@ TEST(Himeno, ResidualDecreasesWithIterations) {
 }
 
 TEST(Himeno, OverlappedVariantsBeatSerial) {
-  // S-class grid on 4 GbE nodes: communication matters, overlap pays.
-  // Residual real-thread scheduling jitter can only delay the virtual
-  // schedule, so each variant takes the best of three runs.
+  // S-class grid on 4 GbE nodes: communication matters, overlap pays. The
+  // virtual schedule is a function of the program alone, so one run of
+  // each variant decides.
   himeno::Config cfg = himeno::Config::size_s();
   cfg.iterations = 6;
 
-  auto best_of5 = [&] {
-    auto best = himeno::run_cluster(sys::cichlid(), 4, cfg);
-    for (int i = 0; i < 4; ++i) {
-      const auto other = himeno::run_cluster(sys::cichlid(), 4, cfg);
-      if (other.makespan_s < best.makespan_s) best = other;
-    }
-    return best;
-  };
   cfg.variant = himeno::Variant::serial;
-  const auto serial = best_of5();
+  const auto serial = himeno::run_cluster(sys::cichlid(), 4, cfg);
   cfg.variant = himeno::Variant::hand_optimized;
-  const auto hand = best_of5();
+  const auto hand = himeno::run_cluster(sys::cichlid(), 4, cfg);
   cfg.variant = himeno::Variant::clmpi;
-  const auto cl = best_of5();
+  const auto cl = himeno::run_cluster(sys::cichlid(), 4, cfg);
 
-  // Allow 2% slack on the tightest margin: under a loaded host, residual
-  // real-scheduling jitter can shave the overlapped variants' best run.
-  EXPECT_GT(serial.makespan_s * 1.02, hand.makespan_s);
+  EXPECT_GT(serial.makespan_s, hand.makespan_s);
   EXPECT_GT(serial.makespan_s, cl.makespan_s);
-  EXPECT_GT(hand.gflops * 1.02, serial.gflops);
+  EXPECT_GT(hand.gflops, serial.gflops);
   EXPECT_GT(cl.gflops, serial.gflops);
 }
 

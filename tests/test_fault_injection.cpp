@@ -16,6 +16,7 @@
 #include "simmpi/fault.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/sched.hpp"
 #include "support/units.hpp"
 #include "vt/tracer.hpp"
 
@@ -145,8 +146,7 @@ TEST(FaultInjection, DropErrorCarriedByRequestWithoutRethrow) {
                            ? rank.world().isend(buf, 1, 0, rank.clock())
                            : rank.world().irecv(buf, 0, 0, rank.clock());
     // Completion callbacks observe the failure without unwinding anything.
-    while (!req.done()) {
-    }
+    while (!req.done()) sched::yield();
     ASSERT_NE(req.error(), nullptr);
     EXPECT_EQ(status_of(req.error()), Status::message_dropped);
   });

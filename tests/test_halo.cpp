@@ -13,6 +13,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/advection/advection.hpp"
@@ -449,111 +451,102 @@ TEST(HaloCApi, CreateStartCompleteFreeRoundTrip) {
 
 // --- the stencil app suite ---------------------------------------------------
 
-/// RAII environment override (restores the previous value on scope exit).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
-
 struct AppOutcome {
-  std::uint64_t trace_hash{0};
+  std::shared_ptr<vt::Tracer> tracer;
   double makespan_s{0.0};
-  double value{0.0};  ///< the app's residual / mass
+  double value{0.0};  ///< rank 0's residual / mass
   mpi::FaultCounters faults{};
 };
 
-void expect_identical(const AppOutcome& a, const AppOutcome& b, const char* what) {
-  ASSERT_NE(a.trace_hash, 0u) << what;
-  EXPECT_EQ(a.trace_hash, b.trace_hash) << what;
+void expect_identical(const AppOutcome& a, const AppOutcome& b, const std::string& what) {
+  ASSERT_NE(a.tracer->hash(), 0u) << what;
+  EXPECT_EQ(a.tracer->hash(), b.tracer->hash())
+      << what << "\n" << testutil::divergence(*a.tracer, *b.tracer);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s) << what;
   EXPECT_DOUBLE_EQ(a.value, b.value) << what;
-}
-
-/// The schedule-independent facts of a chaos run: fault verdicts are drawn
-/// from per-channel-sequence RNG streams and the numerics from the delivered
-/// bytes, so these must agree even between runs whose wire-slot schedules
-/// legitimately differ (see AdvectionSeedIdenticalAcrossRunsAndModes).
-void expect_same_verdicts(const AppOutcome& a, const AppOutcome& b, const char* what) {
   EXPECT_EQ(a.faults.messages, b.faults.messages) << what;
   EXPECT_EQ(a.faults.drops, b.faults.drops) << what;
   EXPECT_EQ(a.faults.duplicates, b.faults.duplicates) << what;
   EXPECT_EQ(a.faults.delays, b.faults.delays) << what;
   EXPECT_EQ(a.faults.retries, b.faults.retries) << what;
   EXPECT_EQ(a.faults.timeouts, b.faults.timeouts) << what;
-  EXPECT_DOUBLE_EQ(a.value, b.value) << what;
 }
 
-AppOutcome run_jacobi(const char* mode, int nranks, int px, int py) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
+/// Run `run_rank(rank, cfg)` on every rank of a traced cluster on `pool`
+/// (nullptr: the default pool); rank 0's return value is the outcome's.
+template <typename RunRank, typename Cfg>
+AppOutcome run_app(sched::Scheduler* pool, int nranks, RunRank run_rank, const Cfg& cfg,
+                   const sys::SystemProfile& prof, const mpi::FaultPlan& plan = {}) {
+  auto tracer = std::make_shared<vt::Tracer>();
+  auto o = opts(nranks, prof, tracer.get());
+  o.scheduler = pool;
+  o.faults = plan;
+  std::vector<double> values(static_cast<std::size_t>(nranks), 0.0);
+  const auto run = mpi::Cluster::run(o, [&](mpi::Rank& rank) {
+    values[static_cast<std::size_t>(rank.rank())] = run_rank(rank, cfg);
+  });
+  return {tracer, run.makespan_s, values[0], run.faults};
+}
+
+/// Hold `run(pool)` to bit identity across a re-run on the default pool and
+/// across pools of every gate worker count.
+template <typename Run>
+void expect_reproducible(Run&& run, const std::string& what) {
+  const AppOutcome first = run(nullptr);
+  expect_identical(first, run(nullptr), what + ": re-run");
+  for (const int workers : testutil::kGateWorkers) {
+    const auto pool = testutil::make_pool(workers);
+    expect_identical(first, run(pool.get()), what + ": " + std::to_string(workers) + " workers");
+  }
+}
+
+AppOutcome run_jacobi(sched::Scheduler* pool, int nranks, int px, int py) {
   apps::jacobi2d::Config cfg = apps::jacobi2d::Config::size_s();
   cfg.px = px;
   cfg.py = py;
   cfg.iterations = 6;
-  const auto run = apps::jacobi2d::run_cluster(sys::ricc(), nranks, cfg, &tracer);
-  return {tracer.hash(), run.makespan_s, run.residual};
+  return run_app(
+      pool, nranks,
+      [](mpi::Rank& r, const auto& c) { return apps::jacobi2d::run_rank(r, c).residual; }, cfg,
+      sys::ricc());
 }
 
-AppOutcome run_advection(const char* mode, int nranks) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
+AppOutcome run_advection(sched::Scheduler* pool, int nranks) {
   apps::advection::Config cfg = apps::advection::Config::size_s();
   cfg.iterations = 8;
-  const auto run = apps::advection::run_cluster(sys::ricc(), nranks, cfg, &tracer);
-  return {tracer.hash(), run.makespan_s, run.mass};
+  return run_app(
+      pool, nranks,
+      [](mpi::Rank& r, const auto& c) { return apps::advection::run_rank(r, c).mass; }, cfg,
+      sys::ricc());
 }
 
-AppOutcome run_overlap(const char* mode, int nranks, int px, int py) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
+AppOutcome run_overlap(sched::Scheduler* pool, int nranks, int px, int py) {
   apps::overlap::Config cfg = apps::overlap::Config::size_s();
   cfg.px = px;
   cfg.py = py;
   cfg.iterations = 6;
-  const auto run = apps::overlap::run_cluster(sys::ricc(), nranks, cfg, &tracer);
-  return {tracer.hash(), run.makespan_s, run.residual};
+  return run_app(
+      pool, nranks,
+      [](mpi::Rank& r, const auto& c) { return apps::overlap::run_rank(r, c).residual; }, cfg,
+      sys::ricc());
 }
 
-TEST(HaloApps, Jacobi2dThreadsVsFibersBitIdentical) {
-  expect_identical(run_jacobi("threads", 4, 2, 2), run_jacobi("fibers", 4, 2, 2),
-                   "jacobi2d 2x2");
+TEST(HaloApps, Jacobi2dWorkerCountBitIdentical) {
+  expect_reproducible([](sched::Scheduler* p) { return run_jacobi(p, 4, 2, 2); },
+                      "jacobi2d 2x2");
 }
 
-TEST(HaloApps, AdvectionThreadsVsFibersBitIdentical) {
-  expect_identical(run_advection("threads", 4), run_advection("fibers", 4),
-                   "advection ring of 4");
+TEST(HaloApps, AdvectionWorkerCountBitIdentical) {
+  expect_reproducible([](sched::Scheduler* p) { return run_advection(p, 4); },
+                      "advection ring of 4");
   // nranks == 1: the ring degenerates to two self edges.
-  expect_identical(run_advection("threads", 1), run_advection("fibers", 1),
-                   "advection self-ring");
+  expect_reproducible([](sched::Scheduler* p) { return run_advection(p, 1); },
+                      "advection self-ring");
 }
 
-TEST(HaloApps, OverlapThreadsVsFibersBitIdentical) {
-  expect_identical(run_overlap("threads", 4, 2, 2), run_overlap("fibers", 4, 2, 2),
-                   "overlap 2x2");
+TEST(HaloApps, OverlapWorkerCountBitIdentical) {
+  expect_reproducible([](sched::Scheduler* p) { return run_overlap(p, 4, 2, 2); },
+                      "overlap 2x2");
 }
 
 TEST(HaloApps, AdvectionConservesMassExactly) {
@@ -578,7 +571,7 @@ TEST(HaloApps, ResidualsArePositiveAndDecompositionInsensitive) {
 
 /// Delivery-preserving chaos (reordering, latency spikes, stalls): the apps
 /// must stay byte-correct and the trace hash must be a pure function of the
-/// fault seed — identical across re-runs AND across scheduler modes.
+/// fault seed — identical across re-runs AND across worker counts.
 mpi::FaultPlan chaos_plan(std::uint64_t seed) {
   mpi::FaultPlan p;
   p.seed = seed;
@@ -586,20 +579,6 @@ mpi::FaultPlan chaos_plan(std::uint64_t seed) {
   p.latency_spike_rate = 0.4;
   p.stall_rate = 0.2;
   return p;
-}
-
-template <typename RunRank, typename Cfg>
-AppOutcome run_chaos(const char* mode, std::uint64_t seed, int nranks, RunRank run_rank,
-                     const Cfg& cfg, const sys::SystemProfile& prof) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
-  auto o = opts(nranks, prof, &tracer);
-  o.faults = chaos_plan(seed);
-  std::vector<double> values(static_cast<std::size_t>(nranks), 0.0);
-  const auto run = mpi::Cluster::run(o, [&](mpi::Rank& rank) {
-    values[static_cast<std::size_t>(rank.rank())] = run_rank(rank, cfg);
-  });
-  return {tracer.hash(), run.makespan_s, values[0], run.faults};
 }
 
 TEST(HaloChaos, Jacobi2dSeedIdenticalAcrossRunsAndModes) {
@@ -611,50 +590,37 @@ TEST(HaloChaos, Jacobi2dSeedIdenticalAcrossRunsAndModes) {
     return apps::jacobi2d::run_rank(r, c).residual;
   };
   for (const std::uint64_t seed : {7ull, 23ull}) {
-    const auto a = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a, b, "jacobi2d chaos re-run");
-    expect_identical(a, c, "jacobi2d chaos threads vs fibers");
+    expect_reproducible(
+        [&](sched::Scheduler* p) {
+          return run_app(p, 2, body, cfg, sys::ricc(), chaos_plan(seed));
+        },
+        "jacobi2d chaos seed " + std::to_string(seed));
   }
 }
 
 TEST(HaloChaos, AdvectionSeedIdenticalAcrossRunsAndModes) {
   // The 4-rank periodic ring is this suite's only chaos workload with real
-  // multi-sender wire contention: every rank posts both edge legs
-  // concurrently, and the fault plan's reorder/spike delays skew their
-  // ready times apart. Which slot such unequal-ready contenders get on a
-  // shared NIC resource is decided by wall-clock grant order
-  // (vt/resource.hpp backfill), so under the THREADS launcher the trace
-  // hash is wall-schedule-dependent — the same limitation docs/SCHEDULER.md
-  // records for threads-mode Himeno in rank_scaling. The hard bit-identity
-  // gates therefore run on the fiber launcher, whose cooperative
-  // serialization makes grant order deterministic; threads runs gate
-  // everything that is schedule-independent (fault verdicts, numerics).
+  // multi-sender wire contention: every rank posts both edge legs, and the
+  // fault plan's reorder/spike delays skew their ready times apart. Which
+  // slot such unequal-ready contenders get on a shared NIC resource follows
+  // grant order (vt/resource.hpp backfill), so this is the gate a
+  // host-dependent schedule would fail first.
   apps::advection::Config cfg = apps::advection::Config::size_s();
   cfg.iterations = 6;
   auto body = [](mpi::Rank& r, const apps::advection::Config& c) {
     return apps::advection::run_rank(r, c).mass;
   };
   for (const std::uint64_t seed : {5ull, 41ull}) {
-    const auto f1 = run_chaos("fibers", seed, 4, body, cfg, sys::ricc());
-    const auto f2 = run_chaos("fibers", seed, 4, body, cfg, sys::ricc());
-    expect_identical(f1, f2, "advection chaos fibers re-run");
-    const auto t1 = run_chaos("threads", seed, 4, body, cfg, sys::ricc());
-    const auto t2 = run_chaos("threads", seed, 4, body, cfg, sys::ricc());
-    expect_same_verdicts(t1, t2, "advection chaos threads re-run");
-    expect_same_verdicts(t1, f1, "advection chaos threads vs fibers");
-    // Chaos must never bend the numerics, only the schedule.
-    EXPECT_DOUBLE_EQ(t1.value, 4096.0 / 4.0);
-    EXPECT_DOUBLE_EQ(f1.value, 4096.0 / 4.0);
-    // At 2 ranks the ring has no cross-sender contention (each rank's legs
-    // are posted serially by its own thread), so the full tri-modal
-    // bit-identity gate holds in threads mode too.
-    const auto a2 = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b2 = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c2 = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a2, b2, "advection 2-rank chaos re-run");
-    expect_identical(a2, c2, "advection 2-rank chaos threads vs fibers");
+    for (const int nranks : {4, 2}) {
+      expect_reproducible(
+          [&](sched::Scheduler* p) {
+            const AppOutcome o = run_app(p, nranks, body, cfg, sys::ricc(), chaos_plan(seed));
+            // Chaos must never bend the numerics, only the schedule.
+            EXPECT_DOUBLE_EQ(o.value, 4096.0 / 4.0);
+            return o;
+          },
+          "advection " + std::to_string(nranks) + "-rank chaos seed " + std::to_string(seed));
+    }
   }
 }
 
@@ -667,11 +633,11 @@ TEST(HaloChaos, OverlapSeedIdenticalAcrossRunsAndModes) {
     return apps::overlap::run_rank(r, c).residual;
   };
   for (const std::uint64_t seed : {11ull, 31ull}) {
-    const auto a = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a, b, "overlap chaos re-run");
-    expect_identical(a, c, "overlap chaos threads vs fibers");
+    expect_reproducible(
+        [&](sched::Scheduler* p) {
+          return run_app(p, 2, body, cfg, sys::ricc(), chaos_plan(seed));
+        },
+        "overlap chaos seed " + std::to_string(seed));
   }
 }
 
@@ -686,9 +652,9 @@ TEST(HaloChaos, RmaTierSeedIdentical) {
   auto body = [](mpi::Rank& r, const apps::jacobi2d::Config& c) {
     return apps::jacobi2d::run_rank(r, c).residual;
   };
-  const auto a = run_chaos("threads", 13, 2, body, cfg, sys::cxlpod());
-  const auto b = run_chaos("fibers", 13, 2, body, cfg, sys::cxlpod());
-  expect_identical(a, b, "jacobi2d rma chaos threads vs fibers");
+  expect_reproducible(
+      [&](sched::Scheduler* p) { return run_app(p, 2, body, cfg, sys::cxlpod(), chaos_plan(13)); },
+      "jacobi2d rma chaos");
 }
 
 }  // namespace

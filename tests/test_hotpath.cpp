@@ -356,11 +356,10 @@ TEST(DeterminismRegression, SeedIdenticalUnderFaultInjection) {
   EXPECT_EQ(a.counters.delays, b.counters.delays);
 }
 
-// --- wire-decomposition agreement (debug builds) -----------------------------
+// --- wire-decomposition agreement --------------------------------------------
 
-#ifndef NDEBUG
 /// Forced pipelined strategies with different block sizes on the two
-/// endpoints: the debug check fails both sides with a defined
+/// endpoints: the match-time check fails both sides with a defined
 /// PreconditionError naming the mismatch, instead of an obscure truncation.
 /// Block sizes are chosen so both decompositions have the SAME sub-message
 /// count (the check can only fire on messages that tag-match).
@@ -392,7 +391,6 @@ TEST(WireDecomposition, ForcedStrategyMismatchFailsBothEndpoints) {
   });
   EXPECT_EQ(failures, 2);  // both endpoints diagnosed
 }
-#endif
 
 }  // namespace
 }  // namespace clmpi

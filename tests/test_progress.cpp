@@ -1,4 +1,4 @@
-// Progress-engine suite: continuations, the per-cluster driver, persistent
+// Progress-engine suite: continuations, the idle backstop, persistent
 // requests and small-message coalescing (docs/PROGRESS.md).
 //
 //  * Neutrality: the engine is wall-clock-only. The same seeded workload
@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "clmpi/capi.h"
@@ -33,6 +32,7 @@
 #include "simmpi/cluster.hpp"
 #include "simmpi/progress.hpp"
 #include "support/rng.hpp"
+#include "support/sched.hpp"
 #include "support/units.hpp"
 #include "vt/tracer.hpp"
 
@@ -102,9 +102,9 @@ TEST(ProgressCoalesce, CountFlushBoundaries) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
   cfg.enabled = true;
-  // Park the background triggers so only count/wait flushes can fire: the
-  // driver tick is pushed out past the test and the virtual horizon is huge.
-  cfg.driver_tick = std::chrono::milliseconds(60000);
+  // Park the horizon trigger so only count/wait flushes can fire. The idle
+  // backstop never does here: rank 0 runs first and reaches its wait (the
+  // wait flush) before any pass over the ranks can come up empty.
   cfg.coalesce_horizon = vt::seconds(1e6);
   const std::size_t n = cfg.coalesce_max_count;
 
@@ -136,7 +136,6 @@ TEST(ProgressCoalesce, ByteThresholdFiresBeforeCount) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
   cfg.enabled = true;
-  cfg.driver_tick = std::chrono::milliseconds(60000);
   cfg.coalesce_horizon = vt::seconds(1e6);
   cfg.coalesce_max_count = 1000;  // byte threshold must fire first
   const std::size_t msg = cfg.coalesce_max_msg;                  // 4 KiB
@@ -179,15 +178,6 @@ struct MixedOutcome {
 MixedOutcome run_mixed(bool engine, std::uint64_t seed, const mpi::FaultPlan& plan) {
   ProgressConfigGuard guard;
   mpi::detail::progress_config().enabled = engine;
-  // The fan-in part of this workload has three senders racing variable-size
-  // eager messages into rank 0's RX resource. With thread-per-rank, which
-  // contender gets the early backfill slot is decided by wall-clock grant
-  // order (vt/resource.hpp), so the trace hash is schedule-dependent under
-  // machine load — the same threads-mode limitation docs/SCHEDULER.md
-  // records for contended workloads. Pin the fiber launcher: cooperative
-  // serialization makes grant order deterministic, so the engine-on vs
-  // engine-off comparison below is exact instead of load-flaky.
-  testutil::EnvGuard sched("CLMPI_SCHED", "fibers");
 
   constexpr int kRanks = 4;
   constexpr int kPerSender = 24;
@@ -426,9 +416,9 @@ TEST(ProgressContinuations, SettleWithoutBlockingWait) {
         fired.store(true, std::memory_order_release);
       });
       world.barrier(rank.clock());
-      // Poll-only completion: the sender's settle (or the driver) fires the
-      // continuation; this rank never parks in wait().
-      while (!fired.load(std::memory_order_acquire)) std::this_thread::yield();
+      // Poll-only completion: the sender's settle (or the idle backstop)
+      // fires the continuation; this rank never parks in wait().
+      while (!fired.load(std::memory_order_acquire)) sched::yield();
       rank.clock().sync_to(done_at);
     }
   });

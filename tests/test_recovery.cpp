@@ -209,15 +209,9 @@ TEST(RetryRecovery, RetriesDisabledReproducesFirstFaultFatalBehaviour) {
 
 // --- per-operation deadlines -------------------------------------------------
 
-/// RAII override of the real-time grace a blocking waiter allows a
-/// deadline-armed operation (keeps the negative tests fast).
-struct GraceGuard {
-  explicit GraceGuard(const char* ms) { ::setenv("CLMPI_DEADLINE_GRACE_MS", ms, 1); }
-  ~GraceGuard() { ::unsetenv("CLMPI_DEADLINE_GRACE_MS"); }
-};
-
 TEST(Deadline, UnmatchedRecvFailsWithTimeoutNotWatchdog) {
-  const GraceGuard grace("200");
+  // A short real-time grace for the deadline rescue keeps the test fast.
+  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
   mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
     Node node(rank);
     if (rank.rank() != 0) return;  // rank 1 never sends

@@ -1,22 +1,20 @@
-// Cooperative-scheduler suite (docs/SCHEDULER.md).
+// Fiber-scheduler suite (docs/SCHEDULER.md).
 //
-//   * Mode neutrality: the SAME workload run under CLMPI_SCHED=threads and
-//     CLMPI_SCHED=fibers must produce bit-identical virtual time — equal
-//     trace hashes, makespans and fault counters. Covered for a mixed pure-
-//     MPI workload (p2p + probe + collectives + non-blocking collectives +
-//     RMA epochs) and for a chaos-style device-transfer workload through the
-//     clMPI runtime (queue workers + dispatcher running as service fibers),
-//     with and without injected faults.
-//   * Oversubscription: many more ranks than workers (512 ranks on <= 4
-//     workers) completes and stays bit-identical to thread-per-rank mode.
-//     Worker count itself must be neutral too (4 workers vs 1 worker).
+//   * Worker-count independence: every cluster runs as one serial strand,
+//     so the SAME workload run on pools of 1, 4 and 16 workers must produce
+//     bit-identical virtual time — equal trace hashes, makespans and fault
+//     counters; a failure names the first differing span. Covered for a
+//     mixed pure-MPI workload (p2p + probe + collectives + non-blocking
+//     collectives + RMA epochs), a device-transfer workload through the
+//     clMPI runtime (queue workers + dispatcher as service fibers) with and
+//     without injected faults, a contended fan-in, and 512 ranks on the
+//     same pools.
 //   * Context migration: rank-scoped state (the capi ThreadBinding, the
 //     strategy memo, the staging-pool node cache) must follow a rank's fiber
 //     across worker threads and never leak to another rank time-sharing the
-//     same worker. With ONE worker, every rank shares one OS thread: any
-//     thread_local remnant trips immediately.
-//   * Error aggregation: Cluster::run rethrows the first rank error and
-//     counts (not swallows) the secondary ones.
+//     same worker.
+//   * The launcher's contract: Cluster::run from a fiber is rejected, and
+//     the first rank error is rethrown while the secondary ones are counted.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -24,8 +22,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +38,7 @@
 #include "simmpi/fault.hpp"
 #include "simmpi/window.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "support/sched.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
@@ -49,38 +48,6 @@ namespace {
 
 std::span<const std::byte> bytes_of(const auto& v) { return std::as_bytes(std::span(v)); }
 std::span<std::byte> mut_bytes_of(auto& v) { return std::as_writable_bytes(std::span(v)); }
-
-/// RAII environment override (restores the previous value on scope exit).
-/// CLMPI_SCHED / CLMPI_FIBER_WORKERS are read per Cluster::run, so flipping
-/// them between runs inside one test is well-defined.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
 
 mpi::Cluster::Options opts(int nranks, vt::Tracer* tracer) {
   mpi::Cluster::Options o;
@@ -92,13 +59,15 @@ mpi::Cluster::Options opts(int nranks, vt::Tracer* tracer) {
 }
 
 struct Outcome {
-  std::uint64_t trace_hash{0};
+  std::shared_ptr<vt::Tracer> tracer;
   double makespan_s{0.0};
   mpi::FaultCounters faults;
 };
 
-void expect_equal(const Outcome& a, const Outcome& b, const char* what) {
-  EXPECT_EQ(a.trace_hash, b.trace_hash) << what;
+void expect_equal(const Outcome& a, const Outcome& b, const std::string& what) {
+  ASSERT_NE(a.tracer->hash(), 0u) << what;
+  EXPECT_EQ(a.tracer->hash(), b.tracer->hash())
+      << what << "\n" << testutil::divergence(*a.tracer, *b.tracer);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s) << what;
   EXPECT_EQ(a.faults.messages, b.faults.messages) << what;
   EXPECT_EQ(a.faults.drops, b.faults.drops) << what;
@@ -109,14 +78,8 @@ void expect_equal(const Outcome& a, const Outcome& b, const char* what) {
 // --- mixed pure-MPI workload -------------------------------------------------
 
 /// Which synchronizing collective the mixed loop interleaves between the
-/// p2p phase and the RMA epoch. The two variants are separate Cluster::runs:
-/// the virtual-time backfill allocator is only order-independent while racing
-/// reservations keep disjoint candidate windows, and combining a blocking
-/// reduction with the ibarrier's background progression service in ONE
-/// timeline breaks that envelope in *both* scheduler modes (threads mode is
-/// then nondeterministic run to run). Each variant alone is empirically
-/// self-deterministic, which is what makes cross-mode bit-equality a fair
-/// oracle. See docs/SCHEDULER.md.
+/// p2p phase and the RMA epoch: a blocking reduction, or a non-blocking
+/// barrier progressed by a service fiber.
 enum class Collective { allreduce, ibarrier };
 
 /// Touches every blocking site the scheduler converted: request waits (send/
@@ -155,13 +118,29 @@ void mixed_mpi_workload(mpi::Rank& rank, int nranks, int iters, Collective coll)
   }
 }
 
-Outcome run_mixed(const char* mode, int nranks, int iters, Collective coll) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
-  const mpi::RunResult res =
-      mpi::Cluster::run(opts(nranks, &tracer),
-                        [&](mpi::Rank& r) { mixed_mpi_workload(r, nranks, iters, coll); });
-  return {tracer.hash(), res.makespan_s, res.faults};
+/// Run `body` on a fresh pool of each gate worker count and hold every
+/// outcome to the first.
+template <typename Run>
+void expect_worker_count_independent(Run&& run) {
+  std::vector<Outcome> outcomes;
+  for (const int workers : testutil::kGateWorkers) {
+    const auto pool = testutil::make_pool(workers);
+    outcomes.push_back(run(*pool));
+  }
+  for (std::size_t i = 1; i < outcomes.size(); ++i) {
+    expect_equal(outcomes[0], outcomes[i],
+                 std::to_string(testutil::kGateWorkers[0]) + " vs " +
+                     std::to_string(testutil::kGateWorkers[i]) + " workers");
+  }
+}
+
+Outcome run_mixed(sched::Scheduler& pool, int nranks, int iters, Collective coll) {
+  auto tracer = std::make_shared<vt::Tracer>();
+  auto o = opts(nranks, tracer.get());
+  o.scheduler = &pool;
+  const mpi::RunResult res = mpi::Cluster::run(
+      o, [&](mpi::Rank& r) { mixed_mpi_workload(r, nranks, iters, coll); });
+  return {tracer, res.makespan_s, res.faults};
 }
 
 TEST(SchedModeEquality, MixedMpiWorkloadBitIdentical) {
@@ -169,9 +148,8 @@ TEST(SchedModeEquality, MixedMpiWorkloadBitIdentical) {
     for (Collective coll : {Collective::allreduce, Collective::ibarrier}) {
       SCOPED_TRACE("nranks=" + std::to_string(nranks) + " coll=" +
                    (coll == Collective::allreduce ? "allreduce" : "ibarrier"));
-      const Outcome threads = run_mixed("threads", nranks, 3, coll);
-      const Outcome fibers = run_mixed("fibers", nranks, 3, coll);
-      expect_equal(threads, fibers, "threads vs fibers");
+      expect_worker_count_independent(
+          [&](sched::Scheduler& pool) { return run_mixed(pool, nranks, 3, coll); });
     }
   }
 }
@@ -191,11 +169,11 @@ struct Node {
 
 /// Lockstep blocking device-buffer ping-pong between two ranks, exercising
 /// the command-queue worker and the clMPI dispatcher as service fibers.
-Outcome run_device(const char* mode, const mpi::FaultPlan& plan,
+Outcome run_device(sched::Scheduler& pool, const mpi::FaultPlan& plan,
                    const xfer::Strategy& strategy) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  vt::Tracer tracer;
-  auto o = opts(2, &tracer);
+  auto tracer = std::make_shared<vt::Tracer>();
+  auto o = opts(2, tracer.get());
+  o.scheduler = &pool;
   o.faults = plan;
   std::atomic<int> delivered{0};
   std::atomic<int> dropped{0};
@@ -226,7 +204,7 @@ Outcome run_device(const char* mode, const mpi::FaultPlan& plan,
   // Each rank receives 3 of the 6 alternating transfers; every one either
   // lands or drops.
   EXPECT_EQ(delivered + dropped, 6);
-  return {tracer.hash(), res.makespan_s, res.faults};
+  return {tracer, res.makespan_s, res.faults};
 }
 
 TEST(SchedModeEquality, DeviceTransfersBitIdentical) {
@@ -242,109 +220,135 @@ TEST(SchedModeEquality, DeviceTransfersBitIdentical) {
     for (const xfer::Strategy& strategy :
          {xfer::Strategy::pinned(), xfer::Strategy::pipelined(16 * 1024)}) {
       SCOPED_TRACE("scenario " + std::to_string(i++));
-      const Outcome threads = run_device("threads", *plan, strategy);
-      const Outcome fibers = run_device("fibers", *plan, strategy);
-      expect_equal(threads, fibers, "threads vs fibers (device)");
+      expect_worker_count_independent(
+          [&](sched::Scheduler& pool) { return run_device(pool, *plan, strategy); });
     }
   }
 }
 
 // --- oversubscription --------------------------------------------------------
 
-Outcome run_ring(const char* mode, const char* workers, int nranks, bool with_allreduce) {
-  EnvGuard sched("CLMPI_SCHED", mode);
-  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
-  vt::Tracer tracer;
-  const mpi::RunResult res =
-      mpi::Cluster::run(opts(nranks, &tracer), [&](mpi::Rank& rank) {
-        auto& world = rank.world();
-        const int next = (rank.rank() + 1) % nranks;
-        const int prev = (rank.rank() + nranks - 1) % nranks;
-        std::vector<std::uint64_t> out(8, static_cast<std::uint64_t>(rank.rank()));
-        std::vector<std::uint64_t> in(8);
-        for (int iter = 0; iter < 2; ++iter) {
-          mpi::Request s = world.isend(bytes_of(out), next, iter, rank.clock());
-          world.recv(mut_bytes_of(in), prev, iter, rank.clock());
-          s.wait(rank.clock());
-          EXPECT_EQ(in[0], static_cast<std::uint64_t>(prev));
-        }
-        if (with_allreduce) {
-          std::vector<std::uint64_t> sum(8);
-          world.allreduce(bytes_of(out), mut_bytes_of(sum), mpi::Datatype::uint64,
-                          mpi::ReduceOp::sum, rank.clock());
-          const std::uint64_t n = static_cast<std::uint64_t>(nranks);
-          EXPECT_EQ(sum[0], n * (n - 1) / 2);
-        }
-      });
-  return {tracer.hash(), res.makespan_s, res.faults};
+Outcome run_ring(sched::Scheduler& pool, int nranks) {
+  auto tracer = std::make_shared<vt::Tracer>();
+  auto o = opts(nranks, tracer.get());
+  o.scheduler = &pool;
+  const mpi::RunResult res = mpi::Cluster::run(o, [&](mpi::Rank& rank) {
+    auto& world = rank.world();
+    const int next = (rank.rank() + 1) % nranks;
+    const int prev = (rank.rank() + nranks - 1) % nranks;
+    std::vector<std::uint64_t> out(8, static_cast<std::uint64_t>(rank.rank()));
+    std::vector<std::uint64_t> in(8);
+    for (int iter = 0; iter < 2; ++iter) {
+      mpi::Request s = world.isend(bytes_of(out), next, iter, rank.clock());
+      world.recv(mut_bytes_of(in), prev, iter, rank.clock());
+      s.wait(rank.clock());
+      EXPECT_EQ(in[0], static_cast<std::uint64_t>(prev));
+    }
+    std::vector<std::uint64_t> sum(8);
+    world.allreduce(bytes_of(out), mut_bytes_of(sum), mpi::Datatype::uint64,
+                    mpi::ReduceOp::sum, rank.clock());
+    const std::uint64_t n = static_cast<std::uint64_t>(nranks);
+    EXPECT_EQ(sum[0], n * (n - 1) / 2);
+  });
+  return {tracer, res.makespan_s, res.faults};
 }
 
 TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
-  constexpr int kRanks = 512;
-  // Worker-count neutrality and run-to-run identity on the richer workload
-  // (ring + 512-rank reduce tree): the multiplexing degree must not leak
-  // into virtual time. The two runs double as a determinism oracle — the
-  // coalescer backstop moves to the scheduler's idle hook in fiber mode
-  // precisely so this workload is reproducible (a wall-clock tick flush
-  // would reorder the wire backfill).
-  const Outcome fibers4 = run_ring("fibers", "4", kRanks, /*with_allreduce=*/true);
-  ASSERT_NE(fibers4.trace_hash, 0u);
-  const Outcome fibers1 = run_ring("fibers", "1", kRanks, /*with_allreduce=*/true);
-  expect_equal(fibers4, fibers1, "4 workers vs 1 worker");
-  // Cross-mode at scale on the lockstep ring. (The reduce tree at this rank
-  // count sits outside the threads launcher's deterministic envelope — real
-  // thread races through the interval allocator occasionally reorder it —
-  // so the threads side of the oracle keeps to the blocking ring, which is
-  // bit-stable in every mode.)
-  const Outcome threads = run_ring("threads", nullptr, kRanks, /*with_allreduce=*/false);
-  const Outcome fibers = run_ring("fibers", "4", kRanks, /*with_allreduce=*/false);
-  expect_equal(fibers, threads, "fibers vs threads at 512 ranks");
+  // A ring plus a 512-rank reduce tree, on pools far smaller (and one far
+  // larger) than the rank count: the multiplexing degree must not leak into
+  // virtual time. Contended wire backfill makes this the workload where a
+  // host-dependent schedule would show first.
+  expect_worker_count_independent([](sched::Scheduler& pool) { return run_ring(pool, 512); });
+}
+
+// --- contended fan-in -----------------------------------------------------------
+
+/// Three senders race variable-size eager messages into rank 0. Which
+/// sender's message gets the early slot on rank 0's RX resource follows
+/// grant order (vt/resource.hpp backfill), so this is the workload where a
+/// resume order that depended on the worker would show first.
+Outcome run_fanin(sched::Scheduler& pool) {
+  constexpr int kRanks = 4;
+  constexpr int kPerSender = 24;
+  auto tracer = std::make_shared<vt::Tracer>();
+  auto o = opts(kRanks, tracer.get());
+  o.scheduler = &pool;
+  const mpi::RunResult res = mpi::Cluster::run(o, [&](mpi::Rank& rank) {
+    auto& world = rank.world();
+    std::vector<std::vector<std::byte>> bufs;
+    std::vector<mpi::Request> reqs;
+    if (rank.rank() == 0) {
+      for (int src = 1; src < kRanks; ++src) {
+        Rng sizes(static_cast<std::uint64_t>(src));
+        for (int i = 0; i < kPerSender; ++i) {
+          bufs.emplace_back(1 + sizes.below(512));
+          reqs.push_back(world.irecv(bufs.back(), src, src * 100 + i, rank.clock()));
+        }
+      }
+    } else {
+      Rng sizes(static_cast<std::uint64_t>(rank.rank()));
+      for (int i = 0; i < kPerSender; ++i) {
+        bufs.emplace_back(1 + sizes.below(512));
+        reqs.push_back(world.isend(bufs.back(), 0, rank.rank() * 100 + i, rank.clock()));
+      }
+    }
+    for (auto& r : reqs) r.wait(rank.clock());
+  });
+  return {tracer, res.makespan_s, res.faults};
+}
+
+TEST(SchedWorkerCount, ContendedFanInBitIdentical) {
+  expect_worker_count_independent([](sched::Scheduler& pool) { return run_fanin(pool); });
 }
 
 // --- rank-context migration --------------------------------------------------
 
 TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
-  // ONE worker: all four ranks (and their runtimes' service fibers) time-
-  // share a single OS thread. Any leftover thread_local rank state — the
-  // capi binding, the strategy memo, the staging-pool cache — would be
-  // shared by all four and trip immediately: ThreadBinding construction
-  // requires an empty slot, and MPI_Comm_rank must return the OWN rank
-  // after every scheduling point.
-  EnvGuard sched("CLMPI_SCHED", "fibers");
-  EnvGuard wrk("CLMPI_FIBER_WORKERS", "1");
+  // All four ranks (and their runtimes' service fibers) time-share the
+  // pool's workers, and with more than one worker a strand resumes on
+  // whichever worker checks it out next. Any leftover thread_local rank
+  // state — the capi binding, the strategy memo, the staging-pool cache —
+  // would be shared across ranks and trip immediately: ThreadBinding
+  // construction requires an empty slot, and MPI_Comm_rank must return the
+  // OWN rank after every scheduling point.
   constexpr int kRanks = 4;
-  mpi::Cluster::run(opts(kRanks, nullptr), [&](mpi::Rank& rank) {
-    Node node(rank);
-    capi::ThreadBinding binding(rank, node.runtime);
-    auto& world = rank.world();
-    for (int iter = 0; iter < 4; ++iter) {
-      // Rendezvous: a guaranteed yield/migration point for every rank.
-      world.barrier(rank.clock());
-      int self = -1;
-      ASSERT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &self), 0);
-      EXPECT_EQ(self, rank.rank());
-      // The strategy memo is rank-scoped: repeated selection stays
-      // self-consistent under migration.
-      const xfer::Strategy a = xfer::select(rank.profile(), 1024u << iter,
-                                            xfer::SelectionMode::heuristic);
-      const xfer::Strategy b = xfer::select(rank.profile(), 1024u << iter,
-                                            xfer::SelectionMode::heuristic);
-      EXPECT_EQ(a.kind, b.kind);
-    }
-  });
+  for (const int workers : testutil::kGateWorkers) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    const auto pool = testutil::make_pool(workers);
+    auto o = opts(kRanks, nullptr);
+    o.scheduler = pool.get();
+    mpi::Cluster::run(o, [&](mpi::Rank& rank) {
+      Node node(rank);
+      capi::ThreadBinding binding(rank, node.runtime);
+      auto& world = rank.world();
+      for (int iter = 0; iter < 4; ++iter) {
+        // Rendezvous: a guaranteed yield/migration point for every rank.
+        world.barrier(rank.clock());
+        int self = -1;
+        ASSERT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &self), 0);
+        EXPECT_EQ(self, rank.rank());
+        // The strategy memo is rank-scoped: repeated selection stays
+        // self-consistent under migration.
+        const xfer::Strategy a = xfer::select(rank.profile(), 1024u << iter,
+                                              xfer::SelectionMode::heuristic);
+        const xfer::Strategy b = xfer::select(rank.profile(), 1024u << iter,
+                                              xfer::SelectionMode::heuristic);
+        EXPECT_EQ(a.kind, b.kind);
+      }
+    });
+  }
 }
 
-TEST(SchedMigration, ThreadModeBindingStillPerThread) {
-  // Regression guard for the classic launcher: one binding per rank thread,
-  // torn down cleanly.
-  EnvGuard sched("CLMPI_SCHED", "threads");
-  mpi::Cluster::run(opts(2, nullptr), [&](mpi::Rank& rank) {
-    Node node(rank);
-    capi::ThreadBinding binding(rank, node.runtime);
-    int self = -1;
-    ASSERT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &self), 0);
-    EXPECT_EQ(self, rank.rank());
-  });
+// --- the launcher's contract ---------------------------------------------------
+
+TEST(SchedLauncher, ClusterRunFromAFiberIsRejected) {
+  // The caller of Cluster::run blocks until the run's strand closes; a rank
+  // doing so would stall its own strand, so it fails typed instead.
+  EXPECT_THROW(mpi::Cluster::run(opts(1, nullptr),
+                                 [](mpi::Rank&) {
+                                   (void)mpi::Cluster::run(opts(1, nullptr), [](mpi::Rank&) {});
+                                 }),
+               PreconditionError);
 }
 
 // --- error aggregation -------------------------------------------------------

@@ -87,6 +87,32 @@ TEST(P2P, TruncationThrows) {
       PreconditionError);
 }
 
+TEST(P2P, TruncationFailsAReceivePostedFirst) {
+  // The receive is posted before the oversized send arrives, so the match
+  // happens on the sender's side. Both requests still settle with a typed
+  // PreconditionError: the rendezvous sender waits on the match, and the
+  // receiver must never be left pending.
+  std::atomic<int> failed{0};
+  Cluster::run(opts(2), [&](Rank& rank) {
+    std::vector<std::byte> big(256 * 1024), small(10);
+    try {
+      if (rank.rank() == 0) {
+        rank.world().barrier(rank.clock());
+        rank.world().send(big, 1, 0, rank.clock());
+      } else {
+        Request r = rank.world().irecv(small, 0, 0, rank.clock());
+        rank.world().barrier(rank.clock());
+        r.wait(rank.clock());
+      }
+      ADD_FAILURE() << "rank " << rank.rank() << ": truncation was not diagnosed";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("message truncation"), std::string::npos);
+      ++failed;
+    }
+  });
+  EXPECT_EQ(failed, 2);
+}
+
 TEST(P2P, AnySourceAndAnyTagMatch) {
   Cluster::run(opts(3), [](Rank& rank) {
     std::vector<int> v{rank.rank()};

@@ -1,14 +1,18 @@
 // Shared helpers for the test suites.
 #pragma once
 
+#include <array>
 #include <cstdlib>
+#include <memory>
 #include <string>
+
+#include "support/sched.hpp"
+#include "vt/tracer.hpp"
 
 namespace clmpi::testutil {
 
 /// Scoped environment-variable override (nullptr unsets); restores the
-/// previous value on destruction. Used to pin CLMPI_SCHED and friends for
-/// the duration of one cluster run.
+/// previous value on destruction.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const char* value) : name_(name) {
@@ -49,6 +53,22 @@ inline double watchdog_seconds(double fallback) {
   const double v = std::strtod(env, &end);
   if (end == env || v <= 0.0) return fallback;
   return v;
+}
+
+/// Worker counts of the worker-count gates: the same workload must give the
+/// same trace hash, makespan and fault counters on each.
+inline constexpr std::array<int, 3> kGateWorkers{1, 4, 16};
+
+/// A fiber pool of `workers` workers, to hand to
+/// Cluster::Options::scheduler.
+inline std::unique_ptr<sched::Scheduler> make_pool(int workers) {
+  return std::make_unique<sched::Scheduler>(sched::Scheduler::Options{.workers = workers});
+}
+
+/// Failure message naming the first span at which two traces differ.
+inline std::string divergence(const vt::Tracer& a, const vt::Tracer& b) {
+  const auto d = vt::Tracer::first_divergence(a, b);
+  return d ? "first divergence:\n" + vt::to_string(*d) : "traces hold the same spans";
 }
 
 }  // namespace clmpi::testutil

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -314,6 +315,58 @@ TEST(Tracer, EmptyTraceHashesToZeroSum) {
   EXPECT_NE(tr.hash(), empty);
   tr.clear();
   EXPECT_EQ(tr.hash(), empty);
+}
+
+/// Two identical traces recorded in different orders, then one perturbed.
+void record_pair(Tracer& a, Tracer& b) {
+  for (int i = 0; i < 6; ++i) {
+    const double t = 0.5 * i;
+    a.record("host" + std::to_string(i % 2), "op", SpanKind::compute, TimePoint{t},
+             TimePoint{t + 0.25});
+  }
+  for (int i = 5; i >= 0; --i) {
+    const double t = 0.5 * i;
+    b.record("host" + std::to_string(i % 2), "op", SpanKind::compute, TimePoint{t},
+             TimePoint{t + 0.25});
+  }
+}
+
+TEST(Tracer, FirstDivergenceNamesThePerturbedSpan) {
+  Tracer a, b;
+  record_pair(a, b);
+  EXPECT_FALSE(Tracer::first_divergence(a, b).has_value());  // record order is ignored
+
+  // Perturb one wire span's end on side b; every span sorting before it
+  // (all of lane host0 and host1) still matches.
+  a.record("net0>1", "msg", SpanKind::wire, TimePoint{1.0}, TimePoint{2.0});
+  b.record("net0>1", "msg", SpanKind::wire, TimePoint{1.0}, TimePoint{2.5});
+  a.record("net0>1", "msg", SpanKind::wire, TimePoint{3.0}, TimePoint{4.0});
+  b.record("net0>1", "msg", SpanKind::wire, TimePoint{3.0}, TimePoint{4.0});
+  ASSERT_NE(a.hash(), b.hash());
+  const auto d = Tracer::first_divergence(a, b);
+  ASSERT_TRUE(d.has_value());
+  ASSERT_TRUE(d->a.has_value());
+  ASSERT_TRUE(d->b.has_value());
+  EXPECT_EQ(d->a->lane, "net0>1");
+  EXPECT_EQ(d->a->kind, SpanKind::wire);
+  EXPECT_EQ(d->a->start.s, 1.0);
+  EXPECT_EQ(d->a->end.s, 2.0);
+  EXPECT_EQ(d->b->end.s, 2.5);
+  const std::string text = to_string(*d);
+  EXPECT_NE(text.find("lane net0>1 wire [1, 2]"), std::string::npos) << text;
+  EXPECT_NE(text.find("lane net0>1 wire [1, 2.5]"), std::string::npos) << text;
+}
+
+TEST(Tracer, FirstDivergenceReportsAnExtraSpan) {
+  Tracer a, b;
+  record_pair(a, b);
+  b.record("zz", "late", SpanKind::wait, TimePoint{9.0}, TimePoint{9.5});
+  const auto d = Tracer::first_divergence(a, b);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_FALSE(d->a.has_value());  // side a ran out of spans
+  ASSERT_TRUE(d->b.has_value());
+  EXPECT_EQ(d->b->lane, "zz");
+  EXPECT_NE(to_string(*d).find("a: <no more spans>"), std::string::npos);
 }
 
 TEST(Tracer, ClearEmptiesTrace) {
