@@ -7,8 +7,8 @@
 //     mixed pure-MPI workload (p2p + probe + collectives + non-blocking
 //     collectives + RMA epochs), a device-transfer workload through the
 //     clMPI runtime (queue workers + dispatcher as service fibers) with and
-//     without injected faults, a contended fan-in, and 512 ranks on the
-//     same pools.
+//     without injected faults, a contended fan-in, 16-rank Himeno, and
+//     512 ranks on the same pools.
 //   * Context migration: rank-scoped state (the capi ThreadBinding, the
 //     strategy memo, the staging-pool node cache) must follow a rank's fiber
 //     across worker threads and never leak to another rank time-sharing the
@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/himeno/himeno.hpp"
 #include "clmpi/capi.h"
 #include "clmpi/runtime.hpp"
 #include "obs/metrics.hpp"
@@ -299,6 +300,25 @@ Outcome run_fanin(sched::Scheduler& pool) {
 
 TEST(SchedWorkerCount, ContendedFanInBitIdentical) {
   expect_worker_count_independent([](sched::Scheduler& pool) { return run_fanin(pool); });
+}
+
+TEST(SchedWorkerCount, Himeno16RanksBitIdentical) {
+  // The clMPI Himeno variant at 16 ranks: kernels, event-chained halo
+  // planes and 48 service fibers share one strand, and overlapped halo
+  // transfers contend for the NICs.
+  apps::himeno::Config cfg;
+  cfg.interior = 32;  // divisible by 2 * 16 ranks
+  cfg.jmax = 32;
+  cfg.kmax = 64;
+  cfg.iterations = 2;
+  expect_worker_count_independent([&](sched::Scheduler& pool) {
+    auto tracer = std::make_shared<vt::Tracer>();
+    auto o = opts(16, tracer.get());
+    o.scheduler = &pool;
+    const mpi::RunResult res =
+        mpi::Cluster::run(o, [&](mpi::Rank& rank) { (void)apps::himeno::run_rank(rank, cfg); });
+    return Outcome{tracer, res.makespan_s, res.faults};
+  });
 }
 
 // --- rank-context migration --------------------------------------------------
