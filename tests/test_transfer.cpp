@@ -52,6 +52,10 @@ struct StrategyCase {
   Strategy strategy;
 };
 
+// gtest_discover_tests puts the printed parameter into each CTest name; the
+// default byte dump would embed the `name` pointer, which moves between runs.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
 class AllStrategies : public ::testing::TestWithParam<StrategyCase> {};
 
 TEST_P(AllStrategies, DeliversExactBytesDeviceToDevice) {
