@@ -18,7 +18,7 @@
 //   rma_put_fanin    4 ranks, 3 peers Put 16 KiB slots into rank 0's window
 //                    each fence epoch (shmem one-sided tier on cxlpod)
 //   progress_starved 4-rank fan-in completed purely by on_settle
-//                    continuations — zero blocking waits, coalesced sends
+//                    continuations — zero blocking waits
 //   persistent_halo  4-rank ring halo exchange; send_init/recv_init once,
 //                    start() every epoch (persistent-request replay path)
 //   halo_*           the clmpi_halo stencil apps (2-D Jacobi, 1-D advection,
@@ -32,14 +32,21 @@
 //                    (48 in smoke) x3 runs; gates per-job trace-hash
 //                    stability and records p99 job latency
 //
-// Output: a human-readable table on stdout and a JSON array (default
+// Output: a `# host {...}` metadata line (the same keys as perfbench's,
+// minus its source digest) and a human-readable table on stdout, and a JSON
+// document with the same host object and one entry per scenario (default
 // BENCH_throughput.json, override with --out PATH). `--smoke` shrinks every
 // scenario so the whole run finishes in a few seconds (the `bench-smoke`
 // CTest label runs this configuration).
+#include <sched.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -103,6 +110,69 @@ std::vector<obs::Sample> drain_metrics() {
 
 double msgs_per_sec(const ScenarioResult& r) {
   return r.wall.median_s > 0.0 ? r.msgs_per_rep / r.wall.median_s : 0.0;
+}
+
+std::string json_string(const std::string& v) {
+  std::string out = "\"";
+  for (char c : v) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// First line of a shell command's stdout, empty when it fails.
+std::string command_line(const char* cmd) {
+  std::string line;
+  if (FILE* p = popen(cmd, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) line = buf;
+    if (pclose(p) != 0) line.clear();
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
+  return line;
+}
+
+/// Host metadata as one JSON object with sorted keys, the same fields as
+/// perfbench's `# host` line except its source digest.
+std::string host_metadata() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int nproc =
+      sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+  const long online = sysconf(_SC_NPROCESSORS_ONLN);
+  const char* workers_env = std::getenv("CLMPI_FIBER_WORKERS");
+  const long workers = workers_env != nullptr ? std::atol(workers_env) : 0;
+  std::string env = "{";
+  std::vector<std::string> vars;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "CLMPI_", 6) == 0) vars.emplace_back(*e);
+  }
+  std::sort(vars.begin(), vars.end());
+  for (const std::string& kv : vars) {
+    const std::size_t eq = kv.find('=');
+    env += (env.size() > 1 ? ", " : "") + json_string(kv.substr(0, eq)) + ": " +
+           json_string(kv.substr(eq + 1));
+  }
+  env += "}";
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S+00:00", std::gmtime(&now));
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  const std::string rev = command_line("git -C '" CLMPI_SOURCE_DIR "' rev-parse HEAD 2>/dev/null");
+  return "{\"build_type\": " + json_string(CLMPI_BUILD_TYPE) + ", \"clmpi_env\": " + env +
+         ", \"compiler\": " + json_string(compiler) +
+         ", \"cpus_online\": " + std::to_string(online) +
+         ", \"date\": " + json_string(date) + ", \"fiber_workers_default\": " +
+         std::to_string(workers > 0 ? workers : online) +
+         ", \"git_rev\": " + (rev.empty() ? std::string("null") : json_string(rev)) +
+         ", \"nproc\": " + std::to_string(nproc) + "}";
 }
 
 /// Run `body` once with a tracer to capture the virtual-time fingerprint
@@ -227,15 +297,15 @@ ScenarioResult rma_put_fanin(const Config& cfg, int epochs) {
 
 // Same fan-in shape as mailbox_fanin, but no rank ever parks in wait():
 // completion is observed purely through on_settle continuations plus a
-// sched::yield() spin on an atomic remaining-count. msgs_per_sender must be
-// a multiple of the coalescer's count threshold so every batch flushes
-// synchronously at post time (no reliance on the idle backstop for
-// liveness). The scenario is its own determinism gate: the traced run
-// repeats three times and the hashes/makespans must match exactly, and the
-// timed reps must record zero progress.blocking_waits.
+// sched::yield() spin on an atomic remaining-count. Every send is eager, so
+// its own post settles it, and every receive is settled by its sender's
+// post — liveness never relies on the idle backstop. The scenario is its own
+// determinism gate: the traced run repeats three times and the
+// hashes/makespans must match exactly, and the timed reps must record zero
+// progress.blocking_waits.
 ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   constexpr int kRanks = 4;
-  constexpr std::size_t kSize = 512;  // sub-eager: exercises the coalescer
+  constexpr std::size_t kSize = 512;  // sub-eager: sends settle at post time
   const auto body = [msgs_per_sender](mpi::Rank& rank) {
     std::vector<std::byte> buf(kSize, std::byte{0x77});
     std::vector<mpi::Request> reqs;
@@ -796,7 +866,8 @@ void print_table(const std::vector<ScenarioResult>& results) {
   }
 }
 
-void write_json(const std::vector<ScenarioResult>& results, const Config& cfg) {
+void write_json(const std::vector<ScenarioResult>& results, const Config& cfg,
+                const std::string& host) {
   std::ofstream out(cfg.out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", cfg.out_path.c_str());
@@ -804,6 +875,7 @@ void write_json(const std::vector<ScenarioResult>& results, const Config& cfg) {
   }
   out << "{\n  \"config\": {\"smoke\": " << (cfg.smoke ? "true" : "false")
       << ", \"warmup\": " << cfg.warmup << ", \"reps\": " << cfg.reps << "},\n"
+      << "  \"host\": " << host << ",\n"
       << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];
@@ -858,6 +930,8 @@ int main(int argc, char** argv) {
     }
   }
   if (cfg.smoke) cfg.reps = 3;
+  const std::string host = host_metadata();
+  std::printf("# host %s\n", host.c_str());
 
   // Counter snapshots ride along with the wall numbers: the gate compares
   // both, so a hot-path regression and a behaviour change (hit rates,
@@ -870,7 +944,6 @@ int main(int argc, char** argv) {
   const int pipe_rounds = cfg.smoke ? 10 : 40;
   const int fanin_msgs = cfg.smoke ? 50 : 300;
   const int rma_epochs = cfg.smoke ? 30 : 150;
-  // Multiples of the coalescer count threshold (32): see progress_starved.
   const int starved_msgs = cfg.smoke ? 32 : 96;
   const int halo_epochs = cfg.smoke ? 40 : 200;
 
@@ -905,6 +978,6 @@ int main(int argc, char** argv) {
   if (want("service_soak")) results.push_back(service_soak(cfg));
 
   print_table(results);
-  write_json(results, cfg);
+  write_json(results, cfg, host);
   return 0;
 }

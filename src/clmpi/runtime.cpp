@@ -681,8 +681,9 @@ mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
 /// What init time froze: the per-block comm-level persistent handles plus
 /// the replay shape. `aggregate` marks a pipelined decomposition that must
 /// be presented as one MPI_Request; `clock_driven` marks the single-block
-/// no-deadline form that replays through the clock-driven (coalescable)
-/// path, exactly as the plain isend/irecv_cl_mem call would post it.
+/// no-deadline form that replays through the clock-driven path (call
+/// overhead charged), exactly as the plain isend/irecv_cl_mem call would
+/// post it.
 struct PersistentRequest::Impl {
   std::vector<mpi::PersistentRequest> subs;
   mpi::MsgStatus st;
@@ -744,8 +745,8 @@ mpi::Request Runtime::start(const PersistentRequest& req) {
   PersistentRequest::Impl& impl = *req.impl_;
   if (!impl.aggregate) {
     // Single wire message: replay mirrors the non-pipelined isend/irecv
-    // dispatch — clock-driven (call overhead + coalescable) without a
-    // deadline, explicit-time otherwise.
+    // dispatch — clock-driven (call overhead charged) without a deadline,
+    // explicit-time otherwise.
     if (impl.clock_driven) return impl.subs.front().start(rank_->clock());
     return impl.subs.front().start(rank_->clock().now());
   }

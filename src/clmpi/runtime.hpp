@@ -189,8 +189,8 @@ class Runtime {
 
   /// MPI_Send_init / MPI_Recv_init with MPI_CL_MEM: prepare the operation
   /// once — strategy selection, wire decomposition, per-block envelope
-  /// headers, coalescing eligibility and the current default deadline are
-  /// all resolved here — for repeated replay via start().
+  /// headers and the current default deadline are all resolved here — for
+  /// repeated replay via start().
   [[nodiscard]] PersistentRequest send_init_cl_mem(std::span<const std::byte> data, int dst,
                                                    int tag, mpi::Comm& comm);
   [[nodiscard]] PersistentRequest recv_init_cl_mem(std::span<std::byte> data, int src,

@@ -27,10 +27,6 @@ void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
 }
 
 void ClusterCore::backstop() {
-  if (progress) {
-    for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
-    for (Mailbox& mb : mailboxes) mb.drain_completions();
-  }
   if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
   std::vector<std::shared_ptr<RequestState>> armed;
   {
@@ -201,11 +197,6 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     }
   }
   for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(*core.network, n);
-  core.progress = detail::progress_config().enabled;
-  if (core.progress) {
-    // One coalescer per source node, sized before any rank fiber exists.
-    for (int n = 0; n < options.nranks; ++n) core.coalescers.emplace_back();
-  }
 
   // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
   // so they outlive the rank contexts that write them.
@@ -318,8 +309,8 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     std::lock_guard lock(core.aux_mutex);
     for (auto& s : core.aux_services) s.join();
   }
-  // One final backstop pass, so no envelope is left stranded in a coalescer
-  // and no completion in a queue when `core` is torn down.
+  // One final backstop pass, so a cancelled job's pending operations settle
+  // (returning their mailbox quota) before `core` is torn down.
   core.backstop();
   if (core.faults) result.faults = core.faults->counters();
   // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto

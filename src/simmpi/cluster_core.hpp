@@ -12,7 +12,6 @@
 #include "simmpi/fault.hpp"
 #include "simmpi/mailbox.hpp"
 #include "simmpi/network.hpp"
-#include "simmpi/progress.hpp"
 #include "simmpi/request.hpp"
 #include "support/sched.hpp"
 #include "support/tenant.hpp"
@@ -39,22 +38,11 @@ struct ClusterCore {
   std::deque<Mailbox> mailboxes;  ///< one per node, indexed by global node id
   std::atomic<int> next_context{1};
 
-  /// Progress engine (progress.hpp). `progress` snapshots the config's
-  /// master switch at run start; with it off every send is posted directly.
-  bool progress{false};
-  std::deque<SendCoalescer> coalescers;  ///< one per SOURCE node
-
-  /// Put every batch queued by `node` on the wire (blocking-wait hook).
-  void flush_sends(int node) {
-    if (progress) coalescers[static_cast<std::size_t>(node)].flush_all(FlushTrigger::wait);
-  }
-
-  /// The cluster's liveness backstop: put every coalesced batch on the wire,
-  /// drain completions a producer left queued, fail a cancelled job's
-  /// pending operations, and rescue deadline-armed operations that stayed
-  /// pending past the real-time grace. Runs as the idle task of the run's
-  /// strand — serialized with the rank fibers, after a pass in which none of
-  /// them made progress — and once more at teardown.
+  /// The cluster's liveness backstop: fail a cancelled job's pending
+  /// operations, and rescue deadline-armed operations that stayed pending
+  /// past the real-time grace. Runs as the idle task of the run's strand —
+  /// serialized with the rank fibers, after a pass in which none of them
+  /// made progress — and once more at teardown.
   void backstop();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.

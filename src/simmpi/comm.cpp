@@ -1,11 +1,11 @@
 #include "simmpi/comm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "simmpi/cluster_core.hpp"
+#include "simmpi/progress.hpp"
 #include "support/error.hpp"
 
 namespace clmpi::mpi {
@@ -13,16 +13,6 @@ namespace clmpi::mpi {
 namespace {
 /// Host CPU cost of posting one MPI operation (library call overhead).
 constexpr vt::Duration kCallOverhead = vt::microseconds(0.5);
-
-/// Coalescing excludes operations with non-default tuning: bandwidth caps
-/// and wire-decomposition stamps belong to the transfer layer's lockstep
-/// protocols, and deadline-armed operations stay on the exhaustively tested
-/// direct recovery path.
-bool default_opts(const P2POptions& opts) {
-  return !std::isfinite(opts.wire_bw_cap) &&
-         opts.wire_decomp == std::numeric_limits<std::size_t>::max() &&
-         !(opts.deadline > vt::Duration{});
-}
 }  // namespace
 
 Comm::Comm(detail::ClusterCore* core, int context, std::vector<int> group, int my_rank)
@@ -89,7 +79,7 @@ void tenant_admit_p2p(detail::ClusterCore* core,
 }  // namespace
 
 Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
-                        vt::TimePoint ready, const P2POptions& opts, bool coalescable) {
+                        vt::TimePoint ready, const P2POptions& opts) {
   check_peer(dst, /*allow_any=*/false);
   auto state = detail::make_request_state();
   tenant_admit_p2p(core_, state, "isend");
@@ -114,23 +104,7 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
     state->arm_deadline(ready + opts.deadline);
     core_->register_deadline(state);
   }
-  detail::Mailbox& box = core_->mailboxes[static_cast<std::size_t>(node_of(dst))];
-  if (core_->progress) {
-    detail::SendCoalescer& co = core_->coalescers[static_cast<std::size_t>(env.src_node)];
-    // Hint set strictly before the envelope is visible: the wait path reads
-    // it without synchronization.
-    state->set_flush_hint(&co);
-    if (coalescable && env.eager &&
-        env.bytes <= detail::progress_config().coalesce_max_msg && default_opts(opts)) {
-      co.offer(box, std::move(env));
-      return Request(state);
-    }
-    // A direct post overtaking a queued batch to the same (mailbox, context)
-    // would reorder arrival stamps against program order, which wildcard
-    // receives can observe: flush that key first.
-    if (co.has_pending()) co.flush_key(box, context_);
-  }
-  box.post_send(std::move(env));
+  core_->mailboxes[static_cast<std::size_t>(node_of(dst))].post_send(std::move(env));
   return Request(state);
 }
 
@@ -152,13 +126,6 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
     state->arm_deadline(ready + opts.deadline);
     core_->register_deadline(state);
   }
-  if (core_->progress) {
-    // A blocked receiver's own queued sends may be exactly what its peer is
-    // waiting for before answering: hint the receiver's coalescer so the
-    // wait path flushes it.
-    state->set_flush_hint(
-        &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]);
-  }
   core_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]
       .post_recv(std::move(pr));
   return Request(state);
@@ -176,7 +143,7 @@ Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::TimePoint r
 
 Request Comm::isend(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock) {
   clock.advance(kCallOverhead);
-  return post_send(data, dst, tag, clock.now(), {}, /*coalescable=*/true);
+  return post_send(data, dst, tag, clock.now(), {});
 }
 
 Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::Clock& clock) {
@@ -185,10 +152,7 @@ Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::Clock& cloc
 }
 
 void Comm::send(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock) {
-  // Not the coalescable isend: a blocking send waits immediately, so queuing
-  // it would only be flushed straight back out by its own wait.
-  clock.advance(kCallOverhead);
-  Request req = post_send(data, dst, tag, clock.now(), {});
+  Request req = isend(data, dst, tag, clock);
   req.wait(clock);
 }
 
@@ -210,14 +174,12 @@ void Comm::sendrecv(std::span<const std::byte> send_data, int dst, int send_tag,
 // --- persistent requests -----------------------------------------------------
 
 /// Everything a replay does NOT have to redo: peer checks, header assembly,
-/// destination-mailbox resolution, coalescing eligibility. start() only
-/// stamps a fresh RequestState and ready time onto a copy of the template.
+/// destination-mailbox resolution. start() only stamps a fresh RequestState
+/// and ready time onto a copy of the template.
 struct PersistentRequest::Impl {
   detail::ClusterCore* core{nullptr};
   detail::Mailbox* box{nullptr};  ///< destination (send) or own (recv) mailbox
-  detail::SendCoalescer* co{nullptr};  ///< own node's coalescer, when progress is on
   bool is_send{false};
-  bool coalescable{false};
   vt::Duration deadline{};
   detail::Envelope env;    ///< send template (sreq/post_time restamped per start)
   detail::PostedRecv pr;   ///< recv template (rreq/post_time restamped per start)
@@ -240,12 +202,6 @@ PersistentRequest Comm::send_init(std::span<const std::byte> data, int dst, int 
   impl->env.eager = data.size() <= core_->network->model().eager_threshold;
   impl->env.bw_cap = opts.wire_bw_cap;
   impl->env.wire_decomp = opts.wire_decomp;
-  if (core_->progress) {
-    impl->co = &core_->coalescers[static_cast<std::size_t>(impl->env.src_node)];
-    impl->coalescable = impl->env.eager &&
-                        impl->env.bytes <= detail::progress_config().coalesce_max_msg &&
-                        default_opts(opts);
-  }
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_inits.add();
   return PersistentRequest(std::move(impl));
 }
@@ -265,19 +221,14 @@ PersistentRequest Comm::recv_init(std::span<std::byte> data, int src, int tag,
   impl->pr.buffer = data;
   impl->pr.bw_cap = opts.wire_bw_cap;
   impl->pr.wire_decomp = opts.wire_decomp;
-  if (core_->progress) {
-    impl->co =
-        &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])];
-  }
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_inits.add();
   return PersistentRequest(std::move(impl));
 }
 
-Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
+Request PersistentRequest::start(vt::TimePoint ready) {
   CLMPI_REQUIRE(impl_ != nullptr, "start() on a null persistent request");
   auto state = detail::make_request_state();
   tenant_admit_p2p(impl_->core, state, "persistent-start");
-  if (impl_->co != nullptr) state->set_flush_hint(impl_->co);
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_starts.add();
   if (impl_->is_send) {
     detail::Envelope env = impl_->env;
@@ -287,14 +238,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
       state->arm_deadline(ready + impl_->deadline);
       impl_->core->register_deadline(state);
     }
-    if (coalescable && impl_->coalescable) {
-      impl_->co->offer(*impl_->box, std::move(env));
-    } else {
-      if (impl_->co != nullptr && impl_->co->has_pending()) {
-        impl_->co->flush_key(*impl_->box, env.context);
-      }
-      impl_->box->post_send(std::move(env));
-    }
+    impl_->box->post_send(std::move(env));
   } else {
     detail::PostedRecv pr = impl_->pr;
     pr.post_time = ready;
@@ -308,18 +252,11 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
   return Request(state);
 }
 
-Request PersistentRequest::start(vt::TimePoint ready) {
-  // Runtime-facing (explicit-time) replays never coalesce: their waiters go
-  // through event latches, which do not know about coalescers; the direct
-  // post keeps them independent of the idle backstop.
-  return start_at(ready, /*coalescable=*/false);
-}
-
 Request PersistentRequest::start(vt::Clock& clock) {
   // Same per-call overhead as isend/irecv: a persistent replay is
   // virtual-time-identical to re-issuing the plain non-blocking call.
   clock.advance(kCallOverhead);
-  return start_at(clock.now(), /*coalescable=*/true);
+  return start(clock.now());
 }
 
 std::optional<MsgStatus> Comm::iprobe(int src, int tag) const {

@@ -52,7 +52,7 @@ struct P2POptions {
 
 /// Persistent operation handle, the analogue of MPI_Send_init/MPI_Recv_init.
 /// Created once by Comm::send_init/recv_init — peer checks, envelope header
-/// assembly and coalescing eligibility are resolved at init time — and
+/// assembly and destination mailbox are resolved at init time — and
 /// replayed cheaply with start(), which only stamps a fresh completion state
 /// and ready time. start() may be called repeatedly; each call returns an
 /// independent Request, and the buffer bound at init time must stay valid
@@ -72,8 +72,6 @@ class PersistentRequest {
   Request start(vt::TimePoint ready);
 
  private:
-  Request start_at(vt::TimePoint ready, bool coalescable);
-
   friend class Comm;
   struct Impl;
   explicit PersistentRequest(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -218,12 +216,8 @@ class Comm {
                     int seq, vt::Clock& clock);
 
   void check_peer(int peer, bool allow_any) const;
-  /// `coalescable` marks the host-facing non-blocking path: only those sends
-  /// may be queued in the node's coalescer (blocking sends wait immediately,
-  /// so queuing them would be pure overhead; runtime-facing sends carry
-  /// non-default options the coalescer excludes anyway).
   Request post_send(std::span<const std::byte> data, int dst, int tag, vt::TimePoint ready,
-                    const P2POptions& opts, bool coalescable = false);
+                    const P2POptions& opts);
   Request post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoint ready,
                     const P2POptions& opts);
 

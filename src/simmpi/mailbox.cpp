@@ -302,99 +302,6 @@ void Mailbox::post_send(Envelope env) {
   settle(batch);
 }
 
-void Mailbox::post_send_batch(std::vector<Envelope>& envs) {
-  if (envs.empty()) return;
-  if (envs.size() == 1) {
-    post_send(std::move(envs.front()));
-    return;
-  }
-  if (FaultEngine* faults = net_->faults()) {
-    // Decisions are drawn in offer order. This is bit-identical to deciding
-    // at each individual post: fault streams are per-channel, a channel's
-    // messages arrive here in order (the coalescer is FIFO per key), and
-    // different channels draw from independent streams.
-    for (Envelope& env : envs) {
-      const FaultDecision d =
-          faults->decide(env.src_node, node_, env.context, env.tag, env.bytes);
-      env.post_time += d.delay;
-      env.fault_drop = d.drop;
-      env.fault_dup = d.duplicate;
-      env.fault_attempts = d.wire_attempts;
-      env.fault_delivered = d.delivered;
-      env.fault_timeout = d.retries_exhausted;
-    }
-  }
-
-  std::vector<Completion> batch;
-  batch.reserve(envs.size() * 2);
-  // Matched pairs are recorded as (index into envs, receive): the big
-  // envelopes stay put in the batch vector instead of being moved again.
-  std::vector<std::pair<std::size_t, PostedRecv>> matched;
-  matched.reserve(envs.size());
-  std::size_t unexpected = 0;
-  {
-    // One acquisition of every shard lock the batch touches (ascending — the
-    // global lock order), then the envelopes are walked strictly in offer
-    // order, so arrival stamps and wildcard matching are exactly as if each
-    // envelope had been posted individually.
-    std::array<std::unique_lock<std::mutex>, kShards> locks;
-    std::array<bool, kShards> need{};
-    for (const Envelope& env : envs) {
-      need[shard_of(env.src_rank, env.tag, env.context)] = true;
-    }
-    for (std::size_t s = 0; s < kShards; ++s) {
-      if (need[s]) locks[s] = std::unique_lock(shards_[s].mutex);
-    }
-    std::unique_lock<std::mutex> wild_lock;  // lock order: shards, then wild
-    for (std::size_t i = 0; i < envs.size(); ++i) {
-      Envelope& env = envs[i];
-      const ChannelKey key{env.src_rank, env.tag, env.context};
-      Shard& sh = shards_[shard_of(env.src_rank, env.tag, env.context)];
-      auto sit = sh.posted.find(key);
-      Fifo<PostedRecv>* sq =
-          (sit != sh.posted.end() && !sit->second.empty()) ? &sit->second : nullptr;
-      PostedRecv pr;
-      bool env_matched = false;
-      if (wild_count_.load(std::memory_order_acquire) > 0 || wild_lock.owns_lock()) {
-        if (!wild_lock.owns_lock()) wild_lock = std::unique_lock(wild_mutex_);
-        auto wit = std::find_if(wild_posted_.begin(), wild_posted_.end(),
-                                [&](const PostedRecv& p) { return matches(env, p); });
-        const bool w_ok = wit != wild_posted_.end();
-        if (w_ok && (sq == nullptr || wit->seq < sq->front().seq)) {
-          pr = std::move(*wit);
-          wild_posted_.erase(wit);
-          wild_count_.fetch_sub(1, std::memory_order_release);
-          env_matched = true;
-        } else if (sq != nullptr) {
-          pr = sq->pop_front();
-          env_matched = true;
-        }
-      } else if (sq != nullptr) {
-        pr = sq->pop_front();
-        env_matched = true;
-      }
-
-      if (env_matched) {
-        matched.emplace_back(i, std::move(pr));
-      } else {
-        if (env.eager) inject_eager(env, batch);
-        env.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-        sh.unexpected[key].push_back(std::move(env));
-        ++unexpected;
-      }
-    }
-  }
-  if (obs::metrics_enabled() && !matched.empty()) metrics().shard_hit.add(matched.size());
-  for (auto& [i, pr] : matched) {
-    deliver(envs[i], pr, batch);
-  }
-  if (unexpected > 0) {
-    if (obs::metrics_enabled()) metrics().unexpected.add(unexpected);
-    sched::note_progress();  // a probe may be waiting for these arrivals
-  }
-  settle(batch);
-}
-
 void Mailbox::post_recv(PostedRecv pr) {
   std::vector<Completion> batch;
   const bool wildcard = pr.src_rank == any_source || pr.tag == any_tag;

@@ -141,8 +141,6 @@ struct Completion {
 /// the old under-the-lock firing did) without holding any mailbox lock.
 class CompletionQueue {
  public:
-  void push(std::vector<Completion>& batch);
-  void drain();
   /// Settle `batch`: when the consumer flag is free (the common case), any
   /// queued leftovers are fired first and then `batch` is fired IN PLACE —
   /// no deque round trip, no extra lock pair. Otherwise falls back to
@@ -150,6 +148,8 @@ class CompletionQueue {
   void settle_batch(std::vector<Completion>& batch);
 
  private:
+  void push(std::vector<Completion>& batch);
+  void drain();
   /// Fire everything currently queued; the caller holds the consumer flag.
   void drain_as_consumer();
   static void fire(Completion& c);
@@ -169,20 +169,6 @@ class Mailbox {
   /// Sender side: called by the source rank's thread (any thread, in fact —
   /// the engine is MPI_THREAD_MULTIPLE-safe).
   void post_send(Envelope env);
-
-  /// Batched sender side: post a coalescer batch in ONE mailbox transaction.
-  /// The envelopes are processed strictly in order (their global arrival
-  /// stamps, and hence wildcard matching, are exactly as if each had been
-  /// posted individually) under a single acquisition of the shard locks they
-  /// touch; matched deliveries run outside the locks and every endpoint is
-  /// settled through a single completion-queue drain. The envelopes are
-  /// consumed (left moved-from); the vector keeps its capacity so the
-  /// caller can recycle it.
-  void post_send_batch(std::vector<Envelope>& envs);
-
-  /// Idle-backstop hook: drain any completions queued by producers that
-  /// lost the consumer race and left before the queue emptied.
-  void drain_completions() { completions_.drain(); }
 
   /// Receiver side.
   void post_recv(PostedRecv pr);

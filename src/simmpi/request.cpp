@@ -161,13 +161,7 @@ void wait_all(std::span<Request> requests, vt::Clock& clock) {
 
 std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
   CLMPI_REQUIRE(!requests.empty(), "wait_any over zero requests");
-  // Any of the waited requests may depend on traffic still queued in a
-  // coalescer (ours, or a peer's that our queued sends would unblock):
-  // flush the hinted coalescers before polling.
-  for (Request& r : requests) {
-    CLMPI_REQUIRE(r.valid(), "wait_any over a null request");
-    r.state()->flush_hinted();
-  }
+  for (const Request& r : requests) CLMPI_REQUIRE(r.valid(), "wait_any over a null request");
   {
     ctx::BlockedScope blocked("mpi.wait_any");
     const auto any_done = [&] {
@@ -339,16 +333,8 @@ std::exception_ptr RequestState::error() const {
   return error_;
 }
 
-void RequestState::flush_hinted() {
-  if (flush_co_ != nullptr) flush_co_->flush_all(FlushTrigger::wait);
-}
-
 vt::TimePoint RequestState::block_until_done() {
   if (!done()) {
-    // The waiter may be blocked on exactly the traffic queued in its own
-    // node's coalescer (directly, or because a peer needs it before it can
-    // answer): put that on the wire before doing anything else.
-    flush_hinted();
     if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
     // Poll-yield: the waiting fiber stays in its strand's rotation and
     // re-polls the done flag per resume, so peer ranks (and the service

@@ -31,7 +31,6 @@ struct MsgStatus {
 
 namespace detail {
 class RequestState;
-class SendCoalescer;
 }  // namespace detail
 
 class Request {
@@ -163,10 +162,9 @@ class RequestState {
     return done_flag_.load(std::memory_order_acquire);
   }
   /// Blocks until complete; rethrows the operation's exception on failure.
-  /// Flushes the coalescer named by the flush hint, then poll-yields the
-  /// calling fiber (on a plain thread: spins on OS yields); counts
-  /// progress.blocking_waits on entry when the request is still pending and
-  /// progress.rescued_waits when the deadline rescue resolves it.
+  /// Poll-yields the calling fiber (on a plain thread: spins on OS yields);
+  /// counts progress.blocking_waits on entry when the request is still
+  /// pending and progress.rescued_waits when the deadline rescue resolves it.
   vt::TimePoint block_until_done();
   /// The carried failure, if any (nullptr while pending or on success).
   [[nodiscard]] std::exception_ptr error() const;
@@ -175,14 +173,6 @@ class RequestState {
   void on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn);
   void on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
                                     const std::exception_ptr&)> fn);
-
-  /// Name the coalescer a blocking wait on this request must flush first —
-  /// the waiter may be waiting on exactly the traffic sitting in that queue.
-  /// POD pointer, set strictly BEFORE the request is posted (it is read
-  /// without synchronization on the wait path).
-  void set_flush_hint(SendCoalescer* co) noexcept { flush_co_ = co; }
-  /// Flush the hinted coalescer, if any (wait_any's pre-block pass).
-  void flush_hinted();
 
  private:
   /// Single completion path shared by complete/fail/the deadline rescue.
@@ -195,7 +185,6 @@ class RequestState {
   /// Lock-free mirror of done_, release-published after the completion
   /// fields are written.
   std::atomic<bool> done_flag_{false};
-  SendCoalescer* flush_co_{nullptr};
   bool deadline_armed_{false};
   /// True when the request resolved as a deadline timeout; a late real
   /// completion racing the rescue is then ignored (the operation's outcome

@@ -339,7 +339,7 @@ Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
     }
     if (++s.fruitless < s.ready.size()) continue;
     // A full pass over the strand advanced nothing: run its backstop, which
-    // may release queued work (coalesced sends, cancel-failed requests).
+    // may release queued work (cancel-failed or deadline-rescued requests).
     // Both the pass length and the epoch are the strand's own, so where the
     // backstop fires is a function of the strand's schedule alone.
     s.fruitless = 0;

@@ -1,13 +1,11 @@
-// Progress-engine suite: continuations, the idle backstop, persistent
-// requests and small-message coalescing (docs/PROGRESS.md).
+// Progress-engine suite: continuations and persistent requests
+// (docs/PROGRESS.md).
 //
-//  * Neutrality: the engine is wall-clock-only. The same seeded workload
-//    runs with the engine on, on again, and off — trace hashes, makespans
-//    and fault counters must be bit-identical across all three (the
-//    continuation-ordering determinism contract).
-//  * Coalescing flush boundaries: exactly-N, N-1 and N+1 message bursts
-//    trip the count / wait triggers the documented way, and the byte
-//    threshold fires independently of the count threshold.
+//  * Determinism: the same seeded workload, run twice, with and without a
+//    chaos plan — trace hashes, makespans and fault counters must be
+//    bit-identical (the continuation-ordering determinism contract).
+//  * Continuations: a receive settled by its sender's post fires its
+//    callback without the receiver ever blocking in wait().
 //  * Persistent requests: a send_init/start replay loop is trace- and
 //    byte-identical to re-issuing plain isend/irecv, at host level and at
 //    MPI_CL_MEM level (where init pre-resolves the wire decomposition).
@@ -17,7 +15,6 @@
 
 #include "test_util.hpp"
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -30,7 +27,6 @@
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "simmpi/cluster.hpp"
-#include "simmpi/progress.hpp"
 #include "support/rng.hpp"
 #include "support/sched.hpp"
 #include "support/units.hpp"
@@ -47,13 +43,6 @@ mpi::Cluster::Options opts(int nranks) {
   return o;
 }
 
-/// Save/restore the process-wide progress config around a test; tests only
-/// mutate it between cluster runs (no rank thread is alive).
-struct ProgressConfigGuard {
-  mpi::detail::ProgressConfig saved = mpi::detail::progress_config();
-  ~ProgressConfigGuard() { mpi::detail::progress_config() = saved; }
-};
-
 std::uint64_t counter(const char* name) {
   std::uint64_t v = 0;
   // A name that has not registered yet reads as zero.
@@ -66,104 +55,7 @@ void fill_bytes(std::span<std::byte> buf, std::uint64_t seed) {
   for (std::byte& b : buf) b = static_cast<std::byte>(rng.below(256));
 }
 
-// --- coalescing flush boundaries --------------------------------------------
-
-/// Sends `n` coalescable 64 B messages rank0 -> rank1, then waits them all;
-/// returns the (count-flush, wait-flush, enqueued) counter deltas.
-std::array<std::uint64_t, 3> run_burst(std::size_t n) {
-  const std::uint64_t count0 = counter("progress.coalesce.flush.count");
-  const std::uint64_t wait0 = counter("progress.coalesce.flush.wait");
-  const std::uint64_t enq0 = counter("progress.coalesce.enqueued");
-  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
-    auto& world = rank.world();
-    std::vector<std::byte> buf(64);
-    if (rank.rank() == 0) {
-      std::vector<std::vector<std::byte>> bufs(n, buf);
-      std::vector<mpi::Request> reqs;
-      for (std::size_t i = 0; i < n; ++i) {
-        reqs.push_back(world.isend(bufs[i], 1, static_cast<int>(i), rank.clock()));
-      }
-      for (auto& r : reqs) r.wait(rank.clock());
-    } else {
-      std::vector<std::vector<std::byte>> bufs(n, buf);
-      std::vector<mpi::Request> reqs;
-      for (std::size_t i = 0; i < n; ++i) {
-        reqs.push_back(world.irecv(bufs[i], 0, static_cast<int>(i), rank.clock()));
-      }
-      for (auto& r : reqs) r.wait(rank.clock());
-    }
-  });
-  return {counter("progress.coalesce.flush.count") - count0,
-          counter("progress.coalesce.flush.wait") - wait0,
-          counter("progress.coalesce.enqueued") - enq0};
-}
-
-TEST(ProgressCoalesce, CountFlushBoundaries) {
-  ProgressConfigGuard guard;
-  auto& cfg = mpi::detail::progress_config();
-  cfg.enabled = true;
-  // Park the horizon trigger so only count/wait flushes can fire. The idle
-  // backstop never does here: rank 0 runs first and reaches its wait (the
-  // wait flush) before any pass over the ranks can come up empty.
-  cfg.coalesce_horizon = vt::seconds(1e6);
-  const std::size_t n = cfg.coalesce_max_count;
-
-  const bool was_enabled = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-
-  // Exactly N: one count flush, nothing left for the wait hook.
-  auto exact = run_burst(n);
-  EXPECT_EQ(exact[0], 1u);
-  EXPECT_EQ(exact[1], 0u);
-  EXPECT_EQ(exact[2], n);
-
-  // N-1: the count trigger never fires; the first wait flushes the batch.
-  auto under = run_burst(n - 1);
-  EXPECT_EQ(under[0], 0u);
-  EXPECT_EQ(under[1], 1u);
-  EXPECT_EQ(under[2], n - 1);
-
-  // N+1: one count flush plus one wait flush for the straggler.
-  auto over = run_burst(n + 1);
-  EXPECT_EQ(over[0], 1u);
-  EXPECT_EQ(over[1], 1u);
-  EXPECT_EQ(over[2], n + 1);
-
-  obs::set_metrics_enabled(was_enabled);
-}
-
-TEST(ProgressCoalesce, ByteThresholdFiresBeforeCount) {
-  ProgressConfigGuard guard;
-  auto& cfg = mpi::detail::progress_config();
-  cfg.enabled = true;
-  cfg.coalesce_horizon = vt::seconds(1e6);
-  cfg.coalesce_max_count = 1000;  // byte threshold must fire first
-  const std::size_t msg = cfg.coalesce_max_msg;                  // 4 KiB
-  const std::size_t n = cfg.coalesce_max_bytes / msg;            // 8 messages
-
-  const bool was_enabled = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-  const std::uint64_t bytes0 = counter("progress.coalesce.flush.bytes");
-
-  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
-    auto& world = rank.world();
-    std::vector<std::vector<std::byte>> bufs(n, std::vector<std::byte>(msg));
-    std::vector<mpi::Request> reqs;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rank.rank() == 0) {
-        reqs.push_back(world.isend(bufs[i], 1, static_cast<int>(i), rank.clock()));
-      } else {
-        reqs.push_back(world.irecv(bufs[i], 0, static_cast<int>(i), rank.clock()));
-      }
-    }
-    for (auto& r : reqs) r.wait(rank.clock());
-  });
-
-  EXPECT_EQ(counter("progress.coalesce.flush.bytes") - bytes0, 1u);
-  obs::set_metrics_enabled(was_enabled);
-}
-
-// --- virtual-time neutrality --------------------------------------------------
+// --- run-to-run determinism ----------------------------------------------------
 
 /// Seeded mixed workload over 4 ranks: a tagged fan-in into rank 0, a
 /// single-source wildcard-tag stream (per-channel FIFO keeps its matching
@@ -175,10 +67,7 @@ struct MixedOutcome {
   mpi::FaultCounters faults{};
 };
 
-MixedOutcome run_mixed(bool engine, std::uint64_t seed, const mpi::FaultPlan& plan) {
-  ProgressConfigGuard guard;
-  mpi::detail::progress_config().enabled = engine;
-
+MixedOutcome run_mixed(std::uint64_t seed, const mpi::FaultPlan& plan) {
   constexpr int kRanks = 4;
   constexpr int kPerSender = 24;
   vt::Tracer tracer;
@@ -224,7 +113,7 @@ MixedOutcome run_mixed(bool engine, std::uint64_t seed, const mpi::FaultPlan& pl
       }
     }
     world.barrier(rank.clock());
-    // Ring exchange exercises the blocking (non-coalesced) path.
+    // Ring exchange exercises the blocking path.
     std::vector<std::byte> out(128), in(128);
     const int next = (rank.rank() + 1) % kRanks;
     const int prev = (rank.rank() + kRanks - 1) % kRanks;
@@ -250,29 +139,25 @@ void expect_same(const MixedOutcome& a, const MixedOutcome& b) {
 }
 
 TEST(ProgressNeutrality, EngineOnOffBitIdentical) {
+  // Continuation ordering is deterministic: a repeat reproduces the run.
   for (std::uint64_t seed : {11u, 42u, 1234u}) {
-    const MixedOutcome on1 = run_mixed(true, seed, {});
-    const MixedOutcome on2 = run_mixed(true, seed, {});
-    const MixedOutcome off = run_mixed(false, seed, {});
-    expect_same(on1, on2);  // continuation/coalescing ordering is deterministic
-    expect_same(on1, off);  // ... and virtual-time neutral
+    expect_same(run_mixed(seed, {}), run_mixed(seed, {}));
   }
 }
 
 TEST(ProgressNeutrality, ChaosScheduleUnperturbed) {
-  // Deliverable fault classes only (no drops): the engine must reproduce the
-  // per-channel fault streams bit-exactly even though batched posts decide
-  // faults at flush time.
+  // Deliverable fault classes only (no drops): a repeat reproduces the
+  // per-channel fault streams bit-exactly.
   mpi::FaultPlan plan;
   plan.duplicate_rate = 0.3;
   plan.reorder_rate = 0.4;
   plan.latency_spike_rate = 0.3;
   for (std::uint64_t seed : {7u, 99u}) {
     plan.seed = seed;
-    const MixedOutcome on = run_mixed(true, seed, plan);
-    const MixedOutcome off = run_mixed(false, seed, plan);
-    EXPECT_GT(on.faults.messages, 0u);
-    expect_same(on, off);
+    const MixedOutcome first = run_mixed(seed, plan);
+    const MixedOutcome second = run_mixed(seed, plan);
+    EXPECT_GT(first.faults.messages, 0u);
+    expect_same(first, second);
   }
 }
 
@@ -320,7 +205,7 @@ ReplayOutcome run_replay(bool persistent, std::size_t msg_bytes, int iters) {
 }
 
 TEST(ProgressPersistent, HostReplayMatchesPlainReissue) {
-  // Eager/coalescable size and a rendezvous size both replay identically.
+  // An eager size and a rendezvous size both replay identically.
   for (std::size_t msg : {std::size_t{256}, std::size_t{96_KiB}}) {
     const ReplayOutcome plain = run_replay(false, msg, 12);
     const ReplayOutcome replay = run_replay(true, msg, 12);
@@ -416,7 +301,7 @@ TEST(ProgressContinuations, SettleWithoutBlockingWait) {
         fired.store(true, std::memory_order_release);
       });
       world.barrier(rank.clock());
-      // Poll-only completion: the sender's settle (or the idle backstop)
+      // Poll-only completion: the sender's post settles the receive and
       // fires the continuation; this rank never parks in wait().
       while (!fired.load(std::memory_order_acquire)) sched::yield();
       rank.clock().sync_to(done_at);

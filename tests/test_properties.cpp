@@ -18,7 +18,6 @@
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
 #include "simmpi/cluster.hpp"
-#include "simmpi/progress.hpp"
 #include "simmpi/window.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
@@ -90,22 +89,32 @@ TEST_P(MessageStorm, RandomTrafficDeliversExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MessageStorm, ::testing::Values(1u, 17u, 42u, 1234u));
 
-// --- wildcard receives vs the progress engine --------------------------------
+// --- wildcard receives under racing senders -----------------------------------
 
-/// One wildcard-receiver run: ranks 1..N-1 race coalescable bursts and
+constexpr int kStormRanks = 4;
+constexpr int kBurst = 12;   // small isends per sender
+constexpr int kReplays = 6;  // persistent replays per sender
+
+/// Packed (source, tag, payload-word) delivery record.
+std::uint64_t storm_record(int source, int tag, std::uint64_t word) {
+  return (static_cast<std::uint64_t>(source) << 56) | (static_cast<std::uint64_t>(tag) << 40) |
+         (word & 0xFFFFFFFFFFull);
+}
+
+std::uint64_t burst_word(std::uint64_t seed, int rank, int i) {
+  return derive_seed(seed, static_cast<std::uint64_t>(rank * 100 + i));
+}
+
+std::uint64_t replay_word(std::uint64_t seed, int rank, int r) {
+  return derive_seed(seed ^ 0x5a5a, static_cast<std::uint64_t>(rank * 100 + r));
+}
+
+/// One wildcard-receiver run: ranks 1..N-1 race small isend bursts and
 /// persistent replays at rank 0, which drains everything through serialized
 /// (any_source, any_tag) receives. Returns rank 0's observed delivery
-/// sequence as packed (source, tag, payload-word) records.
-std::vector<std::uint64_t> run_wildcard_storm(bool progress_on, std::uint64_t seed) {
-  struct ProgressConfigGuard {
-    mpi::detail::ProgressConfig saved = mpi::detail::progress_config();
-    ~ProgressConfigGuard() { mpi::detail::progress_config() = saved; }
-  } guard;
-  mpi::detail::progress_config().enabled = progress_on;
-
-  constexpr int kRanks = 4;
-  constexpr int kBurst = 12;   // coalescable messages per sender
-  constexpr int kReplays = 6;  // persistent replays per sender
+/// sequence as storm_record()s.
+std::vector<std::uint64_t> run_wildcard_storm(std::uint64_t seed) {
+  constexpr int kRanks = kStormRanks;
   std::vector<std::uint64_t> seen;
   mpi::Cluster::run(opts(kRanks, sys::cichlid()), [&, seed](mpi::Rank& rank) {
     auto& world = rank.world();
@@ -117,26 +126,25 @@ std::vector<std::uint64_t> run_wildcard_storm(bool progress_on, std::uint64_t se
             std::as_writable_bytes(std::span(&word, 1)), mpi::any_source, mpi::any_tag,
             rank.clock());
         EXPECT_EQ(st.bytes, sizeof(word));
-        seen.push_back((static_cast<std::uint64_t>(st.source) << 56) |
-                       (static_cast<std::uint64_t>(st.tag) << 40) | (word & 0xFFFFFFFFFFull));
+        seen.push_back(storm_record(st.source, st.tag, word));
       }
     } else {
-      // A burst of small coalescable isends (each below coalesce_max_msg)...
+      // A burst of small isends...
       std::vector<std::uint64_t> words(kBurst + kReplays);
       std::vector<mpi::Request> reqs;
       for (int i = 0; i < kBurst; ++i) {
         const auto idx = static_cast<std::size_t>(i);
-        words[idx] = derive_seed(seed, static_cast<std::uint64_t>(rank.rank() * 100 + i));
+        words[idx] = burst_word(seed, rank.rank(), i);
         reqs.push_back(world.isend(std::as_bytes(std::span(&words[idx], 1)), 0,
                                    rank.rank() * 10 + i % 3, rank.clock()));
       }
-      // ...interleaved with a persistent send replayed with fresh payloads.
+      // ...then a persistent send replayed with fresh payloads.
       const auto base = static_cast<std::size_t>(kBurst);
       mpi::PersistentRequest preq = world.send_init(
           std::as_bytes(std::span(&words[base], 1)), 0, 900 + rank.rank());
       for (int r = 0; r < kReplays; ++r) {
         // The replay reuses ONE registered buffer; refill then start.
-        words[base] = derive_seed(seed ^ 0x5a5a, static_cast<std::uint64_t>(rank.rank() * 100 + r));
+        words[base] = replay_word(seed, rank.rank(), r);
         mpi::Request rr = preq.start(rank.clock());
         rr.wait(rank.clock());
       }
@@ -159,34 +167,34 @@ std::vector<std::uint64_t> per_source(const std::vector<std::uint64_t>& seen, in
 }
 
 TEST_P(WildcardVsCoalescing, ArrivalOrderUnchangedByProgressEngine) {
-  // The progress engine (send coalescing + persistent replay fast path) is
-  // wall-clock-only. The cross-SENDER interleaving a wildcard receiver sees
-  // is decided by which racing rank thread arrives first — that is wall
-  // scheduling, identical with the engine on or off. What the engine must
-  // not change is anything per source: a wildcard receiver's per-source
-  // subsequence is the sender's program order (non-overtaking + the
-  // coalescer's flush-before-direct-post rule), and the delivered multiset
-  // of (source, tag, payload) records is exact. Compare the engine-on run
-  // against engine-off (the CLMPI_PROGRESS=0 configuration) and a repeat.
+  // A wildcard receiver's per-source subsequence is the sender's program
+  // order (MPI non-overtaking): the burst, then the replays. The delivered
+  // multiset of (source, tag, payload) records is exact, and a repeat run
+  // reproduces the whole interleaving, since a cluster's ranks run as one
+  // deterministic strand.
   const std::uint64_t seed = GetParam();
-  const std::vector<std::uint64_t> on = run_wildcard_storm(true, seed);
-  const std::vector<std::uint64_t> off = run_wildcard_storm(false, seed);
-  const std::vector<std::uint64_t> on2 = run_wildcard_storm(true, seed);
-  ASSERT_EQ(on.size(), off.size());
-  ASSERT_EQ(on.size(), on2.size());
-  for (int source = 1; source <= 3; ++source) {
+  const std::vector<std::uint64_t> first = run_wildcard_storm(seed);
+  const std::vector<std::uint64_t> second = run_wildcard_storm(seed);
+  std::vector<std::uint64_t> expected;
+  for (int source = 1; source < kStormRanks; ++source) {
     SCOPED_TRACE(testing::Message() << "source " << source);
-    const std::vector<std::uint64_t> order = per_source(on, source);
-    EXPECT_EQ(order, per_source(off, source));
-    EXPECT_EQ(order, per_source(on2, source));
+    std::vector<std::uint64_t> order;
+    for (int i = 0; i < kBurst; ++i) {
+      order.push_back(storm_record(source, source * 10 + i % 3, burst_word(seed, source, i)));
+    }
+    for (int r = 0; r < kReplays; ++r) {
+      order.push_back(storm_record(source, 900 + source, replay_word(seed, source, r)));
+    }
+    EXPECT_EQ(per_source(first, source), order);
+    EXPECT_EQ(per_source(second, source), order);
+    expected.insert(expected.end(), order.begin(), order.end());
   }
   auto sorted = [](std::vector<std::uint64_t> v) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const std::vector<std::uint64_t> delivered = sorted(on);
-  EXPECT_EQ(delivered, sorted(off));
-  EXPECT_EQ(delivered, sorted(on2));
+  EXPECT_EQ(sorted(first), sorted(expected));
+  EXPECT_EQ(first, second);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WildcardVsCoalescing, ::testing::Values(3u, 29u, 777u));

@@ -211,11 +211,10 @@ TEST(P2P, SelfSendEveryProtocolTier) {
   }
 }
 
-TEST(P2P, SelfSendCoalescedBurst) {
-  // Small coalescable self-sends queue in the rank's own SendCoalescer; the
-  // wait on the receive must flush that queue rather than deadlock waiting
-  // for a message the rank itself is still holding. At 2 ranks the burst
-  // interleaves self and peer traffic through the same coalescer.
+TEST(P2P, SelfSendBurst) {
+  // A burst of small self-sends interleaved with sends to a peer: every
+  // receive, self or peer, completes with its own payload. At 1 rank the
+  // "peer" is the rank itself.
   for (int nranks : {1, 2}) {
     Cluster::run(opts(nranks), [nranks](Rank& rank) {
       constexpr int kMsgs = 24;

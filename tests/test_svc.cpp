@@ -88,7 +88,8 @@ TEST(Service, TraceHashMatchesStandaloneRun) {
 TEST(Service, ConcurrentTenantsTraceLikeSoloTenants) {
   // Three co-tenant copies of three distinct specs: every copy must hash
   // exactly like its kin — co-tenancy may interleave jobs but never reorder
-  // any single job's schedule.
+  // any single job's schedule. Its usage high-water marks follow from that
+  // schedule, so they repeat across copies too.
   svc::Service service(small_service(3));
   std::vector<svc::JobSpec> specs;
   for (int i = 0; i < 3; ++i) {
@@ -103,15 +104,19 @@ TEST(Service, ConcurrentTenantsTraceLikeSoloTenants) {
   for (int copy = 0; copy < 3; ++copy) {
     for (const svc::JobSpec& spec : specs) ids.push_back(service.submit(spec));
   }
-  std::vector<std::uint64_t> hashes;
+  std::vector<svc::JobResult> results;
   for (std::uint64_t id : ids) {
-    const svc::JobResult r = service.wait(id);
-    ASSERT_EQ(r.state, svc::JobState::succeeded) << r.error;
-    hashes.push_back(r.trace_hash);
+    results.push_back(service.wait(id));
+    ASSERT_EQ(results.back().state, svc::JobState::succeeded) << results.back().error;
   }
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(hashes[i], hashes[i + specs.size()]) << "kind " << i;
-    EXPECT_EQ(hashes[i], hashes[i + 2 * specs.size()]) << "kind " << i;
+    const svc::JobResult& solo = results[i];
+    for (std::size_t copy = 1; copy < 3; ++copy) {
+      const svc::JobResult& kin = results[i + copy * specs.size()];
+      EXPECT_EQ(solo.trace_hash, kin.trace_hash) << "kind " << i;
+      EXPECT_EQ(solo.usage.mailbox_hwm, kin.usage.mailbox_hwm) << "kind " << i;
+      EXPECT_EQ(solo.usage.staging_hwm, kin.usage.staging_hwm) << "kind " << i;
+    }
   }
 }
 
