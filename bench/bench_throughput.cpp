@@ -112,6 +112,8 @@ double msgs_per_sec(const ScenarioResult& r) {
   return r.wall.median_s > 0.0 ? r.msgs_per_rep / r.wall.median_s : 0.0;
 }
 
+/// `v` as a JSON string literal: quotes and backslashes escaped, control
+/// characters dropped.
 std::string json_string(const std::string& v) {
   std::string out = "\"";
   for (char c : v) {
@@ -298,11 +300,11 @@ ScenarioResult rma_put_fanin(const Config& cfg, int epochs) {
 // Same fan-in shape as mailbox_fanin, but no rank ever parks in wait():
 // completion is observed purely through on_settle continuations plus a
 // sched::yield() spin on an atomic remaining-count. Every send is eager, so
-// its own post settles it, and every receive is settled by its sender's
-// post — liveness never relies on the idle backstop. The scenario is its own
-// determinism gate: the traced run repeats three times and the
-// hashes/makespans must match exactly, and the timed reps must record zero
-// progress.blocking_waits.
+// its own post settles it, and each receive settles when the later of it and
+// its matching send is posted — liveness never relies on the idle backstop.
+// The scenario is its own determinism gate: the traced run repeats three
+// times and the hashes/makespans must match exactly, and the timed reps must
+// record zero progress.blocking_waits.
 ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   constexpr int kRanks = 4;
   constexpr std::size_t kSize = 512;  // sub-eager: sends settle at post time

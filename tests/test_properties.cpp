@@ -114,12 +114,11 @@ std::uint64_t replay_word(std::uint64_t seed, int rank, int r) {
 /// (any_source, any_tag) receives. Returns rank 0's observed delivery
 /// sequence as storm_record()s.
 std::vector<std::uint64_t> run_wildcard_storm(std::uint64_t seed) {
-  constexpr int kRanks = kStormRanks;
   std::vector<std::uint64_t> seen;
-  mpi::Cluster::run(opts(kRanks, sys::cichlid()), [&, seed](mpi::Rank& rank) {
+  mpi::Cluster::run(opts(kStormRanks, sys::cichlid()), [&, seed](mpi::Rank& rank) {
     auto& world = rank.world();
     if (rank.rank() == 0) {
-      const int total = (kRanks - 1) * (kBurst + kReplays);
+      const int total = (kStormRanks - 1) * (kBurst + kReplays);
       for (int i = 0; i < total; ++i) {
         std::uint64_t word = 0;
         const mpi::MsgStatus st = world.recv(
