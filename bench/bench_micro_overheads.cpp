@@ -5,7 +5,8 @@
 // that would make the figure benches slow.
 #include <benchmark/benchmark.h>
 
-#include <optional>
+#include <cstddef>
+#include <functional>
 
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
@@ -54,15 +55,26 @@ void BM_EventCompleteAndWait(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCompleteAndWait)->Iterations(100000);
 
+/// Run `body` as the only rank of a one-rank cluster: command queues need a
+/// running rank (their worker is a fiber on its strand).
+void on_one_rank(const std::function<void(mpi::Rank&)>& body) {
+  mpi::Cluster::Options opt;
+  opt.nranks = 1;
+  opt.profile = &sys::cichlid();
+  mpi::Cluster::run(opt, body);
+}
+
 void BM_QueueEnqueueMarker(benchmark::State& state) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue();
-  vt::Clock clock;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(queue->enqueue_marker({}, clock));
-  }
-  queue->finish(clock);
+  on_one_rank([&state](mpi::Rank& rank) {
+    ocl::Platform platform(rank.profile(), rank.rank(), nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue();
+    vt::Clock& clock = rank.clock();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(queue->enqueue_marker({}, clock));
+    }
+    queue->finish(clock);
+  });
 }
 BENCHMARK(BM_QueueEnqueueMarker)->Iterations(50000);
 
@@ -90,19 +102,23 @@ void BM_EagerMessageRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_EagerMessageRoundTrip)->Arg(1000)->Iterations(20)->Unit(benchmark::kMillisecond);
 
 void BM_KernelLaunch(benchmark::State& state) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue();
-  ocl::Program prog;
-  prog.define("nop", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
-              ocl::fixed_cost(vt::microseconds(1.0)));
-  auto kernel = prog.create_kernel("nop");
-  vt::Clock clock;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(queue->enqueue_ndrange(kernel, ocl::NDRange::linear(1), {}, clock));
-    if (queue->commands_executed() % 1024 == 0) queue->finish(clock);
-  }
-  queue->finish(clock);
+  on_one_rank([&state](mpi::Rank& rank) {
+    ocl::Platform platform(rank.profile(), rank.rank(), nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue();
+    ocl::Program prog;
+    prog.define("nop", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
+                ocl::fixed_cost(vt::microseconds(1.0)));
+    auto kernel = prog.create_kernel("nop");
+    vt::Clock& clock = rank.clock();
+    std::size_t launched = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          queue->enqueue_ndrange(kernel, ocl::NDRange::linear(1), {}, clock));
+      if (++launched % 1024 == 0) queue->finish(clock);
+    }
+    queue->finish(clock);
+  });
 }
 BENCHMARK(BM_KernelLaunch)->Iterations(50000);
 

@@ -192,7 +192,7 @@ cl_int clReleaseCommandQueue(cl_command_queue queue) {
   if (!clmpi::capi::queue_live(queue)) return CL_INVALID_COMMAND_QUEUE;
   clmpi::capi::unregister_queue(queue);
   // The queue destructor drains pending commands and joins its worker
-  // thread; a failure there must not unwind through the C boundary.
+  // fiber; a failure there must not unwind through the C boundary.
   return clmpi::capi::guarded([&] { delete queue; });
 }
 

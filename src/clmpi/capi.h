@@ -147,6 +147,9 @@ std::size_t datatype_size(MPI_Datatype dt);
 cl_context clmpiCreateContext(clmpi::ocl::Context& cxx_context);
 cl_int clReleaseContext(cl_context context);
 
+/// Needs a running rank: the queue's worker is a fiber on the caller's
+/// cluster strand. Called outside Cluster::run it returns nullptr with
+/// CL_INVALID_OPERATION.
 cl_command_queue clCreateCommandQueue(cl_context context, cl_int* errcode_ret);
 cl_int clReleaseCommandQueue(cl_command_queue queue);
 

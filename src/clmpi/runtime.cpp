@@ -1,10 +1,8 @@
 #include "clmpi/runtime.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,6 @@ mpi::Request aggregate_requests(std::vector<mpi::Request> subs, const mpi::MsgSt
   auto state = mpi::detail::make_request_state();
 
   struct Progress {
-    std::mutex mutex;
     std::size_t remaining;
     vt::TimePoint latest;
     std::exception_ptr error;  ///< first sub-request failure
@@ -40,24 +37,15 @@ mpi::Request aggregate_requests(std::vector<mpi::Request> subs, const mpi::MsgSt
     auto sub_state = sub.state();
     sub.on_complete(
         [state, progress, st, sub_state](vt::TimePoint when, const mpi::MsgStatus&) {
-          bool last = false;
-          vt::TimePoint latest;
-          std::exception_ptr error;
-          {
-            std::lock_guard lock(progress->mutex);
-            progress->latest = vt::max(progress->latest, when);
-            if (!progress->error) progress->error = sub_state->error();
-            latest = progress->latest;
-            error = progress->error;
-            last = (--progress->remaining == 0);
-          }
+          progress->latest = vt::max(progress->latest, when);
+          if (!progress->error) progress->error = sub_state->error();
           // The aggregate settles only after EVERY sub-request does, failed
           // or not — callers may free the cl_mem once the aggregate fires.
-          if (!last) return;
-          if (error) {
-            state->fail(latest, error);
+          if (--progress->remaining != 0) return;
+          if (progress->error) {
+            state->fail(progress->latest, progress->error);
           } else {
-            state->complete(latest, st);
+            state->complete(progress->latest, st);
           }
         });
   }
@@ -126,11 +114,7 @@ Runtime::Runtime(mpi::Rank& rank, ocl::Device& device, xfer::SelectionMode selec
 }
 
 Runtime::~Runtime() {
-  {
-    std::lock_guard lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
+  shutdown_ = true;
   sched::note_progress();
   dispatcher_.join();
   // Posted transfers reference application buffers; make sure they are all
@@ -147,17 +131,13 @@ Runtime::~Runtime() {
 
 void Runtime::dispatcher_loop() {
   for (;;) {
-    // Drain the whole queue per cv wakeup: enqueue bursts (an application
-    // posting a dependency chain of commands) cost one wakeup instead of one
-    // cv round trip — i.e. one context switch — per command.
+    // Drain the whole queue per wakeup: enqueue bursts (an application
+    // posting a dependency chain of commands) cost one resume instead of one
+    // per command.
+    sched::wait([this] { return shutdown_ || !jobs_.empty(); }, "rt.dispatcher.idle");
+    if (jobs_.empty()) return;  // shutdown with a drained queue
     std::deque<Job> batch;
-    {
-      std::unique_lock lock(mutex_);
-      sched::wait(lock, cv_, [&] { return shutdown_ || !jobs_.empty(); },
-                  "rt.dispatcher.idle");
-      if (jobs_.empty()) return;  // shutdown with a drained queue
-      batch.swap(jobs_);
-    }
+    batch.swap(jobs_);
     if (obs::metrics_enabled()) {
       static auto& batches = obs::Registry::instance().counter("rt.dispatcher.batches");
       static auto& batch_jobs = obs::Registry::instance().gauge("rt.dispatcher.batch_jobs");
@@ -186,32 +166,17 @@ void Runtime::dispatcher_loop() {
           }
         }
         if (armed) {
-          struct Latch {
-            std::mutex mutex;
-            std::condition_variable cv;
-            std::size_t remaining;
-          };
-          auto latch = std::make_shared<Latch>();
-          latch->remaining = job.waits.size();
+          // A local: the wait below outlasts every callback it counts.
+          std::size_t remaining = job.waits.size();
           for (const auto& w : job.waits) {
             // Already-complete events fire the callback inline; pending ones
-            // fire it from their completing thread.
-            w->on_complete([latch](vt::TimePoint) {
-              bool last = false;
-              {
-                std::lock_guard lk(latch->mutex);
-                last = (--latch->remaining == 0);
-              }
-              if (last) {
-                latch->cv.notify_one();
-                sched::note_progress();
-              }
+            // fire it from their completing fiber.
+            w->on_complete([&remaining](vt::TimePoint) {
+              if (--remaining == 0) sched::note_progress();
             });
           }
           if (obs::metrics_enabled()) mpi::detail::progress_metrics().continuations.add();
-          std::unique_lock lk(latch->mutex);
-          sched::wait(lk, latch->cv, [&] { return latch->remaining == 0; },
-                      "rt.dispatcher.waitlist");
+          sched::wait([&] { return remaining == 0; }, "rt.dispatcher.waitlist");
         }
         std::exception_ptr err;
         for (const auto& w : job.waits) {
@@ -233,6 +198,8 @@ void Runtime::dispatcher_loop() {
 ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
                               ocl::WaitList waits,
                               std::function<void(vt::TimePoint, const ocl::EventPtr&)> post) {
+  CLMPI_REQUIRE(sched::current_strand() == rank_->core()->strand,
+                "clMPI runtime used from outside its rank's cluster strand");
   CLMPI_REQUIRE(&queue.device() == device_, "queue is not bound to the communicator device");
   for (const auto& w : waits) CLMPI_REQUIRE(w != nullptr, "null event in wait list");
 
@@ -251,15 +218,10 @@ ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
   job.fail = [ev](vt::TimePoint when, std::exception_ptr error) {
     ev->mark_failed(when, std::move(error));
   };
-  std::size_t depth = 0;
-  {
-    std::lock_guard lock(mutex_);
-    CLMPI_REQUIRE(!shutdown_, "enqueue on a shut-down clMPI runtime");
-    jobs_.push_back(std::move(job));
-    issued_.push_back(ev);
-    depth = jobs_.size();
-  }
-  cv_.notify_all();
+  CLMPI_REQUIRE(!shutdown_, "enqueue on a shut-down clMPI runtime");
+  jobs_.push_back(std::move(job));
+  issued_.push_back(ev);
+  const std::size_t depth = jobs_.size();
   sched::note_progress();
   if (obs::metrics_enabled()) {
     static auto& submitted = obs::Registry::instance().counter("rt.dispatcher.jobs");
@@ -293,11 +255,8 @@ xfer::Strategy Runtime::policy(std::size_t size) const {
 }
 
 void Runtime::finish(vt::Clock& clock) {
-  std::vector<ocl::EventPtr> snapshot;
-  {
-    std::lock_guard lock(mutex_);
-    snapshot = issued_;
-  }
+  // A copy: fibers that run while this one waits may submit more commands.
+  const std::vector<ocl::EventPtr> snapshot = issued_;
   vt::Tracer* tracer = rank_->tracer();
   const vt::TimePoint t0 = clock.now();
   for (const auto& ev : snapshot) ev->wait(clock);

@@ -21,7 +21,9 @@
 // result.
 //
 // Implementation note (paper §V-A): the runtime spawns one communication
-// thread per rank. Inter-node communication commands are represented by
+// thread per rank — here a dispatcher fiber on the rank's cluster strand, so
+// the runtime holds no lock; submit() checks its caller runs on that
+// strand. Inter-node communication commands are represented by
 // *user events* that mimic command events; the communication thread releases
 // each command as soon as its wait list fires, posts the non-blocking MPI
 // operations, and the completion side runs from MPI completion callbacks.
@@ -30,12 +32,9 @@
 // work — the Figure 4(c) behaviour.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -226,12 +225,8 @@ class Runtime {
   /// operation's ready time; zero (default) disables. An operation that
   /// cannot resolve by its deadline fails its event/request with
   /// CLMPI_TIMEOUT instead of hanging until the watchdog kills the run.
-  void set_default_deadline(vt::Duration deadline) noexcept {
-    deadline_s_.store(deadline.s, std::memory_order_relaxed);
-  }
-  [[nodiscard]] vt::Duration default_deadline() const noexcept {
-    return vt::Duration{deadline_s_.load(std::memory_order_relaxed)};
-  }
+  void set_default_deadline(vt::Duration deadline) noexcept { deadline_ = deadline; }
+  [[nodiscard]] vt::Duration default_deadline() const noexcept { return deadline_; }
 
   /// Block until every communication command issued so far has completed,
   /// synchronizing `clock` to the latest completion (the communication
@@ -257,18 +252,15 @@ class Runtime {
   mpi::Rank* rank_;
   ocl::Device* device_;
   xfer::SelectionMode selection_;
-  /// Default deadline in virtual seconds (0 = none); atomic so the host
-  /// thread can retune it while the dispatcher posts commands.
-  std::atomic<double> deadline_s_{0.0};
+  /// Default deadline (zero = none).
+  vt::Duration deadline_{};
   /// Node-local storage; file-I/O commands of this runtime serialize on it.
   vt::Resource disk_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Job> jobs_;
   std::vector<ocl::EventPtr> issued_;
   bool shutdown_{false};
-  // A fiber on the rank's strand (a plain thread off the scheduler).
+  // A fiber on the rank's strand.
   sched::ServiceHandle dispatcher_;
 };
 

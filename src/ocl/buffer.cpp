@@ -13,22 +13,15 @@ Buffer::Buffer(Context* ctx, std::size_t size, MemFlags flags, std::string label
 
 std::byte* Buffer::map_region(std::size_t offset, std::size_t size) {
   CLMPI_REQUIRE(offset + size <= storage_.size(), "mapping outside the buffer");
-  std::lock_guard lock(mutex_);
   std::byte* ptr = storage_.data() + offset;
   mappings_.push_back(ptr);
   return ptr;
 }
 
 void Buffer::unmap_region(const std::byte* ptr) {
-  std::lock_guard lock(mutex_);
   auto it = std::find(mappings_.begin(), mappings_.end(), ptr);
   CLMPI_REQUIRE(it != mappings_.end(), "unmap of a pointer that is not mapped");
   mappings_.erase(it);
-}
-
-int Buffer::active_mappings() const {
-  std::lock_guard lock(mutex_);
-  return static_cast<int>(mappings_.size());
 }
 
 }  // namespace clmpi::ocl

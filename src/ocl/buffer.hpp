@@ -4,12 +4,12 @@
 // the Buffer; what makes it "device" memory is that every access path charges
 // the appropriate virtual cost (PCIe DMA for read/write commands, mapped
 // bandwidth for host access through a mapping, kernel access is free within
-// the kernel's own cost model).
+// the kernel's own cost model). A buffer belongs to its cluster's strand and
+// holds no lock.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,14 +59,15 @@ class Buffer {
   /// Release a mapping previously returned by map_region.
   void unmap_region(const std::byte* ptr);
 
-  [[nodiscard]] int active_mappings() const;
+  [[nodiscard]] int active_mappings() const noexcept {
+    return static_cast<int>(mappings_.size());
+  }
 
  private:
   Context* ctx_;
   MemFlags flags_;
   std::string label_;
   std::vector<std::byte> storage_;
-  mutable std::mutex mutex_;
   std::vector<const std::byte*> mappings_;
 };
 

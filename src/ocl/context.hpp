@@ -34,6 +34,8 @@ class Context {
 
   /// clCreateCommandQueue; in-order by default, out-of-order with
   /// QueueOrder::out_of_order (CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE).
+  /// Needs a running rank: off a scheduler strand it throws
+  /// PreconditionError.
   [[nodiscard]] std::unique_ptr<CommandQueue> create_queue(
       std::string label = "cmd", QueueOrder order = QueueOrder::in_order);
 

@@ -2,18 +2,17 @@
 //
 // An Event tracks one command through queued -> submitted -> running ->
 // complete, carrying virtual timestamps for each transition (the OpenCL
-// profiling info). Completion wakes real waiters and fires callbacks
-// (clSetEventCallback). UserEvent is the application-completed variant; the
+// profiling info). Completion releases waiters and fires callbacks
+// (clSetEventCallback). An event belongs to its cluster's strand and holds
+// no lock. UserEvent is the application-completed variant; the
 // paper's clMPI implementation builds its communication-command events from
 // user events that "mimic event objects of standard OpenCL commands" (§V-A),
 // which is exactly what the shared base class provides here.
 #pragma once
 
-#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,32 +40,34 @@ class Event {
   explicit Event(std::string label = "event");
   virtual ~Event() = default;
 
-  [[nodiscard]] State state() const;
-  [[nodiscard]] bool complete() const;
+  [[nodiscard]] State state() const noexcept { return state_; }
+  [[nodiscard]] bool complete() const noexcept { return state_ == State::complete; }
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
   /// Valid only once complete.
   [[nodiscard]] vt::TimePoint completion_time() const;
-  [[nodiscard]] Profiling profiling() const;
+  [[nodiscard]] Profiling profiling() const noexcept { return profiling_; }
 
   /// True when the command failed; wait() will rethrow its exception.
-  [[nodiscard]] bool failed() const;
+  [[nodiscard]] bool failed() const noexcept { return error_ != nullptr; }
 
   /// The failure carried by a failed event (nullptr when none). Lets
   /// continuation-style consumers — e.g. the runtime's dispatcher latch —
   /// inspect the outcome without the rethrow/catch round trip of wait().
-  [[nodiscard]] std::exception_ptr error() const;
+  [[nodiscard]] std::exception_ptr error() const noexcept { return error_; }
 
-  /// Block (real time) until complete; returns the virtual completion time.
-  /// Rethrows the command's exception if it failed (the analogue of an
-  /// OpenCL event carrying a negative execution status).
+  /// Block (poll-yield the calling fiber) until complete; returns the
+  /// virtual completion time. Rethrows the command's exception if it failed
+  /// (the analogue of an OpenCL event carrying a negative execution
+  /// status). Off a strand, waiting on an incomplete event throws
+  /// PreconditionError.
   vt::TimePoint wait();
 
   /// Block until complete and synchronize `clock` (clWaitForEvents).
   void wait(vt::Clock& clock);
 
   /// Fire `fn(completion_time)` on completion (or immediately if already
-  /// complete). Callbacks run on the completing thread.
+  /// complete). Callbacks run on the completing fiber.
   void on_complete(std::function<void(vt::TimePoint)> fn);
 
   // --- runtime-internal transitions ---------------------------------------
@@ -84,8 +85,6 @@ class Event {
 
  private:
   std::string label_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
   State state_{State::queued};
   Profiling profiling_{};
   std::exception_ptr error_;

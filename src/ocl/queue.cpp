@@ -32,22 +32,27 @@ void traced_wait(Device& dev, const EventPtr& ev, vt::Clock& clock, std::string 
 }  // namespace
 
 CommandQueue::CommandQueue(Context& ctx, Device& dev, std::string label, QueueOrder order)
-    : ctx_(&ctx), device_(&dev), label_(std::move(label)), order_(order) {
+    : ctx_(&ctx),
+      device_(&dev),
+      label_(std::move(label)),
+      order_(order),
+      strand_(sched::current_strand()) {
+  CLMPI_REQUIRE(strand_ != 0,
+                "a command queue needs a running rank: create it inside Cluster::run");
   worker_ = sched::spawn_service(label_, [this] { worker_loop(); });
 }
 
 CommandQueue::~CommandQueue() {
-  {
-    std::lock_guard lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
+  shutdown_ = true;
   sched::note_progress();
   worker_.join();
 }
 
 EventPtr CommandQueue::push(std::string op_label, WaitList waits, vt::Clock& clock,
                             std::function<vt::Resource::Span(vt::TimePoint)> body) {
+  CLMPI_REQUIRE(sched::current_strand() == strand_,
+                "command queue used from outside the strand that created it");
+  CLMPI_REQUIRE(!shutdown_, "enqueue on a released command queue");
   for (const EventPtr& w : waits) {
     CLMPI_REQUIRE(w != nullptr, "null event in wait list");
   }
@@ -62,33 +67,23 @@ EventPtr CommandQueue::push(std::string op_label, WaitList waits, vt::Clock& clo
   cmd.event = event;
   cmd.enqueue_time = clock.now();
   cmd.body = std::move(body);
-  {
-    std::lock_guard lock(mutex_);
-    CLMPI_REQUIRE(!shutdown_, "enqueue on a released command queue");
-    if (order_ == QueueOrder::out_of_order) {
-      // Out-of-order commands are gated by the last barrier instead of by
-      // the previous command.
-      if (barrier_gate_) cmd.waits.push_back(barrier_gate_);
-      since_barrier_.push_back(event);
-    }
-    pending_.push_back(std::move(cmd));
+  if (order_ == QueueOrder::out_of_order) {
+    // Out-of-order commands are gated by the last barrier instead of by the
+    // previous command.
+    if (barrier_gate_) cmd.waits.push_back(barrier_gate_);
+    since_barrier_.push_back(event);
   }
-  cv_.notify_all();
+  pending_.push_back(std::move(cmd));
   sched::note_progress();
   return event;
 }
 
 void CommandQueue::worker_loop() {
   for (;;) {
-    Command cmd;
-    {
-      std::unique_lock lock(mutex_);
-      sched::wait(lock, cv_, [&] { return shutdown_ || !pending_.empty(); },
-                  "ocl.queue.idle");
-      if (pending_.empty()) return;  // shutdown with a drained queue
-      cmd = std::move(pending_.front());
-      pending_.pop_front();
-    }
+    sched::wait([this] { return shutdown_ || !pending_.empty(); }, "ocl.queue.idle");
+    if (pending_.empty()) return;  // shutdown with a drained queue
+    Command cmd = std::move(pending_.front());
+    pending_.pop_front();
 
     // In-order dispatch: a command is submitted once the previous one
     // ended. Out-of-order queues are gated by wait lists (and barriers)
@@ -101,29 +96,18 @@ void CommandQueue::worker_loop() {
       const vt::Resource::Span span = cmd.body(ready);
       cmd.event->mark_running(span.start);
       prev_end_ = span.end;
-      {
-        // Count before completing the event: finish() observers must see the
-        // command as executed once its event fires.
-        std::lock_guard lock(mutex_);
-        ++executed_;
-      }
+      // Count before completing the event: finish() observers must see the
+      // command as executed once its event fires.
+      ++executed_;
       cmd.event->mark_complete(span.end);
     } catch (...) {
       // A failed command (or failed dependency) poisons this command's
       // event; waiters rethrow. The queue itself keeps running.
       prev_end_ = ready;
-      {
-        std::lock_guard lock(mutex_);
-        ++executed_;
-      }
+      ++executed_;
       cmd.event->mark_failed(ready, std::current_exception());
     }
   }
-}
-
-std::size_t CommandQueue::commands_executed() const {
-  std::lock_guard lock(mutex_);
-  return executed_;
 }
 
 EventPtr CommandQueue::enqueue_read_buffer(const BufferPtr& buf, bool blocking,
@@ -230,13 +214,11 @@ EventPtr CommandQueue::enqueue_marker(WaitList waits, vt::Clock& clock) {
 EventPtr CommandQueue::enqueue_barrier(WaitList waits, vt::Clock& clock) {
   std::vector<EventPtr> all(waits.begin(), waits.end());
   if (order_ == QueueOrder::out_of_order) {
-    std::lock_guard lock(mutex_);
     all.insert(all.end(), since_barrier_.begin(), since_barrier_.end());
   }
   EventPtr ev = push("queue-barrier", all, clock,
                      [](vt::TimePoint ready) { return vt::Resource::Span{ready, ready}; });
   if (order_ == QueueOrder::out_of_order) {
-    std::lock_guard lock(mutex_);
     barrier_gate_ = ev;
     since_barrier_.clear();
   }

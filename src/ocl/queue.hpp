@@ -1,7 +1,10 @@
 // In-order command queues (OpenCL 1.1 semantics).
 //
-// Each queue runs a dedicated real worker thread. A command executes once
-// (a) every earlier command in the same queue has completed (in-order
+// Each queue runs a worker fiber on the strand of the cluster that created
+// it (a queue needs a running rank: constructing one off a strand throws
+// PreconditionError). The queue belongs to that strand and holds no lock;
+// enqueueing from another strand fails its owner check. A command executes
+// once (a) every earlier command in the same queue has completed (in-order
 // dispatch) and (b) every event in its wait list has completed. The host
 // thread never blocks on enqueue (unless it asks to); that is the property
 // the clMPI extension builds on: its inter-node communication commands are
@@ -9,11 +12,10 @@
 // events instead of host-side waiting.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -115,7 +117,7 @@ class CommandQueue {
                           WaitList waits, vt::Clock& clock);
 
   /// Number of commands executed so far (observability for tests).
-  [[nodiscard]] std::size_t commands_executed() const;
+  [[nodiscard]] std::size_t commands_executed() const noexcept { return executed_; }
 
  private:
   struct Command {
@@ -135,20 +137,19 @@ class CommandQueue {
   std::string label_;
   QueueOrder order_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  /// The creating (and only) strand allowed to enqueue.
+  std::uint64_t strand_;
   std::deque<Command> pending_;
   bool shutdown_{false};
   std::size_t executed_{0};
   vt::TimePoint prev_end_{};
 
-  // Out-of-order bookkeeping (touched only from the enqueueing side under
-  // mutex_): events since the last barrier, and the barrier gate itself.
+  // Out-of-order bookkeeping (touched only from the enqueueing side):
+  // events since the last barrier, and the barrier gate itself.
   std::vector<EventPtr> since_barrier_;
   EventPtr barrier_gate_;
 
-  // A fiber on the creator's strand (when the queue is created from a
-  // fiber), plain thread otherwise.
+  // A fiber on the creator's strand.
   sched::ServiceHandle worker_;
 };
 

@@ -22,31 +22,26 @@ namespace clmpi::mpi {
 namespace detail {
 
 void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
-  std::lock_guard lock(deadline_mutex);
   armed_requests.push_back(std::move(state));
 }
 
 void ClusterCore::backstop() {
   if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
   std::vector<std::shared_ptr<RequestState>> armed;
-  {
-    std::lock_guard lock(deadline_mutex);
-    std::erase_if(armed_requests, [&armed](const std::weak_ptr<RequestState>& weak) {
-      auto s = weak.lock();
-      if (s == nullptr || s->done()) return true;
-      armed.push_back(std::move(s));
-      return false;
-    });
-  }
-  // Rescue outside the registry lock: timeout callbacks may re-enter the
-  // cluster (fire events, post follow-up operations).
+  std::erase_if(armed_requests, [&armed](const std::weak_ptr<RequestState>& weak) {
+    auto s = weak.lock();
+    if (s == nullptr || s->done()) return true;
+    armed.push_back(std::move(s));
+    return false;
+  });
+  // Rescue after the sweep: timeout callbacks may re-enter the cluster
+  // (fire events, post follow-up operations that register deadlines).
   const auto grace = deadline_grace();
   const auto now = std::chrono::steady_clock::now();
   for (auto& s : armed) s->rescue_if_stale(now, grace);
 }
 
 void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
-  std::lock_guard lock(pending_mutex);
   // Opportunistic pruning keeps the registry proportional to in-flight
   // operations rather than to the job's lifetime message count.
   if (pending_ops.size() >= 64 && (pending_ops.size() & (pending_ops.size() - 1)) == 0) {
@@ -60,17 +55,14 @@ void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
 
 void ClusterCore::fail_pending_as_cancelled() {
   std::vector<std::shared_ptr<RequestState>> live;
-  {
-    std::lock_guard lock(pending_mutex);
-    std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
-      auto s = weak.lock();
-      if (s == nullptr || s->done()) return true;
-      live.push_back(std::move(s));
-      return false;
-    });
-  }
-  // Fail outside the registry lock: settle callbacks may re-enter the
-  // cluster (fire events, post follow-ups that call register_pending).
+  std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
+    auto s = weak.lock();
+    if (s == nullptr || s->done()) return true;
+    live.push_back(std::move(s));
+    return false;
+  });
+  // Fail after the sweep: settle callbacks may re-enter the cluster (fire
+  // events, post follow-ups that call register_pending).
   for (auto& s : live) {
     s->cancel_now(std::make_exception_ptr(
         CancelledError("job " + std::to_string(job->id()) + " cancelled; pending "
@@ -196,7 +188,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       }
     }
   }
-  for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(*core.network, n);
+  for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(core, *core.network, n);
 
   // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
   // so they outlive the rank contexts that write them.
@@ -254,6 +246,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   // program. The strand's idle task is the cluster's liveness backstop.
   sched::Scheduler& pool = options.scheduler != nullptr ? *options.scheduler : default_pool();
   const std::uint64_t strand = options.job_tag != 0 ? options.job_tag : next_strand_tag();
+  core.strand = strand;
   const std::string prefix =
       options.job_tag != 0 ? "job" + std::to_string(options.job_tag) + ".rank" : "rank";
   std::vector<sched::Scheduler::Task> tasks;
@@ -305,10 +298,9 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
 
   // The strand closed, so every fiber — ranks, queue workers, dispatchers,
   // collective progression — finished; the handles only need releasing.
-  {
-    std::lock_guard lock(core.aux_mutex);
-    for (auto& s : core.aux_services) s.join();
-  }
+  // From here on the caller owns the core.
+  core.closed = true;
+  for (auto& s : core.aux_services) s.join();
   // One final backstop pass, so a cancelled job's pending operations settle
   // (returning their mailbox quota) before `core` is torn down.
   core.backstop();

@@ -1,11 +1,18 @@
 // Shared state of a running simulated cluster (internal).
+//
+// Single owner: everything here belongs to the run's strand. Its rank,
+// dispatcher, queue-worker and collective-progression fibers never run at
+// the same time, so nothing below is locked; the mailboxes, command queues
+// and runtimes check at their entry points that the caller runs on
+// `strand`. The only exceptions are the blocked-site mirrors (read by the
+// watchdog on the Cluster::run caller) and the teardown after the strand
+// closed, which runs on the caller with `closed` set.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -36,7 +43,12 @@ struct ClusterCore {
   std::unique_ptr<FaultEngine> faults;
   std::unique_ptr<Network> network;
   std::deque<Mailbox> mailboxes;  ///< one per node, indexed by global node id
-  std::atomic<int> next_context{1};
+  int next_context{1};
+
+  /// The run's strand tag, set before the strand opens; `closed` is set once
+  /// it closed (every fiber finished) and the caller tears the run down.
+  std::uint64_t strand{0};
+  bool closed{false};
 
   /// The cluster's liveness backstop: fail a cancelled job's pending
   /// operations, and rescue deadline-armed operations that stayed pending
@@ -48,20 +60,15 @@ struct ClusterCore {
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
   /// A slot only lives for the duration of one collective create_window call
   /// (the participating ranks erase it once all have their shared pointer).
-  std::mutex win_mutex;
   std::unordered_map<std::uint64_t, std::shared_ptr<WindowShared>> windows;
 
   /// Auxiliary runtime services (non-blocking collective progression),
   /// fibers on the run's strand. Registered here so Cluster::run joins them
   /// before tearing the cluster down — a progression task must never
   /// outlive the mailboxes.
-  std::mutex aux_mutex;
   std::vector<sched::ServiceHandle> aux_services;
 
-  void register_aux_service(sched::ServiceHandle s) {
-    std::lock_guard lock(aux_mutex);
-    aux_services.push_back(std::move(s));
-  }
+  void register_aux_service(sched::ServiceHandle s) { aux_services.push_back(std::move(s)); }
 
   /// Per-rank blocked-site mirrors for watchdog diagnostics. Sized by
   /// Cluster::run before ranks start; each rank's execution context mirrors
@@ -78,7 +85,6 @@ struct ClusterCore {
   /// instead of the watchdog killing the run.
   void register_deadline(std::shared_ptr<RequestState> state);
 
-  std::mutex deadline_mutex;
   std::vector<std::weak_ptr<RequestState>> armed_requests;
 
   /// Cancellation liveness (service jobs only; `job` must be set). Every
@@ -90,7 +96,6 @@ struct ClusterCore {
   void register_pending(std::shared_ptr<RequestState> state);
   void fail_pending_as_cancelled();
 
-  std::mutex pending_mutex;
   std::vector<std::weak_ptr<RequestState>> pending_ops;
 };
 

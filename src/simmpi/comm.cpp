@@ -21,24 +21,6 @@ Comm::Comm(detail::ClusterCore* core, int context, std::vector<int> group, int m
   CLMPI_REQUIRE(my_rank_ >= 0 && my_rank_ < size(), "rank outside the comm group");
 }
 
-Comm::Comm(const Comm& other)
-    : core_(other.core_),
-      context_(other.context_),
-      group_(other.group_),
-      my_rank_(other.my_rank_),
-      coll_seq_(other.coll_seq_.load()),
-      win_seq_(other.win_seq_.load()) {}
-
-Comm& Comm::operator=(const Comm& other) {
-  core_ = other.core_;
-  context_ = other.context_;
-  group_ = other.group_;
-  my_rank_ = other.my_rank_;
-  coll_seq_.store(other.coll_seq_.load());
-  win_seq_.store(other.win_seq_.load());
-  return *this;
-}
-
 int Comm::node_of(int rank_in_comm) const {
   CLMPI_REQUIRE(rank_in_comm >= 0 && rank_in_comm < size(), "rank outside the comm group");
   return group_[static_cast<std::size_t>(rank_in_comm)];
@@ -280,7 +262,7 @@ MsgStatus Comm::probe(int src, int tag, vt::Clock& clock) {
 Comm Comm::dup(vt::Clock& clock) {
   // Root allocates the context id and broadcasts it so every member agrees.
   int ctx = 0;
-  if (my_rank_ == 0) ctx = core_->next_context.fetch_add(1);
+  if (my_rank_ == 0) ctx = core_->next_context++;
   bcast(std::as_writable_bytes(std::span(&ctx, 1)), 0, clock);
   return Comm(core_, ctx, group_, my_rank_);
 }
@@ -295,7 +277,7 @@ Comm Comm::split(int color, int key, vt::Clock& clock) {
             clock);
 
   int ctx = 0;
-  if (my_rank_ == 0) ctx = core_->next_context.fetch_add(1);
+  if (my_rank_ == 0) ctx = core_->next_context++;
   bcast(std::as_writable_bytes(std::span(&ctx, 1)), 0, clock);
 
   std::vector<Entry> members;

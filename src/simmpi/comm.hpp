@@ -12,7 +12,6 @@
 // which is exactly what the clMPI communication thread requires (paper §V-A).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -84,9 +83,9 @@ class Comm {
   Comm(detail::ClusterCore* core, int context, std::vector<int> group, int my_rank);
 
   // Copyable value handle; the copy starts from the source's collective
-  // sequence position (progression threads work on copies).
-  Comm(const Comm& other);
-  Comm& operator=(const Comm& other);
+  // sequence position (progression fibers work on copies).
+  Comm(const Comm& other) = default;
+  Comm& operator=(const Comm& other) = default;
 
   [[nodiscard]] int rank() const noexcept { return my_rank_; }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(group_.size()); }
@@ -108,7 +107,7 @@ class Comm {
   /// Internal: next window-creation sequence number. Same series on every
   /// rank because window creation is collective and issued in the same order
   /// everywhere (exactly the coll_seq argument).
-  int take_win_seq() { return win_seq_.fetch_add(1); }
+  int take_win_seq() { return win_seq_++; }
 
   // --- point-to-point, explicit ready time (runtime-facing) ---------------
 
@@ -168,8 +167,9 @@ class Comm {
 
   // --- non-blocking collectives (MPI-3.0; the paper's §VI outlook) ---------
   //
-  // Each returns immediately; a runtime progression thread executes the
-  // collective algorithm and completes the request at its virtual end time.
+  // Each returns immediately; a progression fiber on the caller's strand
+  // executes the collective algorithm and completes the request at its
+  // virtual end time.
   // As everywhere in MPI, every rank must issue its collectives on a given
   // communicator in the same order, and the buffers must stay valid until
   // the request completes. clMPI's clCreateEventFromMPIRequest turns these
@@ -192,12 +192,11 @@ class Comm {
 
  private:
   /// Next collective sequence number (same series on every rank because
-  /// collectives are issued in the same order everywhere). Atomic because
-  /// the clMPI dispatcher may issue collectives concurrently with the host.
-  int take_coll_seq() { return coll_seq_.fetch_add(1); }
+  /// collectives are issued in the same order everywhere).
+  int take_coll_seq() { return coll_seq_++; }
 
   /// Run `body(comm_copy, private_clock)` on a cluster-registered
-  /// progression thread; the returned request completes at the body's final
+  /// progression fiber; the returned request completes at the body's final
   /// virtual time (or carries its exception).
   Request spawn_collective(vt::Clock& clock,
                            std::function<void(Comm&, vt::Clock&)> body);
@@ -225,8 +224,8 @@ class Comm {
   int context_;
   std::vector<int> group_;  ///< group_[comm rank] = global node id
   int my_rank_;
-  std::atomic<int> coll_seq_{0};
-  std::atomic<int> win_seq_{0};
+  int coll_seq_{0};
+  int win_seq_{0};
 };
 
 /// Element-wise reduction of `in` into `acc` (acc = acc op in).

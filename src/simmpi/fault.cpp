@@ -24,12 +24,8 @@ FaultDecision FaultEngine::decide(int src_node, int dst_node, int context, int t
                                   std::size_t bytes) {
   const std::uint64_t key = channel_key(src_node, dst_node, context, tag);
 
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard lock(mutex_);
-    seq = channel_seq_[key]++;
-    ++counters_.messages;
-  }
+  const std::uint64_t seq = channel_seq_[key]++;
+  ++counters_.messages;
 
   // One independent stream per (channel, message): the verdict of message n
   // on a channel does not depend on traffic elsewhere.
@@ -67,7 +63,6 @@ FaultDecision FaultEngine::decide(int src_node, int dst_node, int context, int t
   const std::uint64_t retries = static_cast<std::uint64_t>(d.wire_attempts - 1);
   const std::uint64_t rebytes = retries * static_cast<std::uint64_t>(bytes);
   if (d.drop || d.duplicate || d.delay > vt::Duration{}) {
-    std::lock_guard lock(mutex_);
     if (d.drop) counters_.drops += lost_attempts;
     if (d.duplicate) ++counters_.duplicates;
     if (d.delay > vt::Duration{}) ++counters_.delays;
@@ -107,19 +102,12 @@ std::uint64_t directed_link_key(int observer_node, int peer_node) {
 }  // namespace
 
 void FaultEngine::note_block_failure(int observer_node, int peer_node) {
-  std::lock_guard lock(mutex_);
   ++link_failures_[directed_link_key(observer_node, peer_node)];
 }
 
 bool FaultEngine::link_degraded(int self_node, int peer_node) const {
-  std::lock_guard lock(mutex_);
   const auto it = link_failures_.find(directed_link_key(self_node, peer_node));
   return it != link_failures_.end() && it->second >= kLinkFailureThreshold;
-}
-
-FaultCounters FaultEngine::counters() const {
-  std::lock_guard lock(mutex_);
-  return counters_;
 }
 
 }  // namespace clmpi::mpi

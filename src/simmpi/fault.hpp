@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
 #include "vt/time.hpp"
@@ -128,8 +127,8 @@ struct FaultCounters {
   std::uint64_t timeouts{0};
 };
 
-/// Thread-safe deterministic fault oracle. One per cluster; the mailboxes
-/// consult it once per posted send.
+/// Deterministic fault oracle. One per cluster, owned by its strand; the
+/// mailboxes consult it once per posted send.
 class FaultEngine {
  public:
   explicit FaultEngine(const FaultPlan& plan) : plan_(plan) {}
@@ -142,7 +141,7 @@ class FaultEngine {
   /// Decide the fate of the next message on channel (src_node, dst_node,
   /// context, tag). Deterministic: the n-th call for a given channel always
   /// returns the same verdict for the same plan seed, regardless of which
-  /// thread asks or when. `bytes` is the payload size, used only for
+  /// rank asks or when. `bytes` is the payload size, used only for
   /// retransmission accounting.
   FaultDecision decide(int src_node, int dst_node, int context, int tag,
                        std::size_t bytes = 0);
@@ -171,11 +170,10 @@ class FaultEngine {
 
   static constexpr std::uint64_t kLinkFailureThreshold = 3;
 
-  [[nodiscard]] FaultCounters counters() const;
+  [[nodiscard]] FaultCounters counters() const { return counters_; }
 
  private:
   FaultPlan plan_;
-  mutable std::mutex mutex_;
   /// Per-channel message sequence numbers (channel key -> next seq).
   std::unordered_map<std::uint64_t, std::uint64_t> channel_seq_;
   /// Block-level failure counts per (observer node, peer node) directed pair.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "simmpi/cluster_core.hpp"
 #include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
@@ -80,11 +80,6 @@ std::string describe_decomp(std::size_t decomp) {
 
 // --- CompletionQueue --------------------------------------------------------
 
-void CompletionQueue::push(std::vector<Completion>& batch) {
-  std::lock_guard lock(mutex_);
-  for (Completion& c : batch) queue_.push_back(std::move(c));
-}
-
 void CompletionQueue::fire(Completion& c) {
   if (c.error) {
     c.req->fail(c.when, std::move(c.error));
@@ -93,55 +88,20 @@ void CompletionQueue::fire(Completion& c) {
   }
 }
 
-void CompletionQueue::drain_as_consumer() {
-  for (;;) {
-    std::vector<Completion> items;
-    {
-      std::lock_guard lock(mutex_);
-      if (queue_.empty()) return;
-      items.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.end()));
-      queue_.clear();
-    }
-    for (Completion& c : items) fire(c);
-  }
-}
-
-void CompletionQueue::drain() {
-  for (;;) {
-    // Single consumer: whoever flips the flag fires callbacks; everyone else
-    // leaves their batch for the current consumer.
-    if (draining_.exchange(true, std::memory_order_acquire)) return;
-    drain_as_consumer();
-    draining_.store(false, std::memory_order_release);
-    // A producer may have enqueued between our last emptiness check and the
-    // flag release, then seen the flag still up and left. Re-check; if the
-    // queue is non-empty, try to become the consumer again.
-    {
-      std::lock_guard lock(mutex_);
-      if (queue_.empty()) return;
-    }
-  }
-}
-
 void CompletionQueue::settle_batch(std::vector<Completion>& batch) {
-  if (!draining_.exchange(true, std::memory_order_acquire)) {
-    // We are the consumer: leftovers first (cross-batch FIFO), then this
-    // batch in place. A callback may re-enter settle_batch on this thread;
-    // it then takes the push fallback and the post-loop recheck fires it.
-    drain_as_consumer();
-    for (Completion& c : batch) fire(c);
-    draining_.store(false, std::memory_order_release);
-    bool leftover = false;
-    {
-      std::lock_guard lock(mutex_);
-      leftover = !queue_.empty();
-    }
-    if (leftover) drain();
+  if (draining_) {
+    // Re-entered from a callback of the batch being fired: fire after it.
+    for (Completion& c : batch) queue_.push_back(std::move(c));
     return;
   }
-  push(batch);
-  drain();
+  draining_ = true;
+  for (Completion& c : batch) fire(c);
+  while (!queue_.empty()) {
+    Completion c = std::move(queue_.front());
+    queue_.pop_front();
+    fire(c);
+  }
+  draining_ = false;
 }
 
 // --- Mailbox ----------------------------------------------------------------
@@ -167,15 +127,24 @@ std::size_t Mailbox::ChannelHash::operator()(const ChannelKey& k) const noexcept
   return static_cast<std::size_t>(h);
 }
 
-std::size_t Mailbox::shard_of(int src_rank, int tag, int context) noexcept {
-  // Any (src, tag, context) triple always lands in the same shard, which is
-  // what preserves the per-channel FIFO matching order.
-  std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank)) << 32) ^
-                    static_cast<std::uint32_t>(tag);
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(context)) << 13;
-  h *= 0x9E3779B97F4A7C15ull;
-  h ^= h >> 32;
-  return static_cast<std::size_t>(h) & (kShards - 1);
+void Mailbox::require_owner() const {
+  CLMPI_REQUIRE(core_->closed || sched::current_strand() == core_->strand,
+                "mailbox touched from outside its cluster's strand");
+}
+
+Mailbox::Fifo<Envelope>* Mailbox::find_unexpected(int src_rank, int tag, int context) {
+  if (src_rank != any_source && tag != any_tag) {
+    auto it = unexpected_.find(ChannelKey{src_rank, tag, context});
+    return (it != unexpected_.end() && !it->second.empty()) ? &it->second : nullptr;
+  }
+  // Wildcard: the oldest arrival across every matching channel.
+  if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
+  Fifo<Envelope>* best = nullptr;
+  for (auto& [key, q] : unexpected_) {
+    if (q.empty() || !key_matches(key, src_rank, tag, context)) continue;
+    if (best == nullptr || q.front().seq < best->front().seq) best = &q;
+  }
+  return best;
 }
 
 void Mailbox::settle(std::vector<Completion>& batch) {
@@ -234,6 +203,7 @@ void Mailbox::inject_eager(Envelope& env, std::vector<Completion>& out) {
 }
 
 void Mailbox::post_send(Envelope env) {
+  require_owner();
   if (FaultEngine* faults = net_->faults()) {
     const FaultDecision d =
         faults->decide(env.src_node, node_, env.context, env.tag, env.bytes);
@@ -252,50 +222,28 @@ void Mailbox::post_send(Envelope env) {
   }
 
   std::vector<Completion> batch;
-  PostedRecv pr;
-  bool matched = false;
-  {
-    const ChannelKey key{env.src_rank, env.tag, env.context};
-    Shard& sh = shards_[shard_of(env.src_rank, env.tag, env.context)];
-    std::lock_guard shard_lock(sh.mutex);
-
-    auto sit = sh.posted.find(key);
-    Fifo<PostedRecv>* sq =
-        (sit != sh.posted.end() && !sit->second.empty()) ? &sit->second : nullptr;
-    // wild_count_ is re-read under the shard lock: a wildcard receive holds
-    // every shard lock while it appends itself, so either it published the
-    // count before we got here, or its queue scan will see our envelope.
-    if (wild_count_.load(std::memory_order_acquire) > 0) {
-      std::lock_guard wild_lock(wild_mutex_);  // lock order: shard, then wild
-      auto wit = std::find_if(wild_posted_.begin(), wild_posted_.end(),
-                              [&](const PostedRecv& p) { return matches(env, p); });
-      const bool w_ok = wit != wild_posted_.end();
-      if (w_ok && (sq == nullptr || wit->seq < sq->front().seq)) {
-        pr = std::move(*wit);
-        wild_posted_.erase(wit);
-        wild_count_.fetch_sub(1, std::memory_order_release);
-        matched = true;
-      } else if (sq != nullptr) {
-        pr = sq->pop_front();
-        matched = true;
-      }
-    } else if (sq != nullptr) {
-      pr = sq->pop_front();
-      matched = true;
-    }
-
-    if (!matched) {
-      // The eager wire charge must be recorded before the envelope becomes
-      // visible, so a racing receive never double-charges the wire.
-      if (env.eager) inject_eager(env, batch);
-      env.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-      sh.unexpected[key].push_back(std::move(env));
-    }
-  }
-  if (matched) {
+  const ChannelKey key{env.src_rank, env.tag, env.context};
+  auto sit = posted_.find(key);
+  Fifo<PostedRecv>* sq = (sit != posted_.end() && !sit->second.empty()) ? &sit->second : nullptr;
+  // The earliest-posted matching receive wins: a wildcard one when its
+  // stamp precedes the channel FIFO's head.
+  auto wit = std::find_if(wild_posted_.begin(), wild_posted_.end(),
+                          [&](const PostedRecv& p) { return matches(env, p); });
+  if (wit != wild_posted_.end() && (sq == nullptr || wit->seq < sq->front().seq)) {
+    PostedRecv pr = std::move(*wit);
+    wild_posted_.erase(wit);
+    if (obs::metrics_enabled()) metrics().shard_hit.add();
+    deliver(env, pr, batch);
+  } else if (sq != nullptr) {
+    PostedRecv pr = sq->pop_front();
     if (obs::metrics_enabled()) metrics().shard_hit.add();
     deliver(env, pr, batch);
   } else {
+    // The eager wire charge is recorded before the envelope becomes
+    // visible, so a later receive never charges it again.
+    if (env.eager) inject_eager(env, batch);
+    env.seq = seq_++;
+    unexpected_[key].push_back(std::move(env));
     if (obs::metrics_enabled()) metrics().unexpected.add();
     sched::note_progress();  // a probe may be waiting for this arrival
   }
@@ -303,144 +251,50 @@ void Mailbox::post_send(Envelope env) {
 }
 
 void Mailbox::post_recv(PostedRecv pr) {
-  std::vector<Completion> batch;
+  require_owner();
   const bool wildcard = pr.src_rank == any_source || pr.tag == any_tag;
-
-  if (!wildcard) {
-    const ChannelKey key{pr.src_rank, pr.tag, pr.context};
-    Shard& sh = shards_[shard_of(pr.src_rank, pr.tag, pr.context)];
-    Envelope env;
-    bool found = false;
-    {
-      std::lock_guard lock(sh.mutex);
-      auto it = sh.unexpected.find(key);
-      if (it != sh.unexpected.end() && !it->second.empty()) {
-        env = it->second.pop_front();
-        found = true;
-      } else {
-        pr.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-        sh.posted[key].push_back(std::move(pr));
-      }
-    }
-    if (found) {
-      if (obs::metrics_enabled()) metrics().shard_hit.add();
-      deliver(env, pr, batch);
-      settle(batch);
+  Fifo<Envelope>* q = find_unexpected(pr.src_rank, pr.tag, pr.context);
+  if (q == nullptr) {
+    pr.seq = seq_++;
+    if (wildcard) {
+      wild_posted_.push_back(std::move(pr));
+    } else {
+      const ChannelKey key{pr.src_rank, pr.tag, pr.context};
+      posted_[key].push_back(std::move(pr));
     }
     return;
   }
-
-  // Wildcard: match in global arrival order across every shard — the
-  // minimum arrival stamp over the heads of the matching channel FIFOs.
-  // Lock order: all shards ascending, then the wildcard queue.
-  if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
-  Envelope env;
-  bool found = false;
-  {
-    std::array<std::unique_lock<std::mutex>, kShards> locks;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      locks[s] = std::unique_lock(shards_[s].mutex);
-    }
-    std::lock_guard wild_lock(wild_mutex_);
-
-    Fifo<Envelope>* best = nullptr;
-    for (Shard& sh : shards_) {
-      for (auto& [key, q] : sh.unexpected) {
-        if (q.empty() || !key_matches(key, pr.src_rank, pr.tag, pr.context)) continue;
-        if (best == nullptr || q.front().seq < best->front().seq) best = &q;
-      }
-    }
-    if (best != nullptr) {
-      env = best->pop_front();
-      found = true;
-    } else {
-      pr.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-      wild_posted_.push_back(std::move(pr));
-      wild_count_.fetch_add(1, std::memory_order_release);
-    }
-  }
-  if (found) {
-    deliver(env, pr, batch);
-    settle(batch);
-  }
+  if (!wildcard && obs::metrics_enabled()) metrics().shard_hit.add();
+  Envelope env = q->pop_front();
+  std::vector<Completion> batch;
+  deliver(env, pr, batch);
+  settle(batch);
 }
 
 std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int context) {
-  const bool wildcard = src_rank == any_source || tag == any_tag;
-  ctx::BlockedScope blocked("mpi.probe");
-  for (;;) {
-    const Envelope* hit = nullptr;
-    MsgStatus st;
-    vt::TimePoint available;
-    if (!wildcard) {
-      const ChannelKey key{src_rank, tag, context};
-      Shard& sh = shards_[shard_of(src_rank, tag, context)];
-      std::lock_guard lock(sh.mutex);
-      auto it = sh.unexpected.find(key);
-      if (it != sh.unexpected.end() && !it->second.empty()) {
-        const Envelope& e = it->second.front();
-        hit = &e;
-        st = MsgStatus{e.src_rank, e.tag, e.bytes};
-        available = (e.eager && e.injected) ? e.arrival : e.post_time;
-      }
-    } else {
-      if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
-      std::array<std::unique_lock<std::mutex>, kShards> locks;
-      for (std::size_t s = 0; s < kShards; ++s) {
-        locks[s] = std::unique_lock(shards_[s].mutex);
-      }
-      for (Shard& sh : shards_) {
-        for (auto& [key, q] : sh.unexpected) {
-          if (q.empty() || !key_matches(key, src_rank, tag, context)) continue;
-          const Envelope& e = q.front();
-          if (hit == nullptr || e.seq < hit->seq) {
-            hit = &e;
-            st = MsgStatus{e.src_rank, e.tag, e.bytes};
-            available = (e.eager && e.injected) ? e.arrival : e.post_time;
-          }
-        }
-      }
-    }
-    if (hit != nullptr) return {st, available};
-    // Yield and rescan: the rescan observes whatever arrived meanwhile.
-    sched::yield();
-  }
+  require_owner();
+  Fifo<Envelope>* q = nullptr;
+  sched::wait([&] { return (q = find_unexpected(src_rank, tag, context)) != nullptr; },
+              "mpi.probe");
+  // Read before this fiber yields again: nothing can consume it meanwhile.
+  const Envelope& e = q->front();
+  const vt::TimePoint available = (e.eager && e.injected) ? e.arrival : e.post_time;
+  return {MsgStatus{e.src_rank, e.tag, e.bytes}, available};
 }
 
 std::optional<MsgStatus> Mailbox::iprobe(int src_rank, int tag, int context) {
-  const bool wildcard = src_rank == any_source || tag == any_tag;
-
-  if (!wildcard) {
-    const ChannelKey key{src_rank, tag, context};
-    Shard& sh = shards_[shard_of(src_rank, tag, context)];
-    std::lock_guard lock(sh.mutex);
-    auto it = sh.unexpected.find(key);
-    if (it == sh.unexpected.end() || it->second.empty()) return std::nullopt;
-    const Envelope& e = it->second.front();
-    return MsgStatus{e.src_rank, e.tag, e.bytes};
-  }
-
-  if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
-  std::array<std::unique_lock<std::mutex>, kShards> locks;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    locks[s] = std::unique_lock(shards_[s].mutex);
-  }
-  const Envelope* hit = nullptr;
-  for (Shard& sh : shards_) {
-    for (auto& [key, q] : sh.unexpected) {
-      if (q.empty() || !key_matches(key, src_rank, tag, context)) continue;
-      if (hit == nullptr || q.front().seq < hit->seq) hit = &q.front();
-    }
-  }
-  if (hit == nullptr) return std::nullopt;
-  return MsgStatus{hit->src_rank, hit->tag, hit->bytes};
+  require_owner();
+  const Fifo<Envelope>* q = find_unexpected(src_rank, tag, context);
+  if (q == nullptr) return std::nullopt;
+  const Envelope& e = q->front();
+  return MsgStatus{e.src_rank, e.tag, e.bytes};
 }
 
 void Mailbox::deliver(Envelope& env, PostedRecv& pr, std::vector<Completion>& out) {
   const MsgStatus st{env.src_rank, env.tag, env.bytes};
   if (env.eager && !env.injected) {
-    // The receive raced ahead of the send in real time, so the eager
-    // injection was not recorded in post_send. Charge the wire exactly as
+    // The receive was posted first, so the eager injection was not
+    // recorded in post_send. Charge the wire exactly as
     // post_send would have — at the *send's* post time with the sender's
     // cap — so the virtual timeline does not depend on which side arrived
     // at the mailbox first.

@@ -7,43 +7,41 @@
 // buffered at the receiver); large messages rendezvous with the posted
 // receive, so their wire transfer starts at max(send time, recv time).
 //
-// Hot-path structure. The queues are sharded by (peer, tag class): every
-// (src_rank, tag, context) triple maps to one of kShards shards, each with
-// its own mutex, so concurrent senders/receivers on different channels
-// never serialize on one lock. Within a shard the queues are indexed by the
-// exact channel key — specific matching is a hash lookup plus a pop from
-// that channel's FIFO, never a linear scan. This is exact because matching
-// is key-uniform: whether an envelope matches a *specific* receive depends
-// only on the (src, tag, context) triple, so every entry of a channel FIFO
-// matches the same receives and the head is always the first match in
-// arrival order. Wildcard receives (any_source / any_tag) take a slow path
-// that locks every shard (in index order, then the wildcard queue — a total
-// lock order, so specific and wildcard operations can never deadlock) and
-// match in global posting/arrival order via sequence stamps — taking the
-// minimum stamp over the heads of the matching channel FIFOs, exactly as
-// the single-queue engine's full scan did.
+// Ownership: a mailbox belongs to its cluster's strand — the rank, service
+// and dispatcher fibers that post to it run one at a time — so it holds no
+// lock. Every entry point checks the caller is on that strand (or that the
+// strand has closed, for the teardown backstop); a cross-strand access
+// fails with PreconditionError instead of racing.
 //
-// Matched deliveries do their timing, payload copy and request completion
-// OUTSIDE the shard locks: completions are pushed onto a per-mailbox MPSC
-// completion queue and drained by whichever thread wins the consumer flag,
-// so request callbacks (DMA charges, event completions) never run under a
-// mailbox mutex.
+// Hot-path structure. The queues are indexed by the exact channel key
+// (src_rank, tag, context) — specific matching is a hash lookup plus a pop
+// from that channel's FIFO, never a linear scan. This is exact because
+// matching is key-uniform: whether an envelope matches a *specific* receive
+// depends only on the (src, tag, context) triple, so every entry of a
+// channel FIFO matches the same receives and the head is always the first
+// match in arrival order. Wildcard receives (any_source / any_tag) take a
+// slow path that matches in global posting/arrival order via sequence
+// stamps — taking the minimum stamp over the heads of the matching channel
+// FIFOs, exactly as a single-queue full scan would.
+//
+// Matched deliveries fire their request completions (DMA charges, event
+// completions) after the queues are updated. A settle started from inside
+// a completion callback is queued and fires after the current batch, in
+// FIFO order — this fixes the completion order, and with it the grant order
+// of the virtual resources the callbacks charge.
 //
 // Small eager payloads (<= kInlineEagerBytes) are stored inline in the
 // envelope instead of a heap-allocated copy — the eager fast path. All of
 // this is wall-clock-only: virtual timings, traces and fault decisions are
-// identical to the single-queue engine.
+// identical to a single-queue engine.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -107,7 +105,7 @@ struct Envelope {
   /// When !fault_delivered: the retry budget was exhausted, so the failure
   /// surfaces as TimeoutError rather than MessageDroppedError.
   bool fault_timeout{false};
-  /// Global arrival-order stamp (wildcard matching across shards).
+  /// Global arrival-order stamp (wildcard matching across channels).
   std::uint64_t seq{0};
   std::size_t wire_decomp{wire_decomp_unset};
 };
@@ -126,8 +124,7 @@ struct PostedRecv {
   std::size_t wire_decomp{wire_decomp_unset};
 };
 
-/// One settled endpoint of a matched (or eagerly injected) message, produced
-/// under a shard lock and fired outside it.
+/// One settled endpoint of a matched (or eagerly injected) message.
 struct Completion {
   std::shared_ptr<RequestState> req;
   vt::TimePoint when;
@@ -135,39 +132,34 @@ struct Completion {
   std::exception_ptr error;  ///< null on success
 };
 
-/// Multi-producer single-consumer completion queue. Producers push batches;
-/// whichever thread wins the draining flag fires the requests' completion
-/// callbacks. Keeping a single consumer serializes completion callbacks (as
-/// the old under-the-lock firing did) without holding any mailbox lock.
+/// Per-mailbox completion order. settle_batch fires `batch` in place; a
+/// settle re-entered from one of its callbacks (a callback posting a
+/// follow-up that matches on the same mailbox) is queued instead and fires
+/// after the current batch, in FIFO order.
 class CompletionQueue {
  public:
-  /// Settle `batch`: when the consumer flag is free (the common case), any
-  /// queued leftovers are fired first and then `batch` is fired IN PLACE —
-  /// no deque round trip, no extra lock pair. Otherwise falls back to
-  /// push + drain, leaving the batch to the active consumer.
   void settle_batch(std::vector<Completion>& batch);
 
  private:
-  void push(std::vector<Completion>& batch);
-  void drain();
-  /// Fire everything currently queued; the caller holds the consumer flag.
-  void drain_as_consumer();
   static void fire(Completion& c);
 
-  std::mutex mutex_;
   std::deque<Completion> queue_;
-  std::atomic<bool> draining_{false};
+  bool draining_{false};
 };
+
+struct ClusterCore;
 
 class Mailbox {
  public:
-  Mailbox(Network& net, int owner_node) : net_(&net), node_(owner_node) {}
+  /// `core` owns the mailbox: its strand is the only caller (see above).
+  Mailbox(const ClusterCore& core, Network& net, int owner_node)
+      : core_(&core), net_(&net), node_(owner_node) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Sender side: called by the source rank's thread (any thread, in fact —
-  /// the engine is MPI_THREAD_MULTIPLE-safe).
+  /// Sender side: called by the source rank (or a service fiber acting for
+  /// it) on the cluster's strand.
   void post_send(Envelope env);
 
   /// Receiver side.
@@ -183,8 +175,6 @@ class Mailbox {
   std::pair<MsgStatus, vt::TimePoint> probe(int src_rank, int tag, int context);
 
  private:
-  static constexpr std::size_t kShards = 8;
-
   /// Exact-match channel identity: the full matching key of a specific
   /// (no-wildcard) operation.
   struct ChannelKey {
@@ -226,26 +216,15 @@ class Mailbox {
     }
   };
 
-  /// One matching-engine shard: channel-keyed FIFOs of unexpected sends and
-  /// specific posted receives. Empty FIFOs are left in place — a reused
-  /// channel (ping-pong, persistent replay) then never reallocates, and the
-  /// wildcard scans skip them with one branch.
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<ChannelKey, Fifo<Envelope>, ChannelHash> unexpected;
-    std::unordered_map<ChannelKey, Fifo<PostedRecv>, ChannelHash> posted;
-  };
-
   static bool matches(const Envelope& env, const PostedRecv& pr);
   /// Key-uniform wildcard test: does every operation on channel `k` match a
   /// receive pattern of (src_rank, tag, context)?
   static bool key_matches(const ChannelKey& k, int src_rank, int tag,
                           int context) noexcept;
-  static std::size_t shard_of(int src_rank, int tag, int context) noexcept;
 
   /// Complete a matched pair: compute wire timing, copy bytes, queue both
-  /// endpoints' completions onto `out`. Called WITHOUT any mailbox lock held
-  /// (the pair is already unlinked from the queues).
+  /// endpoints' completions onto `out`. The pair is already unlinked from
+  /// the queues.
   void deliver(Envelope& env, PostedRecv& pr, std::vector<Completion>& out);
 
   /// Charge every wire transmission of the envelope — the first attempt,
@@ -254,27 +233,39 @@ class Mailbox {
   vt::Resource::Span charge_attempts(const Envelope& env, vt::TimePoint ready,
                                      double bw_cap);
 
-  /// Charge the eager wire injection of an unmatched send. Called with the
-  /// envelope's shard lock held (the charge must be recorded before the
-  /// envelope becomes visible to receivers); queues the sender completion.
+  /// Charge the eager wire injection of an unmatched send, before the
+  /// envelope becomes visible to receivers; queues the sender completion.
   void inject_eager(Envelope& env, std::vector<Completion>& out);
 
-  /// Push `batch` (if non-empty) and run the completion queue.
+  /// Fire `batch` (if non-empty) through the completion queue.
   void settle(std::vector<Completion>& batch);
 
+  /// Owner check of every entry point: the caller runs on the cluster's
+  /// strand, or the strand has closed (teardown backstop).
+  void require_owner() const;
+
+  /// The unexpected FIFO whose head is the first queued send a receive
+  /// pattern matches: the channel's own FIFO for a specific pattern, the
+  /// matching channel with the oldest head for a wildcard one (counted as
+  /// simmpi.mailbox.wildcard_slowpath); nullptr when none.
+  Fifo<Envelope>* find_unexpected(int src_rank, int tag, int context);
+
+  const ClusterCore* core_;
   Network* net_;
   int node_;
 
-  std::array<Shard, kShards> shards_;
+  /// Channel-keyed FIFOs of unexpected sends and specific posted receives.
+  /// Empty FIFOs are left in place — a reused channel (ping-pong,
+  /// persistent replay) then never reallocates, and the wildcard scans skip
+  /// them with one branch.
+  std::unordered_map<ChannelKey, Fifo<Envelope>, ChannelHash> unexpected_;
+  std::unordered_map<ChannelKey, Fifo<PostedRecv>, ChannelHash> posted_;
 
-  /// Wildcard receives, ordered by posting stamp. Lock order: shard mutexes
-  /// (ascending index) strictly before wild_mutex_.
-  std::mutex wild_mutex_;
+  /// Wildcard receives, ordered by posting stamp.
   std::deque<PostedRecv> wild_posted_;
-  std::atomic<int> wild_count_{0};
 
   /// Global posting/arrival order stamps (monotone, not dense).
-  std::atomic<std::uint64_t> seq_{0};
+  std::uint64_t seq_{0};
 
   CompletionQueue completions_;
 };

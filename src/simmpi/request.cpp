@@ -1,15 +1,14 @@
 #include "simmpi/request.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "simmpi/progress.hpp"
-#include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
 
@@ -115,8 +114,9 @@ void Request::wait(vt::Clock& clock) {
   } catch (...) {
     // A failed operation still resolved at a definite virtual time: move the
     // waiter's clock there before rethrowing so nothing the waiter does next
-    // can be scheduled before the failure it just observed.
-    clock.sync_to(state_->completion_time());
+    // can be scheduled before the failure it just observed. (A wait refused
+    // off a strand leaves the operation pending.)
+    if (state_->done()) clock.sync_to(state_->completion_time());
     throw;
   }
 }
@@ -162,16 +162,12 @@ void wait_all(std::span<Request> requests, vt::Clock& clock) {
 std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
   CLMPI_REQUIRE(!requests.empty(), "wait_any over zero requests");
   for (const Request& r : requests) CLMPI_REQUIRE(r.valid(), "wait_any over a null request");
-  {
-    ctx::BlockedScope blocked("mpi.wait_any");
-    const auto any_done = [&] {
-      for (const Request& r : requests) {
-        if (r.done()) return true;
-      }
-      return false;
-    };
-    while (!any_done()) sched::yield();
-  }
+  sched::wait(
+      [&] {
+        return std::any_of(requests.begin(), requests.end(),
+                           [](const Request& r) { return r.done(); });
+      },
+      "mpi.wait_any");
   // At least one request has completed. Pick the earliest *virtual*
   // completion among the requests that are done (lowest index on ties), not
   // the one whose callback happened to fire first in real time: whether the
@@ -219,35 +215,30 @@ std::exception_ptr RequestState::make_timeout_error() const {
 }
 
 void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error) {
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      to_run;
-  std::exception_ptr err;
-  {
-    std::lock_guard lock(mutex_);
-    // A real resolution can race the deadline rescue; the rescue won, and
-    // the operation's outcome was already fixed at the deadline.
-    if (done_ && timed_out_) return;
-    CLMPI_REQUIRE(!done_, "request completed twice");
-    if (deadline_armed_ && when > deadline_) {
-      // Deterministic clamp: the operation resolved past its deadline, so
-      // the observable outcome is a timeout AT the deadline — the same
-      // outcome the rescue path produces, whichever fires first.
-      when = deadline_;
-      st = MsgStatus{};
-      error = make_timeout_error();
-      timed_out_ = true;
-    }
-    done_ = true;
-    completion_ = when;
-    status_ = st;
-    error_ = std::move(error);
-    err = error_;
-    to_run.swap(callbacks_);
-    // Release-publish AFTER the completion fields: a lock-free done() reader
-    // may then read them without the mutex.
-    done_flag_.store(true, std::memory_order_release);
+  // A real resolution after the deadline rescue (or a cancel) is ignored:
+  // the operation's outcome was already fixed.
+  if (done_ && timed_out_) return;
+  CLMPI_REQUIRE(!done_, "request completed twice");
+  if (deadline_armed_ && when > deadline_) {
+    // Deterministic clamp: the operation resolved past its deadline, so the
+    // observable outcome is a timeout AT the deadline — the same outcome the
+    // rescue path produces, whichever fires first.
+    when = deadline_;
+    st = MsgStatus{};
+    error = make_timeout_error();
+    timed_out_ = true;
   }
+  resolve(when, st, std::move(error));
+}
+
+void RequestState::resolve(vt::TimePoint when, const MsgStatus& st, std::exception_ptr error) {
+  done_ = true;
+  completion_ = when;
+  status_ = st;
+  error_ = std::move(error);
+  const std::exception_ptr err = error_;
+  auto to_run = std::move(callbacks_);
+  callbacks_.clear();
   sched::note_progress();
   for (auto& fn : to_run) fn(when, st, err);
 }
@@ -261,7 +252,6 @@ void RequestState::fail(vt::TimePoint when, std::exception_ptr error) {
 }
 
 void RequestState::arm_deadline(vt::TimePoint deadline) {
-  std::lock_guard lock(mutex_);
   CLMPI_REQUIRE(!done_, "arm_deadline on a completed request");
   deadline_armed_ = true;
   deadline_ = deadline;
@@ -269,109 +259,62 @@ void RequestState::arm_deadline(vt::TimePoint deadline) {
 }
 
 bool RequestState::rescue_timeout() {
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      to_run;
-  std::exception_ptr err;
-  {
-    std::lock_guard lock(mutex_);
-    if (!deadline_armed_ || done_) return false;
-    // The operation never resolved: fail it at its VIRTUAL deadline, so the
-    // timeline stays schedule-independent. A real resolution racing us is
-    // ignored by settle() — the outcome was fixed here.
-    done_ = true;
-    timed_out_ = true;
-    completion_ = deadline_;
-    status_ = MsgStatus{};
-    error_ = make_timeout_error();
-    err = error_;
-    to_run.swap(callbacks_);
-    done_flag_.store(true, std::memory_order_release);
-  }
-  sched::note_progress();
-  for (auto& fn : to_run) fn(deadline_, MsgStatus{}, err);
+  if (!deadline_armed_ || done_) return false;
+  // The operation never resolved: fail it at its VIRTUAL deadline, so the
+  // timeline stays schedule-independent. A real resolution after us is
+  // ignored by settle() — the outcome was fixed here.
+  timed_out_ = true;
+  resolve(deadline_, MsgStatus{}, make_timeout_error());
   return true;
 }
 
 bool RequestState::cancel_now(std::exception_ptr error) {
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      to_run;
-  vt::TimePoint when{};
-  std::exception_ptr err;
-  {
-    std::lock_guard lock(mutex_);
-    if (done_) return false;
-    // Fix the outcome here: a real resolution racing the cancel is ignored
-    // by settle() (same protocol as the deadline rescue).
-    done_ = true;
-    timed_out_ = true;
-    if (deadline_armed_) when = deadline_;
-    completion_ = when;
-    status_ = MsgStatus{};
-    error_ = std::move(error);
-    err = error_;
-    to_run.swap(callbacks_);
-    done_flag_.store(true, std::memory_order_release);
-  }
-  sched::note_progress();
-  for (auto& fn : to_run) fn(when, MsgStatus{}, err);
+  if (done_) return false;
+  // Fix the outcome here: a real resolution after the cancel is ignored by
+  // settle() (same protocol as the deadline rescue).
+  timed_out_ = true;
+  resolve(deadline_armed_ ? deadline_ : vt::TimePoint{}, MsgStatus{}, std::move(error));
   return true;
 }
 
 void RequestState::rescue_if_stale(std::chrono::steady_clock::time_point now,
                                    std::chrono::milliseconds grace) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!deadline_armed_ || done_ || now - armed_at_ < grace) return;
-  }
+  if (!deadline_armed_ || done_ || now - armed_at_ < grace) return;
   rescue_timeout();
 }
 
-std::exception_ptr RequestState::error() const {
-  std::lock_guard lock(mutex_);
-  return error_;
-}
+std::exception_ptr RequestState::error() const { return error_; }
 
 vt::TimePoint RequestState::block_until_done() {
-  if (!done()) {
+  if (!done_) {
     if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
     // Poll-yield: the waiting fiber stays in its strand's rotation and
-    // re-polls the done flag per resume, so peer ranks (and the service
-    // fibers completing this request) keep running.
-    ctx::BlockedScope blocked("mpi.request.wait");
-    bool armed = false;
-    {
-      std::lock_guard lock(mutex_);
-      armed = deadline_armed_;
-    }
-    if (armed) {
+    // re-polls per resume, so peer ranks (and the service fibers completing
+    // this request) keep running.
+    if (deadline_armed_) {
       // Liveness rescue: if nothing resolves this operation within the
       // real-time grace, treat it as never completing (rescue_timeout fails
-      // it at its virtual deadline). Either way done() holds afterwards.
+      // it at its virtual deadline). Either way done_ holds afterwards.
       const auto limit = std::chrono::steady_clock::now() + deadline_grace();
-      while (!done() && std::chrono::steady_clock::now() < limit) sched::yield();
-      if (!done()) {
+      sched::wait([&] { return done_ || std::chrono::steady_clock::now() >= limit; },
+                  "mpi.request.wait");
+      if (!done_) {
         const bool rescued = rescue_timeout();
         if (rescued && obs::metrics_enabled()) progress_metrics().rescued_waits.add();
       }
     }
-    while (!done()) sched::yield();
+    sched::wait([this] { return done_; }, "mpi.request.wait");
   }
-  // done() held at least once: the completion fields are frozen, so they
-  // are safe to read without the mutex.
   if (error_) std::rethrow_exception(error_);
   return completion_;
 }
 
 MsgStatus RequestState::status() const {
-  std::lock_guard lock(mutex_);
   CLMPI_REQUIRE(done_, "status of an incomplete request");
   return status_;
 }
 
 vt::TimePoint RequestState::completion_time() const {
-  std::lock_guard lock(mutex_);
   CLMPI_REQUIRE(done_, "completion_time of an incomplete request");
   return completion_;
 }
@@ -383,23 +326,12 @@ void RequestState::on_complete(std::function<void(vt::TimePoint, const MsgStatus
 
 void RequestState::on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
                                                 const std::exception_ptr&)> fn) {
-  bool run_now = false;
-  vt::TimePoint when;
-  MsgStatus st;
-  std::exception_ptr err;
-  {
-    std::lock_guard lock(mutex_);
-    if (done_) {
-      run_now = true;
-      when = completion_;
-      st = status_;
-      err = error_;
-    } else {
-      callbacks_.push_back(std::move(fn));
-      if (obs::metrics_enabled()) progress_metrics().continuations.add();
-    }
+  if (done_) {
+    fn(completion_, status_, error_);
+    return;
   }
-  if (run_now) fn(when, st, err);
+  callbacks_.push_back(std::move(fn));
+  if (obs::metrics_enabled()) progress_metrics().continuations.add();
 }
 
 }  // namespace detail

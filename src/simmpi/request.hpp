@@ -2,18 +2,17 @@
 //
 // A Request is a shared handle to the completion state of one Isend/Irecv.
 // Completion carries a *virtual* timestamp; waiting synchronizes the waiting
-// thread's virtual clock forward to it. Completion callbacks are the hook
+// rank's virtual clock forward to it. The state belongs to its cluster's
+// strand and holds no lock. Completion callbacks are the hook
 // clMPI uses to implement clCreateEventFromMPIRequest without polling.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -53,7 +52,7 @@ class Request {
   void wait(vt::Clock& clock);
 
   /// Wait without a clock; returns the virtual completion time. Used by
-  /// runtime threads that do not own a timeline of their own.
+  /// runtime service fibers that do not own a timeline of their own.
   vt::TimePoint wait();
 
   /// Valid only after completion.
@@ -65,13 +64,13 @@ class Request {
   [[nodiscard]] std::exception_ptr error() const;
 
   /// Invoke `fn(completion_time, status)` when the request completes (or
-  /// immediately if it already has). Callbacks run on the completing thread.
+  /// immediately if it already has). Callbacks run on the completing fiber.
   void on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn);
 
   /// Full-information continuation: `fn(when, status, error)` fires exactly
   /// once when the request settles — successfully (error == nullptr) or not.
   /// This is the progress engine's chaining primitive; every blocking wait
-  /// is a thin shim over it. Callbacks run on the settling thread and must
+  /// is a thin shim over it. Callbacks run on the settling fiber and must
   /// not block on other ranks' progress.
   void on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
                                     const std::exception_ptr&)> fn);
@@ -124,7 +123,7 @@ class RequestState {
   /// Arm a per-operation deadline on the virtual timeline. Two effects:
   ///  * deterministic clamp — a completion (or failure) resolving at a
   ///    virtual time strictly after `deadline` becomes a TimeoutError AT
-  ///    the deadline, independent of thread scheduling;
+  ///    the deadline, independent of fiber scheduling;
   ///  * liveness rescue — a blocking wait on an operation that never
   ///    resolves (e.g. a receive no one will ever match) self-fails with
   ///    the same TimeoutError at `deadline` after a real-time grace period
@@ -154,17 +153,12 @@ class RequestState {
   /// cancelled jobs make no determinism claims about their timeline.
   bool cancel_now(std::exception_ptr error);
 
-  /// Lock-free completion peek: acquire-load of the done flag. The settle
-  /// path publishes completion_/status_/error_ before the release-store, so
-  /// a true return licenses lock-free reads of those fields (they are never
-  /// written again).
-  [[nodiscard]] bool done() const noexcept {
-    return done_flag_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool done() const noexcept { return done_; }
   /// Blocks until complete; rethrows the operation's exception on failure.
-  /// Poll-yields the calling fiber (on a plain thread: spins on OS yields);
-  /// counts progress.blocking_waits on entry when the request is still
-  /// pending and progress.rescued_waits when the deadline rescue resolves it.
+  /// Poll-yields the calling fiber; off a strand a pending request throws
+  /// PreconditionError (nothing there could complete it). Counts
+  /// progress.blocking_waits on entry when the request is still pending and
+  /// progress.rescued_waits when the deadline rescue resolves it.
   vt::TimePoint block_until_done();
   /// The carried failure, if any (nullptr while pending or on success).
   [[nodiscard]] std::exception_ptr error() const;
@@ -175,20 +169,19 @@ class RequestState {
                                     const std::exception_ptr&)> fn);
 
  private:
-  /// Single completion path shared by complete/fail/the deadline rescue.
+  /// Completion path of complete/fail: applies the deadline clamp.
   void settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error);
+  /// Record the outcome and fire the callbacks; shared by settle and the
+  /// rescue/cancel paths.
+  void resolve(vt::TimePoint when, const MsgStatus& st, std::exception_ptr error);
 
   [[nodiscard]] std::exception_ptr make_timeout_error() const;
 
-  mutable std::mutex mutex_;
   bool done_{false};
-  /// Lock-free mirror of done_, release-published after the completion
-  /// fields are written.
-  std::atomic<bool> done_flag_{false};
   bool deadline_armed_{false};
-  /// True when the request resolved as a deadline timeout; a late real
-  /// completion racing the rescue is then ignored (the operation's outcome
-  /// was already fixed at the deadline).
+  /// True when the request resolved as a deadline timeout (or a cancel); a
+  /// late real completion after the rescue is then ignored (the operation's
+  /// outcome was already fixed at the deadline).
   bool timed_out_{false};
   vt::TimePoint deadline_{};
   /// Real time at which the deadline was armed; the backstop's staleness

@@ -1,11 +1,9 @@
 #include "simmpi/window.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -56,15 +54,12 @@ struct WindowShared {
   int nranks{0};
   std::vector<int> nodes;  ///< comm rank -> global node id
 
-  std::mutex m;
-  std::condition_variable cv;
-
   // Creation rendezvous.
   std::vector<Region> regions;
   int registered{0};
   vt::TimePoint create_end{};
 
-  // Epoch state (guarded by m).
+  // Epoch state.
   std::vector<PendingOp> pending;
   std::vector<std::uint64_t> next_index;  ///< per-origin posting counter
   bool any_epoch_open{false};             ///< first fence opens it
@@ -72,7 +67,7 @@ struct WindowShared {
   int epochs{0};
   int fault_seq{0};  ///< per-window RMA fault-tag sequence
 
-  // Fence rendezvous (guarded by m).
+  // Fence rendezvous.
   std::vector<char> in_rendezvous;
   std::vector<int> rank_fault;  ///< per round: 0 none, 1 dropped, 2 timeout
   int arrived{0};
@@ -80,15 +75,15 @@ struct WindowShared {
   vt::TimePoint enter_max{};
   vt::TimePoint round_end{};
 
-  void apply_locked();
-  vt::TimePoint apply_one_locked(const PendingOp& op);
+  void apply_epoch();
+  vt::TimePoint apply_one(const PendingOp& op);
 };
 
 /// Apply every access of the closing epoch. Called by the last rank to
-/// arrive, with `m` held; the schedule it produces depends only on virtual
-/// ready times and the deterministic (origin, index) order, so WHICH thread
-/// applies is immaterial.
-void WindowShared::apply_locked() {
+/// arrive; the schedule it produces depends only on virtual ready times and
+/// the deterministic (origin, index) order, so WHICH rank applies is
+/// immaterial.
+void WindowShared::apply_epoch() {
   std::fill(rank_fault.begin(), rank_fault.end(), 0);
   round_end = enter_max;
 
@@ -101,17 +96,17 @@ void WindowShared::apply_locked() {
   // epoch closed, before any Put of the same epoch lands. Then Puts, in
   // (origin, index) order, so overlapping Puts resolve deterministically.
   for (const PendingOp& op : pending) {
-    if (op.kind == PendingOp::Kind::get) round_end = vt::max(round_end, apply_one_locked(op));
+    if (op.kind == PendingOp::Kind::get) round_end = vt::max(round_end, apply_one(op));
   }
   for (const PendingOp& op : pending) {
-    if (op.kind == PendingOp::Kind::put) round_end = vt::max(round_end, apply_one_locked(op));
+    if (op.kind == PendingOp::Kind::put) round_end = vt::max(round_end, apply_one(op));
   }
   pending.clear();
   any_epoch_open = true;
   ++epochs;
 }
 
-vt::TimePoint WindowShared::apply_one_locked(const PendingOp& op) {
+vt::TimePoint WindowShared::apply_one(const PendingOp& op) {
   Network& net = *core->network;
   FaultEngine* fe = core->faults.get();
   const bool is_put = op.kind == PendingOp::Kind::put;
@@ -202,7 +197,6 @@ void post_op(const std::shared_ptr<WindowShared>& sh, int rank, PendingOp op) {
                     " outside the window group of size " + std::to_string(sh->nranks),
                 Status::invalid_rank);
   }
-  std::lock_guard lock(sh->m);
   if (sh->freed) {
     throw Error("RMA access on a freed window", Status::invalid_window);
   }
@@ -236,7 +230,6 @@ int Win::size() const {
 
 int Win::epochs() const {
   CLMPI_REQUIRE(shared_ != nullptr, "epochs() on an empty window handle");
-  std::lock_guard lock(shared_->m);
   return shared_->epochs;
 }
 
@@ -249,14 +242,12 @@ std::size_t Win::region_size(int target) const {
                     " outside the window group of size " + std::to_string(shared_->nranks),
                 Status::invalid_rank);
   }
-  std::lock_guard lock(shared_->m);
   if (shared_->freed) throw Error("region_size() on a freed window", Status::invalid_window);
   return shared_->regions[static_cast<std::size_t>(target)].span.size();
 }
 
 bool Win::epoch_open() const {
   CLMPI_REQUIRE(shared_ != nullptr, "epoch_open() on an empty window handle");
-  std::lock_guard lock(shared_->m);
   return shared_->any_epoch_open && !shared_->freed;
 }
 
@@ -307,31 +298,24 @@ void Win::get(std::span<std::byte> dest, int target, std::size_t target_offset,
 vt::TimePoint Win::fence(vt::TimePoint ready) {
   CLMPI_REQUIRE(shared_ != nullptr, "fence on an empty window handle");
   auto sh = shared_;
-  int fault = 0;
-  vt::TimePoint end;
-  {
-    std::unique_lock lock(sh->m);
-    if (sh->freed) throw Error("fence on a freed window", Status::invalid_window);
-    sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
-    sh->enter_max = vt::max(sh->enter_max, ready);
-    const std::uint64_t my_gen = sh->generation;
-    if (++sh->arrived == sh->nranks) {
-      sh->apply_locked();
-      sh->arrived = 0;
-      sh->enter_max = {};
-      std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
-      ++sh->generation;
-      sh->cv.notify_all();
-      sched::note_progress();
-    } else {
-      sched::wait(lock, sh->cv, [&] { return sh->generation != my_gen; },
-                  "mpi.win.fence");
-    }
-    // Still under the lock: the next round's apply cannot run until this
-    // rank re-arrives, so round_end / rank_fault are this round's values.
-    end = sh->round_end;
-    fault = sh->rank_fault[static_cast<std::size_t>(rank_)];
+  if (sh->freed) throw Error("fence on a freed window", Status::invalid_window);
+  sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
+  sh->enter_max = vt::max(sh->enter_max, ready);
+  const std::uint64_t my_gen = sh->generation;
+  if (++sh->arrived == sh->nranks) {
+    sh->apply_epoch();
+    sh->arrived = 0;
+    sh->enter_max = {};
+    std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
+    ++sh->generation;
+    sched::note_progress();
+  } else {
+    sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.fence");
   }
+  // Read before this fiber yields again: the next round's apply cannot run
+  // until this rank re-arrives, so round_end / rank_fault are this round's.
+  const vt::TimePoint end = sh->round_end;
+  const int fault = sh->rank_fault[static_cast<std::size_t>(rank_)];
   if (obs::metrics_enabled()) {
     static auto& fences = obs::Registry::instance().counter("rma.fences");
     fences.add();
@@ -353,42 +337,35 @@ void Win::free(vt::Clock& clock) {
   CLMPI_REQUIRE(shared_ != nullptr, "free on an empty window handle");
   auto sh = shared_;
   shared_.reset();
-  bool had_pending = false;
-  vt::TimePoint end;
-  {
-    std::unique_lock lock(sh->m);
-    if (sh->freed) throw Error("double free of a window", Status::invalid_window);
-    sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
-    sh->enter_max = vt::max(sh->enter_max, clock.now());
-    const std::uint64_t my_gen = sh->generation;
-    if (++sh->arrived == sh->nranks) {
-      // Freeing with accesses still pending is an epoch-protocol violation:
-      // fail them (typed, never silently dropped) instead of applying.
-      std::fill(sh->rank_fault.begin(), sh->rank_fault.end(), 0);
-      for (const auto& op : sh->pending) {
-        sh->rank_fault[static_cast<std::size_t>(op.origin)] = 3;
-        if (op.on_complete) {
-          op.on_complete(sh->enter_max,
-                         std::make_exception_ptr(Error(
-                             "window freed with accesses pending", Status::rma_epoch)));
-        }
+  if (sh->freed) throw Error("double free of a window", Status::invalid_window);
+  sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
+  sh->enter_max = vt::max(sh->enter_max, clock.now());
+  const std::uint64_t my_gen = sh->generation;
+  if (++sh->arrived == sh->nranks) {
+    // Freeing with accesses still pending is an epoch-protocol violation:
+    // fail them (typed, never silently dropped) instead of applying.
+    std::fill(sh->rank_fault.begin(), sh->rank_fault.end(), 0);
+    for (const auto& op : sh->pending) {
+      sh->rank_fault[static_cast<std::size_t>(op.origin)] = 3;
+      if (op.on_complete) {
+        op.on_complete(sh->enter_max,
+                       std::make_exception_ptr(
+                           Error("window freed with accesses pending", Status::rma_epoch)));
       }
-      sh->pending.clear();
-      sh->round_end = sh->enter_max;
-      sh->freed = true;
-      sh->arrived = 0;
-      sh->enter_max = {};
-      std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
-      ++sh->generation;
-      sh->cv.notify_all();
-      sched::note_progress();
-    } else {
-      sched::wait(lock, sh->cv, [&] { return sh->generation != my_gen; },
-                  "mpi.win.free");
     }
-    end = sh->round_end;
-    had_pending = sh->rank_fault[static_cast<std::size_t>(rank_)] == 3;
+    sh->pending.clear();
+    sh->round_end = sh->enter_max;
+    sh->freed = true;
+    sh->arrived = 0;
+    sh->enter_max = {};
+    std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
+    ++sh->generation;
+    sched::note_progress();
+  } else {
+    sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.free");
   }
+  const vt::TimePoint end = sh->round_end;
+  const bool had_pending = sh->rank_fault[static_cast<std::size_t>(rank_)] == 3;
   clock.sync_to(end);
   if (had_pending) {
     throw Error("window freed with accesses this rank posted still pending",
@@ -401,44 +378,32 @@ Win create_window(Comm& comm, std::span<std::byte> region, vt::Clock& clock,
   auto* core = comm.core();
   const std::uint64_t key = (static_cast<std::uint64_t>(comm.context()) << 32U) |
                             static_cast<std::uint64_t>(comm.take_win_seq());
-  std::shared_ptr<detail::WindowShared> sh;
-  {
-    std::lock_guard lock(core->win_mutex);
-    auto& slot = core->windows[key];
-    if (!slot) {
-      slot = std::make_shared<detail::WindowShared>();
-      slot->core = core;
-      slot->context = comm.context();
-      slot->nranks = comm.size();
-      slot->nodes.resize(static_cast<std::size_t>(comm.size()));
-      for (int r = 0; r < comm.size(); ++r) {
-        slot->nodes[static_cast<std::size_t>(r)] = comm.node_of(r);
-      }
-      slot->regions.resize(static_cast<std::size_t>(comm.size()));
-      slot->next_index.assign(static_cast<std::size_t>(comm.size()), 0);
-      slot->in_rendezvous.assign(static_cast<std::size_t>(comm.size()), 0);
-      slot->rank_fault.assign(static_cast<std::size_t>(comm.size()), 0);
+  auto& slot = core->windows[key];
+  if (!slot) {
+    slot = std::make_shared<detail::WindowShared>();
+    slot->core = core;
+    slot->context = comm.context();
+    slot->nranks = comm.size();
+    slot->nodes.resize(static_cast<std::size_t>(comm.size()));
+    for (int r = 0; r < comm.size(); ++r) {
+      slot->nodes[static_cast<std::size_t>(r)] = comm.node_of(r);
     }
-    sh = slot;
+    slot->regions.resize(static_cast<std::size_t>(comm.size()));
+    slot->next_index.assign(static_cast<std::size_t>(comm.size()), 0);
+    slot->in_rendezvous.assign(static_cast<std::size_t>(comm.size()), 0);
+    slot->rank_fault.assign(static_cast<std::size_t>(comm.size()), 0);
   }
-  {
-    std::unique_lock lock(sh->m);
-    sh->regions[static_cast<std::size_t>(comm.rank())] = {region, std::move(ingress),
-                                                          std::move(egress)};
-    sh->create_end = vt::max(sh->create_end, clock.now());
-    if (++sh->registered == sh->nranks) {
-      sh->cv.notify_all();
-      sched::note_progress();
-    } else {
-      sched::wait(lock, sh->cv, [&] { return sh->registered == sh->nranks; },
-                  "mpi.win.create");
-    }
+  const std::shared_ptr<detail::WindowShared> sh = slot;
+  sh->regions[static_cast<std::size_t>(comm.rank())] = {region, std::move(ingress),
+                                                        std::move(egress)};
+  sh->create_end = vt::max(sh->create_end, clock.now());
+  if (++sh->registered == sh->nranks) {
+    sched::note_progress();
+  } else {
+    sched::wait([&] { return sh->registered == sh->nranks; }, "mpi.win.create");
   }
-  {
-    // Every rank holds its shared pointer by now; retire the rendezvous slot.
-    std::lock_guard lock(core->win_mutex);
-    core->windows.erase(key);
-  }
+  // Every rank holds its shared pointer by now; retire the rendezvous slot.
+  core->windows.erase(key);
   clock.sync_to(sh->create_end);
   return Win{sh, comm.rank()};
 }

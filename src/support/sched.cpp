@@ -6,9 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -106,8 +111,10 @@ struct Strand {
 };
 
 thread_local Fiber* t_current = nullptr;
-/// The strand this worker holds (set for a whole quantum, idle task included).
+/// The strand this worker holds (set for a whole quantum, idle task included),
+/// and its tag (what current_strand() reports).
 thread_local Strand* t_strand = nullptr;
+thread_local std::uint64_t t_strand_tag = 0;
 thread_local ucontext_t t_worker_uc;
 /// Handoff slot for the trampoline's argument: written by the worker right
 /// before the FIRST switch into a fiber, read at trampoline entry on the
@@ -180,6 +187,16 @@ namespace {
 }  // namespace
 
 bool on_fiber() noexcept { return t_current != nullptr; }
+
+std::uint64_t current_strand() noexcept { return t_strand_tag; }
+
+void block_step(const char* site) {
+  if (t_current == nullptr) {
+    throw PreconditionError(std::string("blocking wait at ") + site +
+                            " off a scheduler strand: nothing else runs here to complete it");
+  }
+  yield();
+}
 
 void note_progress() noexcept {
   if (Strand* s = t_strand) ++s->epoch;
@@ -317,6 +334,7 @@ Strand* Scheduler::Impl::checkout(std::unique_lock<std::mutex>& lock) {
 
 Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
   t_strand = &s;
+  t_strand_tag = s.tag;
   Pass pass = Pass::runnable;
   for (int i = 0; i < kQuantum; ++i) {
     if (s.ready.empty()) {
@@ -354,6 +372,7 @@ Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
   }
   if (pass == Pass::runnable && s.ready.empty()) pass = Pass::closed;
   t_strand = nullptr;
+  t_strand_tag = 0;
   return pass;
 }
 
@@ -452,49 +471,30 @@ ServiceHandle::~ServiceHandle() {
   if (joinable()) join();
 }
 
-bool ServiceHandle::joinable() const noexcept {
-  return thread_.joinable() || fiber_done_ != nullptr;
-}
-
 void ServiceHandle::join() {
-  if (thread_.joinable()) {
-    thread_.join();
-    return;
-  }
-  if (fiber_done_ != nullptr) {
-    // Fiber-backed service: poll-yield until its wrapper flags completion.
-    // Works from a fiber (a fiber yield) and from a plain thread (an OS yield).
-    ctx::BlockedScope blocked("sched.service.join");
-    while (!fiber_done_->load(std::memory_order_acquire)) yield();
-    fiber_done_.reset();
-  }
+  if (done_ == nullptr) return;
+  wait([this] { return *done_; }, "sched.service.join");
+  done_.reset();
 }
 
 ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
-  ServiceHandle h;
+  Fiber* cur = t_current;
+  CLMPI_REQUIRE(cur != nullptr,
+                "spawn_service needs a scheduler strand (run inside Cluster::run)");
   // Tenancy propagation: a runtime service works on behalf of the task that
   // started it, so it inherits the spawner's job (strand AND context
   // pointer — quota charges from inside the service bill the right tenant).
   tenant::JobControl* job_ctx = ctx::current().job;
-  Fiber* cur = t_current;
-  if (cur != nullptr) {
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    h.fiber_done_ = done;
-    cur->owner->spawn_here(
-        [done, job_ctx, fn = std::move(fn)] {
-          ctx::current().job = job_ctx;
-          fn();
-          done->store(true, std::memory_order_release);
-          note_progress();
-        },
-        std::move(label));
-    return h;
-  }
-  h.thread_ = std::thread([label = std::move(label), job_ctx, fn = std::move(fn)] {
-    log::set_thread_label(label);
-    ctx::current().job = job_ctx;
-    fn();
-  });
+  ServiceHandle h;
+  h.done_ = std::make_shared<bool>(false);
+  cur->owner->spawn_here(
+      [done = h.done_, job_ctx, fn = std::move(fn)] {
+        ctx::current().job = job_ctx;
+        fn();
+        *done = true;
+        note_progress();
+      },
+      std::move(label));
   return h;
 }
 

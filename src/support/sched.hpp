@@ -34,14 +34,11 @@
 // CLMPI_SANITIZE=address / thread builds run fibers cleanly.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "support/context.hpp"
@@ -64,30 +61,32 @@ void yield();
 /// strand counts as quiescent.
 void note_progress() noexcept;
 
-/// Fiber-aware condition wait. Publishes `site` as the caller's blocked site
-/// (watchdog diagnostics). Fiber path: unlock-yield-relock until `pred()`
-/// holds — the cv is not used (poll-yield needs no wakeup). Thread path:
-/// exactly cv.wait(lock, pred). `site` must be a string literal (or
-/// otherwise outlive the wait).
+/// The strand tag of the calling code (a fiber, or its strand's idle task);
+/// 0 off a strand. One thread-local load: the owner checks of single-owner
+/// cluster state call it on every entry.
+[[nodiscard]] std::uint64_t current_strand() noexcept;
+
+/// Blocking-wait step: on a fiber, yield; off a strand, throw
+/// PreconditionError naming `site` — no other task there can make the
+/// awaited progress, so a wait would spin forever.
+void block_step(const char* site);
+
+/// Fiber-aware blocking wait: poll-yields until `pred()` holds, publishing
+/// `site` as the caller's blocked site (watchdog diagnostics). Off a strand
+/// it throws PreconditionError unless `pred()` already holds. `site` must
+/// be a string literal (or otherwise outlive the wait).
 template <typename Pred>
-void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv, Pred&& pred,
-          const char* site) {
+void wait(Pred&& pred, const char* site) {
+  if (pred()) return;
   ctx::BlockedScope blocked(site);
-  if (on_fiber()) {
-    while (!pred()) {
-      lock.unlock();
-      yield();
-      lock.lock();
-    }
-    return;
-  }
-  cv.wait(lock, std::forward<Pred>(pred));
+  do {
+    block_step(site);
+  } while (!pred());
 }
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
-/// collective progression): a fiber when spawned from inside a running
-/// scheduler, a plain std::thread otherwise. join() is fiber-aware on both
-/// ends — a fiber joining a fiber-backed service yields until it finishes.
+/// collective progression): a fiber on the spawner's strand. join() yields
+/// until it finished.
 class ServiceHandle {
  public:
   ServiceHandle() = default;
@@ -97,16 +96,18 @@ class ServiceHandle {
   ServiceHandle& operator=(const ServiceHandle&) = delete;
   ~ServiceHandle();
 
-  [[nodiscard]] bool joinable() const noexcept;
+  [[nodiscard]] bool joinable() const noexcept { return done_ != nullptr; }
   void join();
 
  private:
   friend ServiceHandle spawn_service(std::string label, std::function<void()> fn);
-  std::thread thread_;
-  std::shared_ptr<std::atomic<bool>> fiber_done_;
+  /// Set by the service fiber as it finishes; read on the same strand, or
+  /// by the Cluster::run caller after the strand closed.
+  std::shared_ptr<bool> done_;
 };
 
-/// Spawn `fn` as a service task labelled `label` (becomes its log label).
+/// Spawn `fn` as a service task labelled `label` (becomes its log label) on
+/// the calling fiber's strand. Throws PreconditionError off a strand.
 ServiceHandle spawn_service(std::string label, std::function<void()> fn);
 
 /// The fiber worker pool every Cluster::run executes on: a process-wide pool

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "simmpi/datatype.hpp"
@@ -26,21 +25,11 @@ struct Countdown {
   Countdown(std::size_t n, DoneFn fn) : remaining(n), done(std::move(fn)) {}
 
   void arrive(vt::TimePoint when, std::exception_ptr err = nullptr) {
-    bool last = false;
-    vt::TimePoint final_time;
-    std::exception_ptr final_err;
-    {
-      std::lock_guard lock(mutex);
-      latest = vt::max(latest, when);
-      if (err && !error) error = std::move(err);
-      final_time = latest;
-      final_err = error;
-      last = (--remaining == 0);
-    }
-    if (last) done(final_time, final_err);
+    latest = vt::max(latest, when);
+    if (err && !error) error = std::move(err);
+    if (--remaining == 0) done(latest, error);
   }
 
-  std::mutex mutex;
   std::size_t remaining;
   vt::TimePoint latest;
   std::exception_ptr error;

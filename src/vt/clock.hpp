@@ -1,12 +1,12 @@
 // Per-entity virtual clocks.
 //
-// Each host thread (MPI rank) owns a Clock. Local compute advances it;
-// blocking on an event/request synchronizes it forward to the completion
-// time of the awaited operation (never backward). The maximum clock value
-// across all entities at the end of a run is the run's makespan.
+// Each rank (and each runtime service working on a private timeline) owns a
+// Clock. Local compute advances it; blocking on an event/request
+// synchronizes it forward to the completion time of the awaited operation
+// (never backward). The maximum clock value across all entities at the end
+// of a run is the run's makespan. Single owner: a clock belongs to one
+// cluster's strand and holds no lock.
 #pragma once
-
-#include <atomic>
 
 #include "vt/time.hpp"
 
@@ -15,30 +15,22 @@ namespace clmpi::vt {
 class Clock {
  public:
   Clock() = default;
-  explicit Clock(TimePoint start) : now_(start.s) {}
+  explicit Clock(TimePoint start) : now_(start) {}
 
-  [[nodiscard]] TimePoint now() const noexcept {
-    return TimePoint{now_.load(std::memory_order_acquire)};
-  }
+  [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Local work: now += d.
-  void advance(Duration d) noexcept {
-    now_.store(now_.load(std::memory_order_relaxed) + d.s, std::memory_order_release);
-  }
+  void advance(Duration d) noexcept { now_ += d; }
 
   /// Blocking wait semantics: now = max(now, t).
   void sync_to(TimePoint t) noexcept {
-    double cur = now_.load(std::memory_order_relaxed);
-    while (cur < t.s &&
-           !now_.compare_exchange_weak(cur, t.s, std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-    }
+    if (now_ < t) now_ = t;
   }
 
-  void reset(TimePoint t = {}) noexcept { now_.store(t.s, std::memory_order_release); }
+  void reset(TimePoint t = {}) noexcept { now_ = t; }
 
  private:
-  std::atomic<double> now_{0.0};
+  TimePoint now_{};
 };
 
 }  // namespace clmpi::vt

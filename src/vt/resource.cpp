@@ -1,8 +1,6 @@
 #include "vt/resource.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <utility>
 
 #include "support/error.hpp"
 
@@ -44,7 +42,6 @@ void Resource::insert(TimePoint start, Duration cost) {
 
 Resource::Span Resource::acquire(TimePoint ready, Duration cost) {
   CLMPI_REQUIRE(cost >= Duration{0.0}, "negative-cost acquire");
-  std::lock_guard lock(mutex_);
   const TimePoint start = earliest_fit(ready, cost);
   insert(start, cost);
   return {start, start + cost};
@@ -54,11 +51,6 @@ Resource::Span Resource::acquire_joint(Resource& a, Resource& b, TimePoint ready
                                        Duration cost) {
   if (&a == &b) return a.acquire(ready, cost);
   CLMPI_REQUIRE(cost >= Duration{0.0}, "negative-cost acquire");
-  Resource* first = &a;
-  Resource* second = &b;
-  if (second < first) std::swap(first, second);
-  std::scoped_lock lock(first->mutex_, second->mutex_);
-
   // Fixed point: the earliest instant both resources have the gap free.
   TimePoint t = ready;
   for (;;) {
@@ -73,22 +65,6 @@ Resource::Span Resource::acquire_joint(Resource& a, Resource& b, TimePoint ready
   a.insert(t, cost);
   b.insert(t, cost);
   return {t, t + cost};
-}
-
-TimePoint Resource::free_time() const {
-  std::lock_guard lock(mutex_);
-  return busy_.empty() ? TimePoint{} : busy_.back().end;
-}
-
-Duration Resource::busy_time() const {
-  std::lock_guard lock(mutex_);
-  return total_busy_;
-}
-
-void Resource::reset() {
-  std::lock_guard lock(mutex_);
-  busy_.clear();
-  total_busy_ = Duration{};
 }
 
 }  // namespace clmpi::vt

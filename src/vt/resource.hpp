@@ -4,15 +4,15 @@
 // timeline.
 //
 // Allocation is *interval-based with backfill*: acquire(ready, cost) takes
-// the earliest free gap at or after `ready` that fits `cost`. Because
-// callers are real threads racing in wall-clock time, grants can arrive out
-// of virtual-time order; backfilling makes the resulting schedule depend
-// only on the (causally correct) ready times, not on thread scheduling —
-// keeping the simulation deterministic and work-conserving.
+// the earliest free gap at or after `ready` that fits `cost`. A cluster's
+// fibers run one at a time on its strand, but not in virtual-time order, so
+// grants can arrive out of virtual-time order; backfilling lets a late
+// request with an early ready time use an earlier gap, keeping the schedule
+// work-conserving. Single owner: a resource belongs to one cluster's strand
+// and holds no lock.
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,35 +33,39 @@ class Resource {
   Resource& operator=(const Resource&) = delete;
 
   /// Occupy the earliest free interval of length `cost` starting no earlier
-  /// than `ready`. Thread-safe.
+  /// than `ready`.
   Span acquire(TimePoint ready, Duration cost);
 
   /// Occupy two resources simultaneously (e.g. sender TX + receiver RX for a
-  /// wire transfer): the earliest interval free on *both*. Deadlock-free for
-  /// concurrent callers (internal lock ordering); a and b may alias.
+  /// wire transfer): the earliest interval free on *both*; a and b may
+  /// alias.
   static Span acquire_joint(Resource& a, Resource& b, TimePoint ready, Duration cost);
 
   /// End of the latest allocation (when the resource finally goes idle).
-  [[nodiscard]] TimePoint free_time() const;
+  [[nodiscard]] TimePoint free_time() const {
+    return busy_.empty() ? TimePoint{} : busy_.back().end;
+  }
 
   /// Total busy time accumulated (for utilization reporting).
-  [[nodiscard]] Duration busy_time() const;
+  [[nodiscard]] Duration busy_time() const { return total_busy_; }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Forget all history; used between bench repetitions.
-  void reset();
+  void reset() {
+    busy_.clear();
+    total_busy_ = Duration{};
+  }
 
  private:
-  /// Earliest start >= t with a free gap of length `cost`. Lock held.
+  /// Earliest start >= t with a free gap of length `cost`.
   [[nodiscard]] TimePoint earliest_fit(TimePoint t, Duration cost) const;
 
-  /// Insert [start, start+cost) into the busy list. Lock held; the interval
-  /// must not overlap an existing one.
+  /// Insert [start, start+cost) into the busy list; the interval must not
+  /// overlap an existing one.
   void insert(TimePoint start, Duration cost);
 
   std::string name_;
-  mutable std::mutex mutex_;
   /// Sorted, disjoint busy intervals. Zero-length intervals are not stored.
   std::vector<Span> busy_;
   Duration total_busy_{};

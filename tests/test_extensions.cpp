@@ -144,82 +144,90 @@ TEST(FileIo, MissingFilePoisonsTheEvent) {
 // --- out-of-order queues ----------------------------------------------------------
 
 TEST(OutOfOrder, IndependentCommandsOverlapInVirtualTime) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
-  vt::Clock clock;
+  testutil::on_strand([&] {
+    ocl::Platform platform(sys::cichlid(), 0, nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
+    vt::Clock clock;
 
-  ocl::Program prog;
-  prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
-              ocl::fixed_cost(vt::milliseconds(10.0)));
-  auto kernel = prog.create_kernel("busy");
+    ocl::Program prog;
+    prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
+                ocl::fixed_cost(vt::milliseconds(10.0)));
+    auto kernel = prog.create_kernel("busy");
 
-  // A 10 ms kernel followed by a DMA on the same queue: out-of-order, they
-  // overlap (different engines); in-order they would serialize.
-  ocl::BufferPtr buf = ctx.create_buffer(16_MiB);
-  std::vector<std::byte> host(buf->size());
-  ocl::EventPtr k = queue->enqueue_ndrange(kernel, ocl::NDRange::linear(1), {}, clock);
-  ocl::EventPtr w =
-      queue->enqueue_write_buffer(buf, false, 0, host.size(), host.data(), {}, clock);
-  k->wait(clock);
-  w->wait(clock);
-  EXPECT_LT(w->profiling().started.s, 0.005);  // started before the kernel ended
-  EXPECT_LT(clock.now().s, 0.015);             // makespan ~ max, not sum
+    // A 10 ms kernel followed by a DMA on the same queue: out-of-order, they
+    // overlap (different engines); in-order they would serialize.
+    ocl::BufferPtr buf = ctx.create_buffer(16_MiB);
+    std::vector<std::byte> host(buf->size());
+    ocl::EventPtr k = queue->enqueue_ndrange(kernel, ocl::NDRange::linear(1), {}, clock);
+    ocl::EventPtr w =
+        queue->enqueue_write_buffer(buf, false, 0, host.size(), host.data(), {}, clock);
+    k->wait(clock);
+    w->wait(clock);
+    EXPECT_LT(w->profiling().started.s, 0.005);  // started before the kernel ended
+    EXPECT_LT(clock.now().s, 0.015);             // makespan ~ max, not sum
+  });
 }
 
 TEST(OutOfOrder, WaitListsStillGate) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
-  vt::Clock clock;
-  auto gate = ctx.create_user_event();
-  ocl::BufferPtr buf = ctx.create_buffer(64);
-  const int v = 5;
-  const std::array<ocl::EventPtr, 1> waits{gate};
-  ocl::EventPtr w = queue->enqueue_write_buffer(buf, false, 0, sizeof(int), &v, waits, clock);
-  gate->set_complete(vt::TimePoint{0.25});
-  w->wait(clock);
-  EXPECT_GE(w->profiling().started.s, 0.25);
+  testutil::on_strand([&] {
+    ocl::Platform platform(sys::cichlid(), 0, nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
+    vt::Clock clock;
+    auto gate = ctx.create_user_event();
+    ocl::BufferPtr buf = ctx.create_buffer(64);
+    const int v = 5;
+    const std::array<ocl::EventPtr, 1> waits{gate};
+    ocl::EventPtr w = queue->enqueue_write_buffer(buf, false, 0, sizeof(int), &v, waits, clock);
+    gate->set_complete(vt::TimePoint{0.25});
+    w->wait(clock);
+    EXPECT_GE(w->profiling().started.s, 0.25);
+  });
 }
 
 TEST(OutOfOrder, BarrierRestoresOrdering) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
-  vt::Clock clock;
-  ocl::Program prog;
-  prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
-              ocl::fixed_cost(vt::milliseconds(5.0)));
-  auto k1 = prog.create_kernel("busy");
-  ocl::EventPtr before = queue->enqueue_ndrange(k1, ocl::NDRange::linear(1), {}, clock);
-  queue->enqueue_barrier({}, clock);
-  // Post-barrier work cannot start before the pre-barrier kernel ended,
-  // even with an empty wait list.
-  ocl::BufferPtr buf = ctx.create_buffer(1_KiB);
-  std::vector<std::byte> host(buf->size());
-  ocl::EventPtr after =
-      queue->enqueue_write_buffer(buf, false, 0, host.size(), host.data(), {}, clock);
-  after->wait(clock);
-  EXPECT_GE(after->profiling().started.s, before->completion_time().s);
+  testutil::on_strand([&] {
+    ocl::Platform platform(sys::cichlid(), 0, nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
+    vt::Clock clock;
+    ocl::Program prog;
+    prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
+                ocl::fixed_cost(vt::milliseconds(5.0)));
+    auto k1 = prog.create_kernel("busy");
+    ocl::EventPtr before = queue->enqueue_ndrange(k1, ocl::NDRange::linear(1), {}, clock);
+    queue->enqueue_barrier({}, clock);
+    // Post-barrier work cannot start before the pre-barrier kernel ended,
+    // even with an empty wait list.
+    ocl::BufferPtr buf = ctx.create_buffer(1_KiB);
+    std::vector<std::byte> host(buf->size());
+    ocl::EventPtr after =
+        queue->enqueue_write_buffer(buf, false, 0, host.size(), host.data(), {}, clock);
+    after->wait(clock);
+    EXPECT_GE(after->profiling().started.s, before->completion_time().s);
+  });
 }
 
 TEST(OutOfOrder, FinishDrainsEverything) {
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
-  vt::Clock clock;
-  ocl::Program prog;
-  prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
-              ocl::fixed_cost(vt::milliseconds(3.0)));
-  std::vector<ocl::EventPtr> events;
-  for (int i = 0; i < 5; ++i) {
-    auto k = prog.create_kernel("busy");
-    events.push_back(queue->enqueue_ndrange(k, ocl::NDRange::linear(1), {}, clock));
-  }
-  queue->finish(clock);
-  for (const auto& e : events) EXPECT_TRUE(e->complete());
-  // Kernels still serialized on the single compute engine: >= 15 ms total.
-  EXPECT_GE(clock.now().s, 0.0149);
+  testutil::on_strand([&] {
+    ocl::Platform platform(sys::cichlid(), 0, nullptr);
+    ocl::Context ctx(platform.device());
+    auto queue = ctx.create_queue("ooo", ocl::QueueOrder::out_of_order);
+    vt::Clock clock;
+    ocl::Program prog;
+    prog.define("busy", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
+                ocl::fixed_cost(vt::milliseconds(3.0)));
+    std::vector<ocl::EventPtr> events;
+    for (int i = 0; i < 5; ++i) {
+      auto k = prog.create_kernel("busy");
+      events.push_back(queue->enqueue_ndrange(k, ocl::NDRange::linear(1), {}, clock));
+    }
+    queue->finish(clock);
+    for (const auto& e : events) EXPECT_TRUE(e->complete());
+    // Kernels still serialized on the single compute engine: >= 15 ms total.
+    EXPECT_GE(clock.now().s, 0.0149);
+  });
 }
 
 // --- multiple communicator devices per rank -----------------------------------------

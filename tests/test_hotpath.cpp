@@ -1,10 +1,9 @@
-// Hot-path overhaul regression suite: staging-buffer pool accounting and
-// reuse, eager fast-path boundary sizes, sharded-mailbox matching (specific,
-// wildcard, probe), strategy equality / wire-decomposition agreement, and a
-// determinism regression pinning seed-identical trace hashes across the
-// sharded refactor. Everything here is wall-clock-only machinery whose
-// virtual-time behaviour must be indistinguishable from the single-queue
-// engine.
+// Hot-path regression suite: staging-buffer pool accounting and reuse,
+// eager fast-path boundary sizes, mailbox matching (specific, wildcard,
+// probe, nested-settle order), strategy equality / wire-decomposition
+// agreement, and a determinism regression pinning seed-identical trace
+// hashes. Everything here is wall-clock-only machinery whose virtual-time
+// behaviour must be indistinguishable from a single-queue engine.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "simmpi/cluster.hpp"
+#include "simmpi/cluster_core.hpp"
 #include "simmpi/datatype.hpp"
 #include "simmpi/fault.hpp"
 #include "support/error.hpp"
@@ -215,11 +215,11 @@ TEST(EagerBoundaries, SenderBufferReusableAfterEagerSend) {
   });
 }
 
-// --- sharded mailbox ---------------------------------------------------------
+// --- mailbox matching ----------------------------------------------------------
 
-/// Many channels concurrently (all shards exercised), then wildcard receives
-/// draining in global arrival order.
-TEST(ShardedMailbox, SpecificAndWildcardMatching) {
+/// Many channels at once, then wildcard receives draining in global arrival
+/// order.
+TEST(Mailbox, SpecificAndWildcardMatching) {
   constexpr int kMsgs = 48;
   mpi::Cluster::Options o;
   o.nranks = 2;
@@ -253,7 +253,7 @@ TEST(ShardedMailbox, SpecificAndWildcardMatching) {
   });
 }
 
-TEST(ShardedMailbox, ProbeAndIprobeSeeUnexpectedMessages) {
+TEST(Mailbox, ProbeAndIprobeSeeUnexpectedMessages) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
@@ -277,6 +277,59 @@ TEST(ShardedMailbox, ProbeAndIprobeSeeUnexpectedMessages) {
       rank.world().recv(buf, 0, 42, rank.clock());
       EXPECT_FALSE(rank.world().iprobe(0, 42).has_value());
     }
+  });
+}
+
+/// A completion callback that posts a follow-up matching on the same
+/// mailbox: the follow-up's completions fire after the current batch, so the
+/// order is send 1, recv 1, send 2, recv 2. This order fixes which settle
+/// charges a virtual resource first, and with it the grant order.
+TEST(Mailbox, NestedSettleFiresAfterTheCurrentBatch) {
+  mpi::Cluster::Options o;
+  o.nranks = 1;
+  o.profile = &sys::ricc();
+  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
+  mpi::Cluster::run(o, [&](mpi::Rank& rank) {
+    mpi::detail::Mailbox& box = rank.core()->mailboxes[0];
+    std::vector<std::string> order;
+    const auto record = [&order](std::string name) {
+      return [&order, name](vt::TimePoint, const mpi::MsgStatus&, const std::exception_ptr&) {
+        order.push_back(name);
+      };
+    };
+    std::vector<std::byte> out1(8), out2(8), in1(8), in2(8);
+    const auto post_recv = [&](int tag, std::span<std::byte> buf, std::string name) {
+      mpi::detail::PostedRecv pr;
+      pr.src_rank = 0;
+      pr.tag = tag;
+      pr.buffer = buf;
+      pr.post_time = rank.clock().now();
+      pr.rreq = mpi::detail::make_request_state();
+      pr.rreq->on_settle(record(std::move(name)));
+      box.post_recv(std::move(pr));
+    };
+    const auto post_send = [&](int tag, std::span<const std::byte> buf,
+                               std::shared_ptr<mpi::detail::RequestState> sreq) {
+      mpi::detail::Envelope env{};
+      env.tag = tag;
+      env.bytes = buf.size();
+      env.payload = buf;
+      env.eager = true;
+      env.post_time = rank.clock().now();
+      env.sreq = std::move(sreq);
+      box.post_send(std::move(env));
+    };
+    post_recv(1, in1, "recv1");
+    post_recv(2, in2, "recv2");
+    auto send2 = mpi::detail::make_request_state();
+    send2->on_settle(record("send2"));
+    auto send1 = mpi::detail::make_request_state();
+    send1->on_settle([&](vt::TimePoint, const mpi::MsgStatus&, const std::exception_ptr&) {
+      order.push_back("send1");
+      post_send(2, out2, send2);  // matches recv2 from inside send 1's settle
+    });
+    post_send(1, out1, send1);
+    EXPECT_EQ(order, (std::vector<std::string>{"send1", "recv1", "send2", "recv2"}));
   });
 }
 

@@ -243,50 +243,52 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomRegions, ::testing::Values(3u, 99u, 777u))
 class RandomDag : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDag, EventTimestampsRespectDependencies) {
-  const std::uint64_t seed = GetParam();
-  ocl::Platform platform(sys::cichlid(), 0, nullptr);
-  ocl::Context ctx(platform.device());
-  auto q0 = ctx.create_queue("q0");
-  auto q1 = ctx.create_queue("q1");
-  vt::Clock clock;
+  testutil::on_strand([&] {
+    const std::uint64_t seed = GetParam();
+    ocl::Platform platform(sys::cichlid(), 0, nullptr);
+    ocl::Context ctx(platform.device());
+    auto q0 = ctx.create_queue("q0");
+    auto q1 = ctx.create_queue("q1");
+    vt::Clock clock;
 
-  ocl::Program prog;
-  prog.define("work", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
-              ocl::flops_per_item(100.0));
+    ocl::Program prog;
+    prog.define("work", [](const ocl::NDRange&, const ocl::KernelArgs&) {},
+                ocl::flops_per_item(100.0));
 
-  Rng rng(seed);
-  std::vector<ocl::EventPtr> events;
-  std::vector<std::vector<std::size_t>> deps;
-  for (int i = 0; i < 40; ++i) {
-    // Pick up to 3 random earlier events as the wait list.
-    std::vector<ocl::EventPtr> waits;
-    std::vector<std::size_t> dep_idx;
-    if (!events.empty()) {
-      for (std::uint64_t d = rng.below(4); d > 0; --d) {
-        const std::size_t pick = rng.below(events.size());
-        waits.push_back(events[pick]);
-        dep_idx.push_back(pick);
+    Rng rng(seed);
+    std::vector<ocl::EventPtr> events;
+    std::vector<std::vector<std::size_t>> deps;
+    for (int i = 0; i < 40; ++i) {
+      // Pick up to 3 random earlier events as the wait list.
+      std::vector<ocl::EventPtr> waits;
+      std::vector<std::size_t> dep_idx;
+      if (!events.empty()) {
+        for (std::uint64_t d = rng.below(4); d > 0; --d) {
+          const std::size_t pick = rng.below(events.size());
+          waits.push_back(events[pick]);
+          dep_idx.push_back(pick);
+        }
+      }
+      auto& queue = rng.below(2) == 0 ? q0 : q1;
+      auto kernel = prog.create_kernel("work");
+      events.push_back(queue->enqueue_ndrange(
+          kernel, ocl::NDRange::linear(1 + rng.below(4096)), waits, clock));
+      deps.push_back(std::move(dep_idx));
+    }
+    q0->finish(clock);
+    q1->finish(clock);
+
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const auto p = events[i]->profiling();
+      EXPECT_LE(p.queued.s, p.submitted.s);
+      EXPECT_LE(p.submitted.s, p.started.s);
+      EXPECT_LE(p.started.s, p.ended.s);
+      for (std::size_t d : deps[i]) {
+        // A command never starts before its wait-list dependencies end.
+        EXPECT_GE(p.started.s, events[d]->profiling().ended.s);
       }
     }
-    auto& queue = rng.below(2) == 0 ? q0 : q1;
-    auto kernel = prog.create_kernel("work");
-    events.push_back(queue->enqueue_ndrange(
-        kernel, ocl::NDRange::linear(1 + rng.below(4096)), waits, clock));
-    deps.push_back(std::move(dep_idx));
-  }
-  q0->finish(clock);
-  q1->finish(clock);
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto p = events[i]->profiling();
-    EXPECT_LE(p.queued.s, p.submitted.s);
-    EXPECT_LE(p.submitted.s, p.started.s);
-    EXPECT_LE(p.started.s, p.ended.s);
-    for (std::size_t d : deps[i]) {
-      // A command never starts before its wait-list dependencies end.
-      EXPECT_GE(p.started.s, events[d]->profiling().ended.s);
-    }
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDag, ::testing::Values(5u, 21u, 404u, 9001u));

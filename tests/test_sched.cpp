@@ -15,17 +15,22 @@
 //     same worker.
 //   * The launcher's contract: Cluster::run from a fiber is rejected, and
 //     the first rank error is rethrown while the secondary ones are counted.
+//   * Single-owner cluster state: a command queue, a mailbox or a blocking
+//     wait used off its strand fails typed and at once, never by racing or
+//     spinning.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/himeno/himeno.hpp"
@@ -37,6 +42,7 @@
 #include "ocl/queue.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/fault.hpp"
+#include "simmpi/request.hpp"
 #include "simmpi/window.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -369,6 +375,69 @@ TEST(SchedLauncher, ClusterRunFromAFiberIsRejected) {
                                    (void)mpi::Cluster::run(opts(1, nullptr), [](mpi::Rank&) {});
                                  }),
                PreconditionError);
+}
+
+// --- single-owner cluster state ----------------------------------------------
+
+/// Wall-clock bound on a misuse: it must fail at once, not after a watchdog.
+constexpr auto kMisuseBudget = std::chrono::seconds(2);
+
+TEST(SchedOwnership, QueueOffAStrandIsRejected) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ocl::Platform platform(sys::cichlid(), 0, nullptr);
+  ocl::Context ctx(platform.device());
+  EXPECT_THROW((void)ctx.create_queue(), PreconditionError);
+
+  cl_context cctx = clmpiCreateContext(ctx);
+  cl_int err = CL_SUCCESS;
+  EXPECT_EQ(clCreateCommandQueue(cctx, &err), nullptr);
+  EXPECT_EQ(err, CL_INVALID_OPERATION);
+  EXPECT_EQ(clReleaseContext(cctx), CL_SUCCESS);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kMisuseBudget);
+}
+
+TEST(SchedOwnership, PendingWaitOffAStrandThrows) {
+  const auto t0 = std::chrono::steady_clock::now();
+  vt::Clock clock;
+  mpi::Request req(mpi::detail::make_request_state());
+  EXPECT_THROW(req.wait(clock), PreconditionError);
+  EXPECT_FALSE(req.done());
+
+  ocl::UserEvent ev;
+  EXPECT_THROW(ev.wait(clock), PreconditionError);
+  // A settled one still returns at once.
+  ev.set_complete(vt::TimePoint{1.0});
+  ev.wait(clock);
+  EXPECT_DOUBLE_EQ(clock.now().s, 1.0);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kMisuseBudget);
+}
+
+TEST(SchedOwnership, CrossStrandAccessIsRejected) {
+  // Two concurrent clusters: the second reaches for the first one's command
+  // queue and world communicator, which belong to another strand.
+  std::atomic<ocl::CommandQueue*> queue{nullptr};
+  std::atomic<mpi::Comm*> world{nullptr};
+  std::atomic<bool> tried{false};
+  std::thread owner([&] {
+    mpi::Cluster::run(opts(1, nullptr), [&](mpi::Rank& rank) {
+      ocl::Platform platform(rank.profile(), rank.rank(), nullptr);
+      ocl::Context ctx(platform.device());
+      auto q = ctx.create_queue();
+      world = &rank.world();
+      queue = q.get();
+      while (!tried) sched::yield();
+      q->finish(rank.clock());  // its owner still uses it normally
+    });
+  });
+  mpi::Cluster::run(opts(1, nullptr), [&](mpi::Rank&) {
+    while (queue == nullptr) sched::yield();
+    vt::Clock clock;
+    std::vector<std::byte> buf(16);
+    EXPECT_THROW((void)queue.load()->enqueue_marker({}, clock), PreconditionError);
+    EXPECT_THROW((void)world.load()->isend(buf, 0, 0, clock), PreconditionError);
+    tried = true;
+  });
+  owner.join();
 }
 
 // --- error aggregation -------------------------------------------------------

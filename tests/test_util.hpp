@@ -3,10 +3,13 @@
 
 #include <array>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 
+#include "simmpi/cluster.hpp"
 #include "support/sched.hpp"
+#include "systems/profile.hpp"
 #include "vt/tracer.hpp"
 
 namespace clmpi::testutil {
@@ -63,6 +66,17 @@ inline constexpr std::array<int, 3> kGateWorkers{1, 4, 16};
 /// Cluster::Options::scheduler.
 inline std::unique_ptr<sched::Scheduler> make_pool(int workers) {
   return std::make_unique<sched::Scheduler>(sched::Scheduler::Options{.workers = workers});
+}
+
+/// Run `body` as the only rank of a one-rank cluster, so it executes on a
+/// scheduler strand — where command queues, their worker fibers and
+/// blocking event waits live. An exception escaping `body` is rethrown.
+inline void on_strand(const std::function<void()>& body) {
+  mpi::Cluster::Options o;
+  o.nranks = 1;
+  o.profile = &sys::cichlid();
+  o.watchdog_seconds = watchdog_seconds(60.0);
+  mpi::Cluster::run(o, [&](mpi::Rank&) { body(); });
 }
 
 /// Failure message naming the first span at which two traces differ.

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,7 +89,7 @@ TEST(Resource, JointAcquireWithSelfIsPlainAcquire) {
 TEST(Resource, BackfillsEarlierGaps) {
   // An op whose ready time precedes already-granted work slots into the
   // earlier gap instead of queueing at the tail — this is what makes the
-  // virtual schedule independent of real thread arrival order.
+  // virtual schedule independent of the order fibers reach the resource.
   Resource r("x");
   (void)r.acquire(TimePoint{5.0}, seconds(1.0));  // busy [5,6)
   const auto early = r.acquire(origin(), seconds(2.0));
@@ -160,22 +159,6 @@ TEST(Resource, ResetClearsHistory) {
   EXPECT_DOUBLE_EQ(r.busy_time().s, 0.0);
 }
 
-TEST(Resource, ConcurrentAcquiresAccountAllWork) {
-  Resource r("x");
-  constexpr int kThreads = 8;
-  constexpr int kOps = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kOps; ++i) (void)r.acquire(origin(), milliseconds(1.0));
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_NEAR(r.busy_time().s, kThreads * kOps * 1e-3, 1e-9);
-  EXPECT_NEAR(r.free_time().s, kThreads * kOps * 1e-3, 1e-9);
-}
-
 TEST(Clock, AdvanceAndSync) {
   Clock c;
   c.advance(seconds(1.0));
@@ -186,18 +169,6 @@ TEST(Clock, AdvanceAndSync) {
   EXPECT_DOUBLE_EQ(c.now().s, 2.0);
   c.reset();
   EXPECT_DOUBLE_EQ(c.now().s, 0.0);
-}
-
-TEST(Clock, ConcurrentSyncKeepsMax) {
-  Clock c;
-  std::vector<std::thread> threads;
-  for (int t = 1; t <= 8; ++t) {
-    threads.emplace_back([&c, t] {
-      for (int i = 0; i < 1000; ++i) c.sync_to(TimePoint{static_cast<double>(t)});
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(c.now().s, 8.0);
 }
 
 TEST(Tracer, RecordsAndReportsHorizon) {
