@@ -41,7 +41,7 @@ TimePoint Tracer::horizon() const {
 }
 
 std::string Tracer::gantt(std::size_t width) const {
-  const auto all = spans();
+  auto all = spans();
   if (all.empty()) return "(empty trace)\n";
   if (width == 0) width = 1;  // width-1 below must not wrap
 
@@ -59,30 +59,29 @@ std::string Tracer::gantt(std::size_t width) const {
     return std::min(c, width - 1);
   };
 
-  // Preserve lane discovery order.
-  std::vector<std::string> lane_order;
+  // Paint in content order, so where spans overlap the later-starting one
+  // wins regardless of which fiber recorded first; lanes print sorted by name.
+  std::sort(all.begin(), all.end(), [](const TraceSpan& x, const TraceSpan& y) {
+    return std::tie(x.start.s, x.end.s, x.lane, x.kind, x.label) <
+           std::tie(y.start.s, y.end.s, y.lane, y.kind, y.label);
+  });
   std::map<std::string, std::string> rows;
   std::size_t lane_width = 0;
   for (const auto& s : all) {
-    if (rows.find(s.lane) == rows.end()) {
-      rows[s.lane] = std::string(width, ' ');
-      lane_order.push_back(s.lane);
-      lane_width = std::max(lane_width, s.lane.size());
-    }
-    auto& row = rows[s.lane];
+    auto [it, fresh] = rows.try_emplace(s.lane, width, ' ');
+    if (fresh) lane_width = std::max(lane_width, s.lane.size());
     const std::size_t c0 = col((s.start - t0).s / range);
     // Zero-duration spans (and single-instant traces) still paint one cell.
     const std::size_t c1 = std::max(col((s.end - t0).s / range), c0);
-    for (std::size_t c = c0; c <= c1; ++c) row[c] = glyph_for(s.kind);
+    for (std::size_t c = c0; c <= c1; ++c) it->second[c] = glyph_for(s.kind);
   }
 
   std::ostringstream os;
   os << std::fixed << std::setprecision(3);
   os << "timeline " << t0.s * 1e3 << " ms .. " << t1.s * 1e3 << " ms"
      << "   (# compute, > H2D, < D2H, = wire, . wait)\n";
-  for (const auto& lane : lane_order)
-    os << std::left << std::setw(static_cast<int>(lane_width)) << lane << " |" << rows[lane]
-       << "|\n";
+  for (const auto& [lane, row] : rows)
+    os << std::left << std::setw(static_cast<int>(lane_width)) << lane << " |" << row << "|\n";
   return os.str();
 }
 

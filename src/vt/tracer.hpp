@@ -52,7 +52,9 @@ class Tracer {
   [[nodiscard]] TimePoint horizon() const;
 
   /// ASCII Gantt chart: one row per lane, `width` characters of timeline.
-  /// Lanes appear in first-recorded order.
+  /// A function of span content only: lanes are sorted by name, and spans
+  /// paint in (start, end, lane, kind, label) order, so the later-starting
+  /// of two overlapping spans shows, whichever was recorded first.
   [[nodiscard]] std::string gantt(std::size_t width = 96) const;
 
   /// Comma-separated values (lane,label,kind,start,end) for offline plotting.
