@@ -324,7 +324,6 @@ vt::TimePoint exchange_device(const DeviceEndpoint& send_ep, const DeviceEndpoin
                               const Strategy& requested, vt::TimePoint ready) {
   check_endpoint(send_ep);
   check_endpoint(recv_ep);
-#ifndef NDEBUG
   // An exchange is ONE logical operation against one peer with one wire
   // decomposition; call sites must derive it from a single agreed key
   // (select_exchange). A cross-wired pair is the classic source of the
@@ -333,7 +332,6 @@ vt::TimePoint exchange_device(const DeviceEndpoint& send_ep, const DeviceEndpoin
                 "exchange endpoints disagree on the peer rank");
   CLMPI_REQUIRE(send_ep.comm->context() == recv_ep.comm->context(),
                 "exchange endpoints disagree on the communicator");
-#endif
   const Strategy strategy =
       resolve_strategy(send_ep.dev->profile(), *send_ep.comm, send_ep.peer, requested);
   auto& dev = *send_ep.dev;

@@ -360,5 +360,38 @@ TEST(Endpoint, InvalidRegionsRejected) {
   });
 }
 
+TEST(Endpoint, CrossWiredExchangeRejectedBeforePosting) {
+  // Both halves of an exchange must name one peer on one communicator. A
+  // cross-wired pair throws before anything is posted or charged: the
+  // would-be peer finds no message and the copy engine stays idle. (The
+  // deadline only bounds a wrongly posted receive.)
+  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
+  const auto& prof = sys::ricc();
+  mpi::Cluster::run(opts(3, prof), [&](mpi::Rank& rank) {
+    mpi::Comm other = rank.world().dup(rank.clock());
+    ocl::Platform platform(prof, rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    ocl::BufferPtr buf = ctx.create_buffer(8_KiB);
+    if (rank.rank() == 0) {
+      const vt::Duration deadline = vt::milliseconds(1.0);
+      auto* dev = &platform.device();
+      const DeviceEndpoint to1{&rank.world(), dev, buf.get(), 0, 4_KiB, 1, 5, deadline};
+      const DeviceEndpoint from2{&rank.world(), dev, buf.get(), 4_KiB, 4_KiB, 2, 5, deadline};
+      const DeviceEndpoint from1_on_dup{&other, dev, buf.get(), 4_KiB, 4_KiB, 1, 5, deadline};
+      EXPECT_THROW((void)exchange_device(to1, from2, Strategy::pinned(), rank.clock().now()),
+                   PreconditionError);
+      EXPECT_THROW(
+          (void)exchange_device(to1, from1_on_dup, Strategy::pinned(), rank.clock().now()),
+          PreconditionError);
+      EXPECT_EQ(dev->copy_engine().busy_time().s, 0.0);
+    }
+    rank.world().barrier(rank.clock());
+    if (rank.rank() != 0) {
+      EXPECT_FALSE(rank.world().iprobe(0, 5).has_value());
+      EXPECT_FALSE(other.iprobe(0, 5).has_value());
+    }
+  });
+}
+
 }  // namespace
 }  // namespace clmpi::xfer
