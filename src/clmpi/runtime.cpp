@@ -12,6 +12,7 @@
 #include "simmpi/datatype.hpp"
 #include "transfer/async.hpp"
 #include "transfer/pool.hpp"
+#include "transfer/wire.hpp"
 #include "support/error.hpp"
 
 namespace clmpi::rt {
@@ -600,15 +601,9 @@ mpi::Request Runtime::isend_cl_mem(std::span<const std::byte> data, int dst, int
     }
     return comm.isend(data, dst, tag, rank_->clock());
   }
-  const std::size_t nblocks = xfer::pipeline_block_count(data.size(), strategy.block);
   std::vector<mpi::Request> subs;
-  subs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t begin = k * strategy.block;
-    const std::size_t n = std::min(strategy.block, data.size() - begin);
-    subs.push_back(comm.isend(
-        data.subspan(begin, n), dst, mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
-        ready, mpi::P2POptions{.wire_decomp = strategy.block, .deadline = deadline}));
+  for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
+    subs.push_back(comm.isend(data.subspan(b.offset, b.size), dst, b.tag, ready, b.opts));
   }
   return aggregate_requests(std::move(subs), mpi::MsgStatus{dst, tag, data.size()});
 }
@@ -624,15 +619,9 @@ mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
     }
     return comm.irecv(data, src, tag, rank_->clock());
   }
-  const std::size_t nblocks = xfer::pipeline_block_count(data.size(), strategy.block);
   std::vector<mpi::Request> subs;
-  subs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t begin = k * strategy.block;
-    const std::size_t n = std::min(strategy.block, data.size() - begin);
-    subs.push_back(comm.irecv(
-        data.subspan(begin, n), src, mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
-        ready, mpi::P2POptions{.wire_decomp = strategy.block, .deadline = deadline}));
+  for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
+    subs.push_back(comm.irecv(data.subspan(b.offset, b.size), src, b.tag, ready, b.opts));
   }
   return aggregate_requests(std::move(subs), mpi::MsgStatus{src, tag, data.size()});
 }
@@ -667,14 +656,8 @@ std::shared_ptr<PersistentRequest::Impl> init_cl_mem(std::span<Byte> data, int p
     return impl;
   }
   impl->aggregate = true;
-  const std::size_t nblocks = xfer::pipeline_block_count(data.size(), strategy.block);
-  impl->subs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t begin = k * strategy.block;
-    const std::size_t n = std::min(strategy.block, data.size() - begin);
-    impl->subs.push_back(
-        init(data.subspan(begin, n), mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
-             mpi::P2POptions{.wire_decomp = strategy.block, .deadline = deadline}));
+  for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
+    impl->subs.push_back(init(data.subspan(b.offset, b.size), b.tag, b.opts));
   }
   return impl;
 }

@@ -1,15 +1,18 @@
-// Asynchronous (post + callback) form of the transfer strategies.
+// The transfer engine: the post-and-callback form of every strategy.
 //
-// The clMPI runtime's communication thread must never block: it *posts*
-// non-blocking MPI operations the moment a command's wait list fires, and
-// the completion side (PCIe up-staging, unmap accounting, event completion)
-// runs from the MPI completion callbacks. This is what lets independent
-// clMPI commands' transfers overlap each other and device compute — the
-// Figure 4(c) behaviour — instead of serializing per queue.
+// Each strategy's stages — copy-engine setup, D2H staging into a bounce
+// buffer, the wire post, H2D on arrival, map/unmap latency, RDMA
+// registration — are written once, here. The clMPI runtime's communication
+// thread must never block: it *posts* the transfer the moment a command's
+// wait list fires, and the completion side (PCIe up-staging, unmap
+// accounting, event completion) runs from the MPI completion callbacks. This
+// is what lets independent clMPI commands' transfers overlap each other and
+// device compute — the Figure 4(c) behaviour — instead of serializing per
+// queue.
 //
-// The synchronous strategy.hpp entry points remain for host-driven baselines
-// (the paper's hand-optimized code blocks its host thread; that is the
-// point).
+// The blocking strategy.hpp entry points are this engine plus a wait that
+// parks the calling fiber; host-driven baselines use them (the paper's
+// hand-optimized code blocks its host thread; that is the point).
 #pragma once
 
 #include <exception>
@@ -28,8 +31,8 @@ namespace clmpi::xfer {
 using DoneFn = std::function<void(vt::TimePoint, std::exception_ptr)>;
 
 /// Post the send/receive of a device buffer region; returns immediately.
-/// `done` fires (possibly on an MPI progress thread) when the last stage of
-/// the transfer completes.
+/// `done` fires, on the fiber that settles the last wire block, when the
+/// last stage of the transfer completes.
 void send_device_async(const DeviceEndpoint& ep, const Strategy& strategy,
                        vt::TimePoint ready, DoneFn done);
 void recv_device_async(const DeviceEndpoint& ep, const Strategy& strategy,

@@ -5,9 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <exception>
-#include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -17,226 +14,9 @@
 #include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
-#include "transfer/pool.hpp"
+#include "transfer/wire.hpp"
 
 namespace clmpi::xfer {
-
-namespace {
-
-/// The local rank's staging pool (bounce buffers are a receiver/sender-local
-/// host resource).
-StagingPool& pool_for(const DeviceEndpoint& ep) {
-  return StagingPool::for_node(ep.comm->node_of(ep.comm->rank()));
-}
-
-/// Wire-decomposition stamp for a single full-size message (see
-/// mpi::P2POptions::wire_decomp).
-mpi::P2POptions single_message_opts(vt::Duration deadline = {}) {
-  return mpi::P2POptions{.wire_decomp = 0, .deadline = deadline};
-}
-
-mpi::P2POptions pipelined_opts(std::size_t block, vt::Duration deadline = {}) {
-  return mpi::P2POptions{.wire_decomp = block, .deadline = deadline};
-}
-
-void check_endpoint(const DeviceEndpoint& ep) {
-  CLMPI_REQUIRE(ep.comm != nullptr && ep.dev != nullptr && ep.buf != nullptr,
-                "device endpoint is missing a component");
-  CLMPI_REQUIRE(ep.offset + ep.size <= ep.buf->size(),
-                "transfer region outside the device buffer");
-  CLMPI_REQUIRE(ep.tag >= 0 && ep.tag <= mpi::max_user_tag,
-                "transfer tag outside the user tag space");
-}
-
-std::size_t block_bytes(std::size_t size, std::size_t block, std::size_t k) {
-  const std::size_t begin = k * block;
-  return std::min(block, size - begin);
-}
-
-/// memcpy with a null-safe empty case (a zero-size transfer has no storage
-/// behind its bounce buffer).
-void copy_bytes(std::byte* dst, const std::byte* src, std::size_t n) {
-  if (n > 0) std::memcpy(dst, src, n);
-}
-
-/// Wait for EVERY request, then rethrow the first failure (if any). The
-/// sync strategies must not unwind while sibling requests are in flight:
-/// their envelopes still reference stack-local bounce buffers, so an early
-/// rethrow (as a naive wait loop would do under fault injection) is a
-/// use-after-free race on the peer's delivery thread.
-vt::TimePoint wait_all_collect(std::span<mpi::Request> reqs) {
-  vt::TimePoint done{};
-  std::exception_ptr first;
-  for (auto& r : reqs) {
-    try {
-      done = vt::max(done, r.wait());
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-  return done;
-}
-
-// --- pinned ---------------------------------------------------------------
-
-vt::TimePoint send_pinned(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  // Stage the region into a page-locked bounce buffer: per-operation bounce
-  // management, then one DMA.
-  const auto setup = ep.dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-  const auto dma =
-      ep.dev->charge_dma(setup.end, ep.size, /*to_device=*/false, /*pinned_host=*/true);
-  StagingPool::Buffer bounce = pool_for(ep).acquire(ep.size);
-  copy_bytes(bounce.data(), ep.buf->storage().data() + ep.offset, ep.size);
-
-  mpi::Request req = ep.comm->isend(bounce.span(), ep.peer, ep.tag, dma.end,
-                                    single_message_opts(ep.deadline));
-  return req.wait();
-}
-
-vt::TimePoint recv_pinned(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  StagingPool::Buffer bounce = pool_for(ep).acquire(ep.size);
-  mpi::Request req = ep.comm->irecv(bounce.span(), ep.peer, ep.tag, ready,
-                                    single_message_opts(ep.deadline));
-  const vt::TimePoint arrival = req.wait();
-
-  const auto setup = ep.dev->copy_engine().acquire(arrival, prof.pcie.pin_setup);
-  const auto dma =
-      ep.dev->charge_dma(setup.end, ep.size, /*to_device=*/true, /*pinned_host=*/true);
-  copy_bytes(ep.buf->storage().data() + ep.offset, bounce.data(), ep.size);
-  return dma.end;
-}
-
-// --- mapped ---------------------------------------------------------------
-
-vt::TimePoint send_mapped(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  // Mapping is a host/driver VM operation: pure latency, it does not occupy
-  // the DMA copy engine (zero-copy is the whole point of this strategy).
-  const vt::TimePoint mapped_at = ready + prof.pcie.map_setup;
-
-  // The NIC streams straight out of the mapped device memory; the effective
-  // wire rate is capped by the mapped-access bandwidth.
-  mpi::P2POptions opts{.wire_bw_cap = prof.pcie.mapped.bytes_per_second,
-                       .wire_decomp = 0,
-                       .deadline = ep.deadline};
-  auto region = ep.buf->storage().subspan(ep.offset, ep.size);
-  mpi::Request req = ep.comm->isend(region, ep.peer, ep.tag, mapped_at, opts);
-  const vt::TimePoint sent = req.wait();
-  return sent + prof.pcie.map_setup;
-}
-
-vt::TimePoint recv_mapped(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  const vt::TimePoint mapped_at = ready + prof.pcie.map_setup;
-
-  mpi::P2POptions opts{.wire_bw_cap = prof.pcie.mapped.bytes_per_second,
-                       .wire_decomp = 0,
-                       .deadline = ep.deadline};
-  auto region = ep.buf->storage().subspan(ep.offset, ep.size);
-  mpi::Request req = ep.comm->irecv(region, ep.peer, ep.tag, mapped_at, opts);
-  const vt::TimePoint arrived = req.wait();
-  return arrived + prof.pcie.map_setup;
-}
-
-// --- pipelined --------------------------------------------------------------
-
-vt::TimePoint send_pipelined(const DeviceEndpoint& ep, std::size_t block,
-                             vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  const std::size_t nblocks = pipeline_block_count(ep.size, block);
-
-  // The pipeline ring of pinned bounce buffers is set up once.
-  const auto setup = ep.dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-
-  // Stage block k down over PCIe, then put it on the wire; the copy engine
-  // and the NIC serialize their own work, so D2H of block k overlaps the
-  // wire transfer of block k-1. The block ring comes from the staging pool,
-  // so steady-state pipelines reuse the same buffers.
-  std::vector<StagingPool::Buffer> bounces;
-  bounces.reserve(nblocks);
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t n = block_bytes(ep.size, block, k);
-    const auto dma =
-        ep.dev->charge_dma(setup.end, n, /*to_device=*/false, /*pinned_host=*/true);
-    bounces.push_back(pool_for(ep).acquire(n));
-    copy_bytes(bounces[k].data(), ep.buf->storage().data() + ep.offset + k * block, n);
-    reqs.push_back(ep.comm->isend(bounces[k].span(), ep.peer,
-                                  mpi::detail::pipeline_subtag(ep.tag, static_cast<int>(k)),
-                                  dma.end, pipelined_opts(block, ep.deadline)));
-  }
-  return wait_all_collect(reqs);
-}
-
-vt::TimePoint recv_pipelined(const DeviceEndpoint& ep, std::size_t block,
-                             vt::TimePoint ready) {
-  auto& prof = ep.dev->profile();
-  const std::size_t nblocks = pipeline_block_count(ep.size, block);
-
-  const auto setup = ep.dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-
-  std::vector<StagingPool::Buffer> bounces;
-  bounces.reserve(nblocks);
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    bounces.push_back(pool_for(ep).acquire(block_bytes(ep.size, block, k)));
-    reqs.push_back(ep.comm->irecv(bounces[k].span(), ep.peer,
-                                  mpi::detail::pipeline_subtag(ep.tag, static_cast<int>(k)),
-                                  setup.end, pipelined_opts(block, ep.deadline)));
-  }
-  vt::TimePoint done{};
-  std::exception_ptr first;
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    vt::TimePoint arrival;
-    try {
-      arrival = reqs[k].wait();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-      continue;  // keep draining: bounces[k] must outlive every envelope
-    }
-    const std::size_t n = bounces[k].size();
-    const auto dma =
-        ep.dev->charge_dma(arrival, n, /*to_device=*/true, /*pinned_host=*/true);
-    copy_bytes(ep.buf->storage().data() + ep.offset + k * block, bounces[k].data(), n);
-    done = vt::max(done, dma.end);
-  }
-  if (first) std::rethrow_exception(first);
-  return done;
-}
-
-// --- gpudirect ----------------------------------------------------------------
-
-void require_rdma(const DeviceEndpoint& ep) {
-  CLMPI_REQUIRE(ep.dev->profile().nic.rdma_direct,
-                "GPUDirect RDMA is not available on this system");
-}
-
-vt::TimePoint send_gpudirect(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  require_rdma(ep);
-  auto& prof = ep.dev->profile();
-  // The HCA reads device memory directly: registration latency, then the
-  // wire at full rate; no bounce buffer, no copy engine.
-  auto region = ep.buf->storage().subspan(ep.offset, ep.size);
-  mpi::Request req = ep.comm->isend(region, ep.peer, ep.tag, ready + prof.nic.rdma_setup,
-                                    single_message_opts(ep.deadline));
-  return req.wait();
-}
-
-vt::TimePoint recv_gpudirect(const DeviceEndpoint& ep, vt::TimePoint ready) {
-  require_rdma(ep);
-  auto& prof = ep.dev->profile();
-  auto region = ep.buf->storage().subspan(ep.offset, ep.size);
-  mpi::Request req = ep.comm->irecv(region, ep.peer, ep.tag, ready + prof.nic.rdma_setup,
-                                    single_message_opts(ep.deadline));
-  return req.wait();
-}
-
-}  // namespace
 
 const char* to_string(StrategyKind kind) noexcept {
   switch (kind) {
@@ -256,6 +36,24 @@ std::size_t pipeline_block_count(std::size_t size, std::size_t block) {
   // and put no message on the wire for the peer's posted receive to match.
   if (size == 0) return 1;
   return (size + block - 1) / block;
+}
+
+std::vector<detail::WireBlock> detail::wire_blocks(std::size_t size, int tag,
+                                                   const Strategy& strategy,
+                                                   vt::Duration deadline) {
+  if (strategy.kind != StrategyKind::pipelined) {
+    return {WireBlock{0, size, tag, mpi::P2POptions{.wire_decomp = 0, .deadline = deadline}}};
+  }
+  const std::size_t block = strategy.block;
+  const std::size_t nblocks = pipeline_block_count(size, block);
+  std::vector<WireBlock> blocks;
+  blocks.reserve(nblocks);
+  for (std::size_t k = 0; k < nblocks; ++k) {
+    blocks.push_back(WireBlock{k * block, std::min(block, size - k * block),
+                               mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
+                               mpi::P2POptions{.wire_decomp = block, .deadline = deadline}});
+  }
+  return blocks;
 }
 
 Strategy resolve_strategy(const sys::SystemProfile& profile, mpi::Comm& comm, int peer,
@@ -288,232 +86,6 @@ Strategy resolve_strategy(const sys::SystemProfile& profile, mpi::Comm& comm, in
     }
   }
   return requested;
-}
-
-vt::TimePoint send_device(const DeviceEndpoint& ep, const Strategy& strategy,
-                          vt::TimePoint ready) {
-  check_endpoint(ep);
-  const Strategy s = resolve_strategy(ep.dev->profile(), *ep.comm, ep.peer, strategy);
-  switch (s.kind) {
-    case StrategyKind::pinned: return send_pinned(ep, ready);
-    case StrategyKind::mapped: return send_mapped(ep, ready);
-    case StrategyKind::pipelined: return send_pipelined(ep, s.block, ready);
-    case StrategyKind::gpudirect: return send_gpudirect(ep, ready);
-    case StrategyKind::shmem:
-      throw PreconditionError("one-sided shmem strategy on a two-sided send");
-  }
-  throw PreconditionError("unknown transfer strategy");
-}
-
-vt::TimePoint recv_device(const DeviceEndpoint& ep, const Strategy& strategy,
-                          vt::TimePoint ready) {
-  check_endpoint(ep);
-  const Strategy s = resolve_strategy(ep.dev->profile(), *ep.comm, ep.peer, strategy);
-  switch (s.kind) {
-    case StrategyKind::pinned: return recv_pinned(ep, ready);
-    case StrategyKind::mapped: return recv_mapped(ep, ready);
-    case StrategyKind::pipelined: return recv_pipelined(ep, s.block, ready);
-    case StrategyKind::gpudirect: return recv_gpudirect(ep, ready);
-    case StrategyKind::shmem:
-      throw PreconditionError("one-sided shmem strategy on a two-sided recv");
-  }
-  throw PreconditionError("unknown transfer strategy");
-}
-
-vt::TimePoint exchange_device(const DeviceEndpoint& send_ep, const DeviceEndpoint& recv_ep,
-                              const Strategy& requested, vt::TimePoint ready) {
-  check_endpoint(send_ep);
-  check_endpoint(recv_ep);
-  // An exchange is ONE logical operation against one peer with one wire
-  // decomposition; call sites must derive it from a single agreed key
-  // (select_exchange). A cross-wired pair is the classic source of the
-  // wire-decomp mismatch the mailbox check exists to catch.
-  CLMPI_REQUIRE(send_ep.peer == recv_ep.peer,
-                "exchange endpoints disagree on the peer rank");
-  CLMPI_REQUIRE(send_ep.comm->context() == recv_ep.comm->context(),
-                "exchange endpoints disagree on the communicator");
-  const Strategy strategy =
-      resolve_strategy(send_ep.dev->profile(), *send_ep.comm, send_ep.peer, requested);
-  auto& dev = *send_ep.dev;
-  auto& prof = dev.profile();
-
-  switch (strategy.kind) {
-    case StrategyKind::pinned: {
-      const auto setup = dev.copy_engine().acquire(ready, prof.pcie.pin_setup);
-
-      // Outbound: stage down, then send.
-      const auto d2h = dev.charge_dma(setup.end, send_ep.size, /*to_device=*/false,
-                                      /*pinned_host=*/true);
-      StagingPool::Buffer out = pool_for(send_ep).acquire(send_ep.size);
-      copy_bytes(out.data(), send_ep.buf->storage().data() + send_ep.offset, send_ep.size);
-      mpi::Request sreq = send_ep.comm->isend(out.span(), send_ep.peer, send_ep.tag,
-                                              d2h.end, single_message_opts(send_ep.deadline));
-
-      // Inbound: receive into a bounce buffer posted right away, stage up on
-      // arrival.
-      StagingPool::Buffer in = pool_for(recv_ep).acquire(recv_ep.size);
-      mpi::Request rreq = recv_ep.comm->irecv(in.span(), recv_ep.peer, recv_ep.tag,
-                                              setup.end, single_message_opts(recv_ep.deadline));
-      std::exception_ptr first;
-      vt::TimePoint h2d_end{};
-      try {
-        const vt::TimePoint arrival = rreq.wait();
-        const auto h2d = dev.charge_dma(arrival, recv_ep.size, /*to_device=*/true,
-                                        /*pinned_host=*/true);
-        copy_bytes(recv_ep.buf->storage().data() + recv_ep.offset, in.data(),
-                   recv_ep.size);
-        h2d_end = h2d.end;
-      } catch (...) {
-        first = std::current_exception();
-      }
-      vt::TimePoint sent{};
-      try {
-        sent = sreq.wait();  // always drain: `out` must outlive the envelope
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-      if (first) std::rethrow_exception(first);
-      return vt::max(h2d_end, sent);
-    }
-
-    case StrategyKind::mapped: {
-      // Mapping both regions is host-side latency only (no DMA engine).
-      const vt::TimePoint mapped_at =
-          ready + prof.pcie.map_setup + prof.pcie.map_setup;
-      mpi::P2POptions opts{.wire_bw_cap = prof.pcie.mapped.bytes_per_second,
-                           .wire_decomp = 0,
-                           .deadline = send_ep.deadline};
-      auto out = send_ep.buf->storage().subspan(send_ep.offset, send_ep.size);
-      auto in = recv_ep.buf->storage().subspan(recv_ep.offset, recv_ep.size);
-      std::vector<mpi::Request> reqs;
-      reqs.push_back(send_ep.comm->isend(out, send_ep.peer, send_ep.tag, mapped_at, opts));
-      reqs.push_back(recv_ep.comm->irecv(in, recv_ep.peer, recv_ep.tag, mapped_at, opts));
-      const vt::TimePoint done = wait_all_collect(reqs);
-      return done + prof.pcie.map_setup + prof.pcie.map_setup;
-    }
-
-    case StrategyKind::pipelined: {
-      const std::size_t block = strategy.block;
-      const std::size_t out_blocks = pipeline_block_count(send_ep.size, block);
-      const std::size_t in_blocks = pipeline_block_count(recv_ep.size, block);
-      const auto setup = dev.copy_engine().acquire(ready, prof.pcie.pin_setup);
-
-      // Post every inbound block receive up front.
-      std::vector<StagingPool::Buffer> in;
-      in.reserve(in_blocks);
-      std::vector<mpi::Request> rreqs;
-      rreqs.reserve(in_blocks);
-      for (std::size_t k = 0; k < in_blocks; ++k) {
-        in.push_back(pool_for(recv_ep).acquire(block_bytes(recv_ep.size, block, k)));
-        rreqs.push_back(recv_ep.comm->irecv(
-            in[k].span(), recv_ep.peer,
-            mpi::detail::pipeline_subtag(recv_ep.tag, static_cast<int>(k)), setup.end,
-            pipelined_opts(block, recv_ep.deadline)));
-      }
-
-      // Stream the outbound blocks down and onto the wire.
-      std::vector<StagingPool::Buffer> out;
-      out.reserve(out_blocks);
-      std::vector<mpi::Request> sreqs;
-      sreqs.reserve(out_blocks);
-      for (std::size_t k = 0; k < out_blocks; ++k) {
-        const std::size_t n = block_bytes(send_ep.size, block, k);
-        const auto dma =
-            dev.charge_dma(setup.end, n, /*to_device=*/false, /*pinned_host=*/true);
-        out.push_back(pool_for(send_ep).acquire(n));
-        copy_bytes(out[k].data(),
-                   send_ep.buf->storage().data() + send_ep.offset + k * block, n);
-        sreqs.push_back(send_ep.comm->isend(
-            out[k].span(), send_ep.peer,
-            mpi::detail::pipeline_subtag(send_ep.tag, static_cast<int>(k)), dma.end,
-            pipelined_opts(block, send_ep.deadline)));
-      }
-
-      // Stage inbound blocks up as they arrive; drain every request even on
-      // failure so the bounce rings stay alive for in-flight envelopes.
-      vt::TimePoint done{};
-      std::exception_ptr first;
-      for (std::size_t k = 0; k < in_blocks; ++k) {
-        vt::TimePoint arrival;
-        try {
-          arrival = rreqs[k].wait();
-        } catch (...) {
-          if (!first) first = std::current_exception();
-          continue;
-        }
-        const std::size_t n = in[k].size();
-        const auto h2d =
-            dev.charge_dma(arrival, n, /*to_device=*/true, /*pinned_host=*/true);
-        copy_bytes(recv_ep.buf->storage().data() + recv_ep.offset + k * block,
-                   in[k].data(), n);
-        done = vt::max(done, h2d.end);
-      }
-      for (auto& s : sreqs) {
-        try {
-          done = vt::max(done, s.wait());
-        } catch (...) {
-          if (!first) first = std::current_exception();
-        }
-      }
-      if (first) std::rethrow_exception(first);
-      return done;
-    }
-
-    case StrategyKind::gpudirect: {
-      require_rdma(send_ep);
-      const vt::TimePoint at = ready + prof.nic.rdma_setup;
-      auto out = send_ep.buf->storage().subspan(send_ep.offset, send_ep.size);
-      auto in = recv_ep.buf->storage().subspan(recv_ep.offset, recv_ep.size);
-      std::vector<mpi::Request> reqs;
-      reqs.push_back(send_ep.comm->isend(out, send_ep.peer, send_ep.tag, at,
-                                         single_message_opts(send_ep.deadline)));
-      reqs.push_back(recv_ep.comm->irecv(in, recv_ep.peer, recv_ep.tag, at,
-                                         single_message_opts(recv_ep.deadline)));
-      return wait_all_collect(reqs);
-    }
-
-    case StrategyKind::shmem:
-      throw PreconditionError("one-sided shmem strategy on a two-sided exchange");
-  }
-  throw PreconditionError("unknown transfer strategy");
-}
-
-vt::TimePoint send_host(mpi::Comm& comm, std::span<const std::byte> data, int peer, int tag,
-                        const Strategy& strategy, vt::TimePoint ready) {
-  // A zero-size transfer is carried as a single empty message (one empty
-  // block when pipelined), matching the device side's decomposition.
-  if (strategy.kind != StrategyKind::pipelined) {
-    mpi::Request req = comm.isend(data, peer, tag, ready, single_message_opts());
-    return req.wait();
-  }
-  const std::size_t nblocks = pipeline_block_count(data.size(), strategy.block);
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t n = block_bytes(data.size(), strategy.block, k);
-    reqs.push_back(comm.isend(data.subspan(k * strategy.block, n), peer,
-                              mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
-                              ready, pipelined_opts(strategy.block)));
-  }
-  return wait_all_collect(reqs);
-}
-
-vt::TimePoint recv_host(mpi::Comm& comm, std::span<std::byte> data, int peer, int tag,
-                        const Strategy& strategy, vt::TimePoint ready) {
-  if (strategy.kind != StrategyKind::pipelined) {
-    mpi::Request req = comm.irecv(data, peer, tag, ready, single_message_opts());
-    return req.wait();
-  }
-  const std::size_t nblocks = pipeline_block_count(data.size(), strategy.block);
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::size_t n = block_bytes(data.size(), strategy.block, k);
-    reqs.push_back(comm.irecv(data.subspan(k * strategy.block, n), peer,
-                              mpi::detail::pipeline_subtag(tag, static_cast<int>(k)),
-                              ready, pipelined_opts(strategy.block)));
-  }
-  return wait_all_collect(reqs);
 }
 
 vt::Duration predict_transfer(const sys::SystemProfile& profile, std::size_t size,

@@ -13,9 +13,11 @@
 //                style [7]).
 //
 // Which one wins depends on the system and the message size (Figure 8); the
-// clMPI runtime hides the choice behind `select()` (§V-B). These functions
-// are synchronous: they are called on a command-queue worker or on the clMPI
-// communication thread, never on the application's host thread.
+// clMPI runtime hides the choice behind `select()` (§V-B). Each strategy is
+// implemented once, in the post-and-callback transfer engine (async.hpp) the
+// runtime uses; the blocking functions below are that engine plus a wait, so
+// Figure 8, the ablations and the hand-optimized Himeno measure the same
+// stages the runtime runs.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +80,10 @@ struct DeviceEndpoint {
 };
 
 /// Send/receive the device buffer region with the given strategy, starting
-/// no earlier than `ready`. Blocks (in real time) until the transfer is
-/// done; returns its virtual completion time.
+/// no earlier than `ready`: posts through the transfer engine and parks the
+/// calling fiber until the transfer completes. Returns its virtual
+/// completion time, or rethrows the first failure once every wire block has
+/// settled.
 ///
 /// Both endpoints of one logical message must use strategies with the same
 /// wire decomposition (pipelined block size); the `select()` policy
@@ -93,8 +97,12 @@ vt::TimePoint recv_device(const DeviceEndpoint& ep, const Strategy& strategy,
 /// Bidirectional halo exchange: send `send_ep` and receive `recv_ep` with
 /// the same peer concurrently (full-duplex wire; the single PCIe copy engine
 /// serializes the staging of the two directions, as on the paper's
-/// single-copy-engine Tesla hardware). Both sides of the exchange must use
-/// the same strategy. Returns the completion time of the later direction.
+/// single-copy-engine Tesla hardware). The setup stage (pinned ring, RDMA
+/// registration) is charged once for both directions; each region is mapped
+/// and unmapped on its own. Both sides of the exchange must use the same
+/// strategy, and both endpoints must name the same peer and communicator
+/// (PreconditionError before anything is posted). Returns the completion
+/// time of the later direction.
 vt::TimePoint exchange_device(const DeviceEndpoint& send_ep, const DeviceEndpoint& recv_ep,
                               const Strategy& strategy, vt::TimePoint ready);
 
