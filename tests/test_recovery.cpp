@@ -21,10 +21,12 @@
 #include "test_util.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "clmpi/runtime.hpp"
@@ -233,6 +235,52 @@ TEST(Deadline, UnmatchedRecvFailsWithTimeoutNotWatchdog) {
     EXPECT_GE(ev->completion_time().s, enqueued + 0.001);
     EXPECT_LT(ev->completion_time().s, enqueued + 0.01);
   });
+}
+
+TEST(Deadline, BlockingTransferTimesOutAtTheVirtualDeadline) {
+  // The blocking transfers wait on the engine's completion rather than on a
+  // request, so a receive no one matches is ended by the strand backstop's
+  // stale-deadline rescue: a typed timeout at the virtual deadline, within a
+  // bounded wall time. The sends are eager (48 KiB), so only the receive
+  // direction of an exchange can fail.
+  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
+  constexpr std::size_t size = 48_KiB;
+  const vt::Duration deadline = vt::milliseconds(1.0);
+  for (const xfer::Strategy& strategy :
+       {xfer::Strategy::pinned(), xfer::Strategy::pipelined(16_KiB)}) {
+    for (const bool exchange : {false, true}) {
+      SCOPED_TRACE(std::string(xfer::to_string(strategy.kind)) +
+                   (exchange ? " exchange_device" : " recv_device"));
+      const auto wall0 = std::chrono::steady_clock::now();
+      mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+        if (rank.rank() != 0) return;  // rank 1 never sends
+        ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+        ocl::Context ctx(platform.device());
+        ocl::BufferPtr buf = ctx.create_buffer(2 * size);
+        const xfer::DeviceEndpoint recv_ep{&rank.world(), &platform.device(), buf.get(), 0,
+                                           size, 1, 7, deadline};
+        const xfer::DeviceEndpoint send_ep{&rank.world(), &platform.device(), buf.get(), size,
+                                           size, 1, 7, deadline};
+        const vt::TimePoint ready{rank.now_s()};
+        // Receives are posted once the staging ring's setup is charged; the
+        // deadline runs from there.
+        const vt::TimePoint expected = ready + rank.profile().pcie.pin_setup + deadline;
+        try {
+          if (exchange) {
+            (void)xfer::exchange_device(send_ep, recv_ep, strategy, ready);
+          } else {
+            (void)xfer::recv_device(recv_ep, strategy, ready);
+          }
+          ADD_FAILURE() << "transfer with no sender completed";
+        } catch (const Error& e) {
+          EXPECT_EQ(e.status(), Status::timeout) << e.what();
+          EXPECT_NE(std::string(e.what()).find(std::to_string(expected.s)), std::string::npos)
+              << e.what() << " (expected deadline " << expected.s << " s)";
+        }
+      });
+      EXPECT_LT(std::chrono::steady_clock::now() - wall0, std::chrono::seconds(10));
+    }
+  }
 }
 
 TEST(Deadline, GenerousDeadlineDoesNotPerturbDelivery) {

@@ -6,8 +6,10 @@
 
 #include <vector>
 
+#include "clmpi/runtime.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
+#include "ocl/queue.hpp"
 #include "simmpi/cluster.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
@@ -135,6 +137,84 @@ TEST(HostDevice, SubRegionTransfer) {
     }
   });
 }
+
+// --- one engine: blocking and runtime transfers -----------------------------
+
+sys::SystemProfile rdma_ricc() {
+  sys::SystemProfile p = sys::ricc();
+  p.name = "RICC+GPUDirect";
+  p.nic.rdma_direct = true;
+  p.nic.rdma_setup = vt::microseconds(10.0);
+  return p;
+}
+
+/// Receive-side completion time (seconds) of one device-to-device transfer
+/// on a fresh 2-node cluster, through the blocking API or through the clMPI
+/// runtime's clEnqueueSendBuffer / clEnqueueRecvBuffer commands.
+double receive_completion(const sys::SystemProfile& prof, std::size_t size, Strategy strategy,
+                          bool via_runtime) {
+  double completion = -1.0;
+  mpi::Cluster::run(opts(2, prof), [&](mpi::Rank& rank) {
+    ocl::Platform platform(prof, rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    rt::Runtime runtime(rank, platform.device());
+    auto queue = ctx.create_queue();
+    ocl::BufferPtr buf = ctx.create_buffer(size);
+    const int peer = 1 - rank.rank();
+    if (rank.rank() == 0) {
+      fill_pattern(buf->storage(), size);
+      if (via_runtime) {
+        runtime.enqueue_send_buffer(*queue, buf, true, 0, size, peer, 3, rank.world(), {},
+                                    strategy);
+      } else {
+        const DeviceEndpoint ep{&rank.world(), &platform.device(), buf.get(), 0, size, peer, 3};
+        (void)send_device(ep, strategy, rank.clock().now());
+      }
+      return;
+    }
+    if (via_runtime) {
+      completion = runtime
+                       .enqueue_recv_buffer(*queue, buf, true, 0, size, peer, 3, rank.world(),
+                                            {}, strategy)
+                       ->completion_time()
+                       .s;
+    } else {
+      const DeviceEndpoint ep{&rank.world(), &platform.device(), buf.get(), 0, size, peer, 3};
+      completion = recv_device(ep, strategy, rank.clock().now()).s;
+    }
+    EXPECT_TRUE(check_pattern(buf->storage(), size));
+  });
+  return completion;
+}
+
+struct EngineCase {
+  const char* name;
+  Strategy strategy;
+  bool rdma;
+};
+
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.name; }
+
+class OneEngine : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(OneEngine, BlockingAndRuntimeTransfersAgree) {
+  // Fig. 8 measures the blocking API, the clMPI runtime posts through the
+  // engine directly: both must run the same stages, to the last bit.
+  const sys::SystemProfile prof = GetParam().rdma ? rdma_ricc() : sys::ricc();
+  constexpr std::size_t size = 768_KiB + 5;
+  const double blocking = receive_completion(prof, size, GetParam().strategy, false);
+  const double runtime = receive_completion(prof, size, GetParam().strategy, true);
+  EXPECT_GT(blocking, 0.0);
+  EXPECT_EQ(blocking, runtime);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, OneEngine,
+    ::testing::Values(EngineCase{"pinned", Strategy::pinned(), false},
+                      EngineCase{"mapped", Strategy::mapped(), false},
+                      EngineCase{"pipelined256K", Strategy::pipelined(256_KiB), false},
+                      EngineCase{"gpudirect", Strategy::gpudirect(), true}),
+    [](const auto& suite_info) { return suite_info.param.name; });
 
 // --- Figure 8 orderings ---------------------------------------------------------
 
