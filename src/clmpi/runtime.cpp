@@ -4,6 +4,7 @@
 #include <exception>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -116,7 +117,6 @@ Runtime::Runtime(mpi::Rank& rank, ocl::Device& device, xfer::SelectionMode selec
 
 Runtime::~Runtime() {
   shutdown_ = true;
-  sched::note_progress();
   dispatcher_.join();
   // Posted transfers reference application buffers; make sure they are all
   // done before the runtime (and with it, typically, those buffers) goes.
@@ -172,9 +172,7 @@ void Runtime::dispatcher_loop() {
           for (const auto& w : job.waits) {
             // Already-complete events fire the callback inline; pending ones
             // fire it from their completing fiber.
-            w->on_complete([&remaining](vt::TimePoint) {
-              if (--remaining == 0) sched::note_progress();
-            });
+            w->on_complete([&remaining](vt::TimePoint) { --remaining; });
           }
           if (obs::metrics_enabled()) mpi::detail::progress_metrics().continuations.add();
           sched::wait([&] { return remaining == 0; }, "rt.dispatcher.waitlist");
@@ -223,7 +221,6 @@ ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
   jobs_.push_back(std::move(job));
   issued_.push_back(ev);
   const std::size_t depth = jobs_.size();
-  sched::note_progress();
   if (obs::metrics_enabled()) {
     static auto& submitted = obs::Registry::instance().counter("rt.dispatcher.jobs");
     static auto& queue_depth = obs::Registry::instance().gauge("rt.dispatcher.queue_depth");
@@ -256,15 +253,23 @@ xfer::Strategy Runtime::policy(std::size_t size) const {
 }
 
 void Runtime::finish(vt::Clock& clock) {
-  // A copy: fibers that run while this one waits may submit more commands.
-  const std::vector<ocl::EventPtr> snapshot = issued_;
-  vt::Tracer* tracer = rank_->tracer();
+  // Commands other fibers submit while this one waits stay in issued_ for
+  // the next finish (or the destructor).
+  const std::vector<ocl::EventPtr> settling = std::exchange(issued_, {});
   const vt::TimePoint t0 = clock.now();
-  for (const auto& ev : snapshot) ev->wait(clock);
-  const vt::TimePoint t1 = clock.now();
-  if (tracer != nullptr && t1.s > t0.s) {
+  vt::TimePoint end = t0;
+  std::exception_ptr first_error;
+  for (const auto& ev : settling) {
+    sched::wait([&ev] { return ev->complete(); }, "rt.finish");
+    end = vt::max(end, ev->completion_time());
+    if (first_error == nullptr) first_error = ev->error();
+  }
+  clock.sync_to(end);
+  if (first_error) std::rethrow_exception(first_error);
+  vt::Tracer* tracer = rank_->tracer();
+  if (tracer != nullptr && end.s > t0.s) {
     tracer->record("host" + std::to_string(rank_->rank()), "clmpiFinish",
-                   vt::SpanKind::wait, t0, t1);
+                   vt::SpanKind::wait, t0, end);
   }
 }
 
@@ -594,13 +599,10 @@ mpi::Request Runtime::isend_cl_mem(std::span<const std::byte> data, int dst, int
                                    mpi::Comm& comm) {
   const xfer::Strategy strategy = policy(data.size());
   const vt::Duration deadline = default_deadline();
-  const vt::TimePoint ready = rank_->clock().now();
   if (strategy.kind != xfer::StrategyKind::pipelined) {
-    if (deadline > vt::Duration{}) {
-      return comm.isend(data, dst, tag, ready, mpi::P2POptions{.deadline = deadline});
-    }
-    return comm.isend(data, dst, tag, rank_->clock());
+    return comm.isend(data, dst, tag, rank_->clock(), mpi::P2POptions{.deadline = deadline});
   }
+  const vt::TimePoint ready = rank_->clock().now();
   std::vector<mpi::Request> subs;
   for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
     subs.push_back(comm.isend(data.subspan(b.offset, b.size), dst, b.tag, ready, b.opts));
@@ -612,13 +614,10 @@ mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
                                    mpi::Comm& comm) {
   const xfer::Strategy strategy = policy(data.size());
   const vt::Duration deadline = default_deadline();
-  const vt::TimePoint ready = rank_->clock().now();
   if (strategy.kind != xfer::StrategyKind::pipelined) {
-    if (deadline > vt::Duration{}) {
-      return comm.irecv(data, src, tag, ready, mpi::P2POptions{.deadline = deadline});
-    }
-    return comm.irecv(data, src, tag, rank_->clock());
+    return comm.irecv(data, src, tag, rank_->clock(), mpi::P2POptions{.deadline = deadline});
   }
+  const vt::TimePoint ready = rank_->clock().now();
   std::vector<mpi::Request> subs;
   for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
     subs.push_back(comm.irecv(data.subspan(b.offset, b.size), src, b.tag, ready, b.opts));
@@ -628,15 +627,11 @@ mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
 
 /// What init time froze: the per-block comm-level persistent handles plus
 /// the replay shape. `aggregate` marks a pipelined decomposition that must
-/// be presented as one MPI_Request; `clock_driven` marks the single-block
-/// no-deadline form that replays through the clock-driven path (call
-/// overhead charged), exactly as the plain isend/irecv_cl_mem call would
-/// post it.
+/// be presented as one MPI_Request.
 struct PersistentRequest::Impl {
   std::vector<mpi::PersistentRequest> subs;
   mpi::MsgStatus st;
   bool aggregate{false};
-  bool clock_driven{false};
 };
 
 namespace {
@@ -651,7 +646,6 @@ std::shared_ptr<PersistentRequest::Impl> init_cl_mem(std::span<Byte> data, int p
   auto impl = std::make_shared<PersistentRequest::Impl>();
   impl->st = mpi::MsgStatus{peer, tag, data.size()};
   if (strategy.kind != xfer::StrategyKind::pipelined) {
-    impl->clock_driven = !(deadline > vt::Duration{});
     impl->subs.push_back(init(data, tag, mpi::P2POptions{.deadline = deadline}));
     return impl;
   }
@@ -687,10 +681,8 @@ mpi::Request Runtime::start(const PersistentRequest& req) {
   PersistentRequest::Impl& impl = *req.impl_;
   if (!impl.aggregate) {
     // Single wire message: replay mirrors the non-pipelined isend/irecv
-    // dispatch — clock-driven (call overhead charged) without a deadline,
-    // explicit-time otherwise.
-    if (impl.clock_driven) return impl.subs.front().start(rank_->clock());
-    return impl.subs.front().start(rank_->clock().now());
+    // dispatch — clock-driven, call overhead charged, deadline frozen at init.
+    return impl.subs.front().start(rank_->clock());
   }
   const vt::TimePoint ready = rank_->clock().now();
   std::vector<mpi::Request> live;

@@ -230,7 +230,9 @@ class Runtime {
 
   /// Block until every communication command issued so far has completed,
   /// synchronizing `clock` to the latest completion (the communication
-  /// analogue of clFinish).
+  /// analogue of clFinish). Then rethrows the first failed command's error,
+  /// in issue order, and forgets the settled commands: a later finish
+  /// reports only commands issued after this one.
   void finish(vt::Clock& clock);
 
  private:

@@ -56,7 +56,6 @@ void Event::mark_complete(vt::TimePoint when) {
   profiling_.ended = when;
   auto to_run = std::move(callbacks_);
   callbacks_.clear();
-  sched::note_progress();
   for (auto& fn : to_run) fn(when);
 }
 

@@ -44,7 +44,6 @@ CommandQueue::CommandQueue(Context& ctx, Device& dev, std::string label, QueueOr
 
 CommandQueue::~CommandQueue() {
   shutdown_ = true;
-  sched::note_progress();
   worker_.join();
 }
 
@@ -74,7 +73,6 @@ EventPtr CommandQueue::push(std::string op_label, WaitList waits, vt::Clock& clo
     since_barrier_.push_back(event);
   }
   pending_.push_back(std::move(cmd));
-  sched::note_progress();
   return event;
 }
 

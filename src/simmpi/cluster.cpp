@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -12,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "simmpi/cluster_core.hpp"
+#include "simmpi/progress.hpp"
 #include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -21,24 +21,21 @@ namespace clmpi::mpi {
 
 namespace detail {
 
-void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
-  armed_requests.push_back(std::move(state));
-}
-
-void ClusterCore::backstop() {
-  if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
-  std::vector<std::shared_ptr<RequestState>> armed;
-  std::erase_if(armed_requests, [&armed](const std::weak_ptr<RequestState>& weak) {
+bool ClusterCore::backstop() {
+  const bool cancelled = fail_pending_as_cancelled();
+  std::shared_ptr<RequestState> next;
+  std::erase_if(pending_ops, [&next](const std::weak_ptr<RequestState>& weak) {
     auto s = weak.lock();
     if (s == nullptr || s->done()) return true;
-    armed.push_back(std::move(s));
+    const auto deadline = s->deadline();
+    if (deadline && (next == nullptr || *deadline < *next->deadline())) next = std::move(s);
     return false;
   });
   // Rescue after the sweep: timeout callbacks may re-enter the cluster
-  // (fire events, post follow-up operations that register deadlines).
-  const auto grace = deadline_grace();
-  const auto now = std::chrono::steady_clock::now();
-  for (auto& s : armed) s->rescue_if_stale(now, grace);
+  // (fire events, post follow-up operations that register themselves).
+  if (next == nullptr || !next->rescue_timeout()) return cancelled;
+  if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
+  return true;
 }
 
 void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
@@ -53,7 +50,8 @@ void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
   pending_ops.push_back(std::move(state));
 }
 
-void ClusterCore::fail_pending_as_cancelled() {
+bool ClusterCore::fail_pending_as_cancelled() {
+  if (job == nullptr || !job->cancel_requested()) return false;
   std::vector<std::shared_ptr<RequestState>> live;
   std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
     auto s = weak.lock();
@@ -68,6 +66,7 @@ void ClusterCore::fail_pending_as_cancelled() {
         CancelledError("job " + std::to_string(job->id()) + " cancelled; pending "
                        "operation failed by the cancel backstop")));
   }
+  return !live.empty();
 }
 
 }  // namespace detail
@@ -254,7 +253,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   for (int r = 0; r < options.nranks; ++r) {
     tasks.push_back({[&rank_main, r] { rank_main(r); }, prefix + std::to_string(r)});
   }
-  pool.submit(strand, std::move(tasks), [&core] { core.backstop(); });
+  pool.submit(strand, std::move(tasks), [&core] { return core.backstop(); });
 
   double watchdog_s = options.watchdog_seconds;
 #ifdef CLMPI_SANITIZE_BUILD
@@ -301,9 +300,9 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   // From here on the caller owns the core.
   core.closed = true;
   for (auto& s : core.aux_services) s.join();
-  // One final backstop pass, so a cancelled job's pending operations settle
+  // One final cancel rescue, so a cancelled job's pending operations settle
   // (returning their mailbox quota) before `core` is torn down.
-  core.backstop();
+  core.fail_pending_as_cancelled();
   if (core.faults) result.faults = core.faults->counters();
   // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
   // JSON. Last run wins when a process runs several clusters — decided by

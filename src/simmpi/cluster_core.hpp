@@ -50,12 +50,14 @@ struct ClusterCore {
   std::uint64_t strand{0};
   bool closed{false};
 
-  /// The cluster's liveness backstop: fail a cancelled job's pending
-  /// operations, and rescue deadline-armed operations that stayed pending
-  /// past the real-time grace. Runs as the idle task of the run's strand —
-  /// serialized with the rank fibers, after a pass in which none of them
-  /// made progress — and once more at teardown.
-  void backstop();
+  /// The cluster's liveness backstop, run as the idle task of the run's
+  /// strand: serialized with the rank fibers, after a pass in which none of
+  /// them made progress, so nothing but a rescue can settle a pending
+  /// operation. It fails a cancelled job's pending operations, then the
+  /// pending deadline-armed operation with the earliest virtual deadline
+  /// (ties: registration order) — the next event on the virtual timeline,
+  /// one per idle pass. Returns whether it resolved anything.
+  bool backstop();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
   /// A slot only lives for the duration of one collective create_window call
@@ -77,24 +79,16 @@ struct ClusterCore {
   /// deque: atomics are immovable.
   std::deque<std::atomic<const char*>> blocked_sites;
 
-  /// Per-operation deadlines for operations nothing ever blocks on (the
-  /// clMPI runtime's callback-driven commands): armed requests register
-  /// here, and backstop() fails any that stayed pending past the real-time
-  /// grace at their VIRTUAL deadline (RequestState::rescue_if_stale) — so a
-  /// deadline surfaces as CLMPI_TIMEOUT even when no task is waiting,
-  /// instead of the watchdog killing the run.
-  void register_deadline(std::shared_ptr<RequestState> state);
-
-  std::vector<std::weak_ptr<RequestState>> armed_requests;
-
-  /// Cancellation liveness (service jobs only; `job` must be set). Every
-  /// point-to-point operation registers its request state at post time; when
-  /// the job's cancel flag is up, fail_pending_as_cancelled fails every
-  /// still-pending one with CancelledError so blocked waiters wake instead
-  /// of hanging on peers that already unwound. Called from backstop(); the
-  /// cancellation points in the post paths do the prompt part.
+  /// The operations only the backstop can rescue: every point-to-point
+  /// operation of a service job, and every deadline-armed one, registers
+  /// its request state at post time. When the job's cancel flag is up,
+  /// fail_pending_as_cancelled fails every still-pending one with
+  /// CancelledError, so blocked waiters wake instead of hanging on peers
+  /// that already unwound (the cancellation points in the post paths do the
+  /// prompt part), and returns whether it failed any. A deadline fires as
+  /// CLMPI_TIMEOUT at its VIRTUAL deadline even when no task waits on it.
   void register_pending(std::shared_ptr<RequestState> state);
-  void fail_pending_as_cancelled();
+  bool fail_pending_as_cancelled();
 
   std::vector<std::weak_ptr<RequestState>> pending_ops;
 };

@@ -39,23 +39,29 @@ void Comm::check_peer(int peer, bool allow_any) const {
 
 namespace {
 
-/// Tenancy hook shared by every point-to-point post funnel: cancellation
-/// point + mailbox-depth quota charge (credited back when the operation
-/// settles) + registration with the cancel backstop. Runs strictly BEFORE
-/// the operation is posted, on the posting rank's own fiber/thread — a
-/// QuotaError/CancelledError leaves nothing in flight. No-op in standalone
-/// mode (core->job == nullptr).
+/// Admission shared by every point-to-point post funnel, run strictly
+/// BEFORE the operation is posted, on the posting rank's own fiber: arm the
+/// deadline (the clamp must be in place before anything can match), then
+/// the tenancy hooks — cancellation point and mailbox-depth quota charge,
+/// credited back when the operation settles; a QuotaError/CancelledError
+/// leaves nothing in flight — and registration with the cluster's backstop,
+/// which gives deadlines and cancels liveness even when no task ever blocks
+/// on the request (callback-driven runtime commands).
 void tenant_admit_p2p(detail::ClusterCore* core,
-                      const std::shared_ptr<detail::RequestState>& state, const char* where) {
+                      const std::shared_ptr<detail::RequestState>& state, const char* where,
+                      vt::TimePoint ready, vt::Duration deadline) {
+  const bool armed = deadline > vt::Duration{};
+  if (armed) state->arm_deadline(ready + deadline);
   tenant::JobControl* job = core->job;
-  if (job == nullptr) return;
-  job->check_cancelled(where);
-  job->charge_mailbox();
-  state->on_settle(
-      [job](vt::TimePoint, const MsgStatus&, const std::exception_ptr&) noexcept {
-        job->credit_mailbox();
-      });
-  core->register_pending(state);
+  if (job != nullptr) {
+    job->check_cancelled(where);
+    job->charge_mailbox();
+    state->on_settle(
+        [job](vt::TimePoint, const MsgStatus&, const std::exception_ptr&) noexcept {
+          job->credit_mailbox();
+        });
+  }
+  if (armed || job != nullptr) core->register_pending(state);
 }
 
 }  // namespace
@@ -64,7 +70,7 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
                         vt::TimePoint ready, const P2POptions& opts) {
   check_peer(dst, /*allow_any=*/false);
   auto state = detail::make_request_state();
-  tenant_admit_p2p(core_, state, "isend");
+  tenant_admit_p2p(core_, state, "isend", ready, opts.deadline);
   detail::Envelope env;
   env.src_rank = my_rank_;
   env.src_node = group_[static_cast<std::size_t>(my_rank_)];
@@ -77,15 +83,6 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
   env.bw_cap = opts.wire_bw_cap;
   env.wire_decomp = opts.wire_decomp;
   env.sreq = state;
-  // Arm the deadline BEFORE posting: completion may race this thread the
-  // moment the envelope is visible, and the clamp must already be in place.
-  // Registration with the cluster's backstop gives the deadline liveness
-  // even when no task ever blocks on the request (callback-driven runtime
-  // commands).
-  if (opts.deadline > vt::Duration{}) {
-    state->arm_deadline(ready + opts.deadline);
-    core_->register_deadline(state);
-  }
   core_->mailboxes[static_cast<std::size_t>(node_of(dst))].post_send(std::move(env));
   return Request(state);
 }
@@ -94,7 +91,7 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
                         const P2POptions& opts) {
   check_peer(src, /*allow_any=*/true);
   auto state = detail::make_request_state();
-  tenant_admit_p2p(core_, state, "irecv");
+  tenant_admit_p2p(core_, state, "irecv", ready, opts.deadline);
   detail::PostedRecv pr;
   pr.src_rank = src;
   pr.tag = tag;
@@ -104,10 +101,6 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
   pr.bw_cap = opts.wire_bw_cap;
   pr.wire_decomp = opts.wire_decomp;
   pr.rreq = state;
-  if (opts.deadline > vt::Duration{}) {
-    state->arm_deadline(ready + opts.deadline);
-    core_->register_deadline(state);
-  }
   core_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]
       .post_recv(std::move(pr));
   return Request(state);
@@ -123,14 +116,16 @@ Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::TimePoint r
   return post_recv(data, src, tag, ready, opts);
 }
 
-Request Comm::isend(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock) {
+Request Comm::isend(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock,
+                    P2POptions opts) {
   clock.advance(kCallOverhead);
-  return post_send(data, dst, tag, clock.now(), {});
+  return post_send(data, dst, tag, clock.now(), opts);
 }
 
-Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::Clock& clock) {
+Request Comm::irecv(std::span<std::byte> data, int src, int tag, vt::Clock& clock,
+                    P2POptions opts) {
   clock.advance(kCallOverhead);
-  return post_recv(data, src, tag, clock.now(), {});
+  return post_recv(data, src, tag, clock.now(), opts);
 }
 
 void Comm::send(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock) {
@@ -210,25 +205,17 @@ PersistentRequest Comm::recv_init(std::span<std::byte> data, int src, int tag,
 Request PersistentRequest::start(vt::TimePoint ready) {
   CLMPI_REQUIRE(impl_ != nullptr, "start() on a null persistent request");
   auto state = detail::make_request_state();
-  tenant_admit_p2p(impl_->core, state, "persistent-start");
+  tenant_admit_p2p(impl_->core, state, "persistent-start", ready, impl_->deadline);
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_starts.add();
   if (impl_->is_send) {
     detail::Envelope env = impl_->env;
     env.post_time = ready;
     env.sreq = state;
-    if (impl_->deadline > vt::Duration{}) {
-      state->arm_deadline(ready + impl_->deadline);
-      impl_->core->register_deadline(state);
-    }
     impl_->box->post_send(std::move(env));
   } else {
     detail::PostedRecv pr = impl_->pr;
     pr.post_time = ready;
     pr.rreq = state;
-    if (impl_->deadline > vt::Duration{}) {
-      state->arm_deadline(ready + impl_->deadline);
-      impl_->core->register_deadline(state);
-    }
     impl_->box->post_recv(std::move(pr));
   }
   return Request(state);

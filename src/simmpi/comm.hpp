@@ -8,8 +8,10 @@
 //  * clock-driven:   send(data, dst, tag, clock)       — used by host code;
 //    charges a small per-call overhead and synchronizes the clock on
 //    blocking completion.
-// The engine is MPI_THREAD_MULTIPLE-safe: any thread of a rank may call in,
-// which is exactly what the clMPI communication thread requires (paper §V-A).
+// Every call runs on the cluster's strand (docs/SCHEDULER.md): the rank
+// fibers and the clMPI communication fiber — the paper's communication
+// thread (§V-A) — take turns on one serial context, so nothing here is
+// locked, and a call from another cluster's strand throws PreconditionError.
 #pragma once
 
 #include <cstddef>
@@ -118,8 +120,10 @@ class Comm {
 
   // --- point-to-point, clock-driven (host-facing) --------------------------
 
-  Request isend(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock);
-  Request irecv(std::span<std::byte> data, int src, int tag, vt::Clock& clock);
+  Request isend(std::span<const std::byte> data, int dst, int tag, vt::Clock& clock,
+                P2POptions opts = {});
+  Request irecv(std::span<std::byte> data, int src, int tag, vt::Clock& clock,
+                P2POptions opts = {});
 
   /// Blocking send: returns once the buffer is reusable (eager: injected;
   /// rendezvous: delivered), with `clock` synchronized to that time.

@@ -245,7 +245,6 @@ void Mailbox::post_send(Envelope env) {
     env.seq = seq_++;
     unexpected_[key].push_back(std::move(env));
     if (obs::metrics_enabled()) metrics().unexpected.add();
-    sched::note_progress();  // a probe may be waiting for this arrival
   }
   settle(batch);
 }

@@ -1,8 +1,6 @@
 #include "simmpi/request.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -197,17 +195,6 @@ bool test_all(std::span<Request> requests, vt::Clock& clock) {
 
 namespace detail {
 
-/// Read per call: the value only matters on paths that are already blocking
-/// (or in the idle backstop), and tests override it via the env.
-std::chrono::milliseconds deadline_grace() {
-  if (const char* env = std::getenv("CLMPI_DEADLINE_GRACE_MS");
-      env != nullptr && *env != '\0') {
-    const long ms = std::strtol(env, nullptr, 10);
-    if (ms > 0) return std::chrono::milliseconds(ms);
-  }
-  return std::chrono::milliseconds(2000);
-}
-
 std::exception_ptr RequestState::make_timeout_error() const {
   return std::make_exception_ptr(TimeoutError(
       "operation deadline of " + std::to_string(deadline_.s) +
@@ -239,7 +226,6 @@ void RequestState::resolve(vt::TimePoint when, const MsgStatus& st, std::excepti
   const std::exception_ptr err = error_;
   auto to_run = std::move(callbacks_);
   callbacks_.clear();
-  sched::note_progress();
   for (auto& fn : to_run) fn(when, st, err);
 }
 
@@ -255,7 +241,11 @@ void RequestState::arm_deadline(vt::TimePoint deadline) {
   CLMPI_REQUIRE(!done_, "arm_deadline on a completed request");
   deadline_armed_ = true;
   deadline_ = deadline;
-  armed_at_ = std::chrono::steady_clock::now();
+}
+
+std::optional<vt::TimePoint> RequestState::deadline() const noexcept {
+  if (!deadline_armed_) return std::nullopt;
+  return deadline_;
 }
 
 bool RequestState::rescue_timeout() {
@@ -277,12 +267,6 @@ bool RequestState::cancel_now(std::exception_ptr error) {
   return true;
 }
 
-void RequestState::rescue_if_stale(std::chrono::steady_clock::time_point now,
-                                   std::chrono::milliseconds grace) {
-  if (!deadline_armed_ || done_ || now - armed_at_ < grace) return;
-  rescue_timeout();
-}
-
 std::exception_ptr RequestState::error() const { return error_; }
 
 vt::TimePoint RequestState::block_until_done() {
@@ -290,19 +274,8 @@ vt::TimePoint RequestState::block_until_done() {
     if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
     // Poll-yield: the waiting fiber stays in its strand's rotation and
     // re-polls per resume, so peer ranks (and the service fibers completing
-    // this request) keep running.
-    if (deadline_armed_) {
-      // Liveness rescue: if nothing resolves this operation within the
-      // real-time grace, treat it as never completing (rescue_timeout fails
-      // it at its virtual deadline). Either way done_ holds afterwards.
-      const auto limit = std::chrono::steady_clock::now() + deadline_grace();
-      sched::wait([&] { return done_ || std::chrono::steady_clock::now() >= limit; },
-                  "mpi.request.wait");
-      if (!done_) {
-        const bool rescued = rescue_timeout();
-        if (rescued && obs::metrics_enabled()) progress_metrics().rescued_waits.add();
-      }
-    }
+    // this request) keep running. A deadline that nothing will meet is
+    // rescued by the cluster's backstop once the strand goes idle.
     sched::wait([this] { return done_; }, "mpi.request.wait");
   }
   if (error_) std::rethrow_exception(error_);

@@ -7,12 +7,12 @@
 // clMPI uses to implement clCreateEventFromMPIRequest without polling.
 #pragma once
 
-#include <chrono>
 #include <exception>
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -98,11 +98,6 @@ bool test_all(std::span<Request> requests, vt::Clock& clock);
 
 namespace detail {
 
-/// Real-time grace allowed to a deadline-armed operation before a blocking
-/// waiter (or the cluster's idle backstop) concludes it will never
-/// resolve. CLMPI_DEADLINE_GRACE_MS overrides the 2000 ms default.
-std::chrono::milliseconds deadline_grace();
-
 class RequestState;
 
 /// Allocate a fresh RequestState from the process-wide block pool. Every
@@ -124,25 +119,21 @@ class RequestState {
   ///  * deterministic clamp — a completion (or failure) resolving at a
   ///    virtual time strictly after `deadline` becomes a TimeoutError AT
   ///    the deadline, independent of fiber scheduling;
-  ///  * liveness rescue — a blocking wait on an operation that never
-  ///    resolves (e.g. a receive no one will ever match) self-fails with
-  ///    the same TimeoutError at `deadline` after a real-time grace period
-  ///    (CLMPI_DEADLINE_GRACE_MS, default 2000), instead of hanging until
+  ///  * liveness rescue — an operation that never resolves (e.g. a receive
+  ///    no one will ever match) is failed with the same TimeoutError at
+  ///    `deadline` by the cluster's idle backstop, instead of hanging until
   ///    the watchdog kills the process.
   /// Must be armed before the operation can complete (i.e. before posting).
   void arm_deadline(vt::TimePoint deadline);
 
-  /// Liveness rescue entry point: fail a still-pending deadline-armed
-  /// operation with a TimeoutError AT its virtual deadline. Returns false
-  /// (no-op) if the operation is not armed or already resolved. Used by a
-  /// blocking waiter after its grace expires, and by the cluster's idle
-  /// backstop for operations nothing ever blocks on (the clMPI runtime's
-  /// callback-driven commands).
-  bool rescue_timeout();
+  /// The armed virtual deadline, if any.
+  [[nodiscard]] std::optional<vt::TimePoint> deadline() const noexcept;
 
-  /// Backstop form of the rescue: only fires once `now - armed_at >= grace`.
-  void rescue_if_stale(std::chrono::steady_clock::time_point now,
-                       std::chrono::milliseconds grace);
+  /// Liveness rescue, called by the cluster's idle backstop: fail a
+  /// still-pending deadline-armed operation with a TimeoutError AT its
+  /// virtual deadline. Returns false (no-op) if the operation is not armed
+  /// or already resolved.
+  bool rescue_timeout();
 
   /// Job-cancellation rescue: fail a still-pending operation with `error`
   /// (a CancelledError) now, fixing its outcome — a real resolution racing
@@ -157,8 +148,7 @@ class RequestState {
   /// Blocks until complete; rethrows the operation's exception on failure.
   /// Poll-yields the calling fiber; off a strand a pending request throws
   /// PreconditionError (nothing there could complete it). Counts
-  /// progress.blocking_waits on entry when the request is still pending and
-  /// progress.rescued_waits when the deadline rescue resolves it.
+  /// progress.blocking_waits on entry when the request is still pending.
   vt::TimePoint block_until_done();
   /// The carried failure, if any (nullptr while pending or on success).
   [[nodiscard]] std::exception_ptr error() const;
@@ -184,9 +174,6 @@ class RequestState {
   /// outcome was already fixed at the deadline).
   bool timed_out_{false};
   vt::TimePoint deadline_{};
-  /// Real time at which the deadline was armed; the backstop's staleness
-  /// clock.
-  std::chrono::steady_clock::time_point armed_at_{};
   vt::TimePoint completion_{};
   MsgStatus status_{};
   std::exception_ptr error_;

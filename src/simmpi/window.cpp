@@ -308,7 +308,6 @@ vt::TimePoint Win::fence(vt::TimePoint ready) {
     sh->enter_max = {};
     std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
     ++sh->generation;
-    sched::note_progress();
   } else {
     sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.fence");
   }
@@ -360,7 +359,6 @@ void Win::free(vt::Clock& clock) {
     sh->enter_max = {};
     std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
     ++sh->generation;
-    sched::note_progress();
   } else {
     sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.free");
   }
@@ -397,9 +395,7 @@ Win create_window(Comm& comm, std::span<std::byte> region, vt::Clock& clock,
   sh->regions[static_cast<std::size_t>(comm.rank())] = {region, std::move(ingress),
                                                         std::move(egress)};
   sh->create_end = vt::max(sh->create_end, clock.now());
-  if (++sh->registered == sh->nranks) {
-    sched::note_progress();
-  } else {
+  if (++sh->registered != sh->nranks) {
     sched::wait([&] { return sh->registered == sh->nranks; }, "mpi.win.create");
   }
   // Every rank holds its shared pointer by now; retire the rendezvous slot.

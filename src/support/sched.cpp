@@ -63,8 +63,9 @@ std::size_t default_stack_bytes() {
 /// Fiber resumes per strand checkout. A count, never a time slice: where a
 /// quantum ends must not depend on the host.
 constexpr int kQuantum = 64;
-/// Wall-clock nap of a quiescent strand (every fiber waits on the wall clock
-/// or on another thread): doubles per consecutive quiescent pass.
+/// Wall-clock nap of a quiescent strand (every fiber waits on another
+/// thread, or the program is deadlocked): doubles per consecutive quiescent
+/// pass.
 constexpr std::chrono::microseconds kNapMin{20};
 constexpr std::chrono::microseconds kNapMax{1000};
 
@@ -97,13 +98,14 @@ struct Fiber {
 /// One serial execution context: the fibers of one cluster run.
 struct Strand {
   std::uint64_t tag{0};
-  std::function<void()> idle;
+  std::function<bool()> idle;
   // Touched only by the worker holding the strand while it is checked out,
   // under Scheduler::Impl::mutex otherwise.
   std::deque<Fiber*> ready;  ///< every unfinished fiber (poll-yield)
-  std::uint64_t epoch{0};    ///< bumped by note_progress() on this strand
-  std::uint64_t seen_epoch{0};
-  std::size_t fruitless{0};  ///< resumes since the epoch last moved
+  /// Set when the running fiber suspends having done more than re-poll a
+  /// wait predicate (or a fiber was spawned); cleared per resume.
+  bool progressed{false};
+  std::size_t fruitless{0};  ///< resumes without progress since the last one
   std::chrono::microseconds nap{0};
   // Guarded by Scheduler::Impl::mutex.
   std::chrono::steady_clock::time_point wake{};  ///< end of the current nap
@@ -172,7 +174,6 @@ namespace {
   }
   f->fn = nullptr;  // release captures before the stack goes away
   f->finished.store(true, std::memory_order_release);
-  note_progress();
 #ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
@@ -190,24 +191,12 @@ bool on_fiber() noexcept { return t_current != nullptr; }
 
 std::uint64_t current_strand() noexcept { return t_strand_tag; }
 
-void block_step(const char* site) {
-  if (t_current == nullptr) {
-    throw PreconditionError(std::string("blocking wait at ") + site +
-                            " off a scheduler strand: nothing else runs here to complete it");
-  }
-  yield();
-}
+namespace {
 
-void note_progress() noexcept {
-  if (Strand* s = t_strand) ++s->epoch;
-}
-
-void yield() {
-  Fiber* f = t_current;
-  if (f == nullptr) {
-    std::this_thread::yield();
-    return;
-  }
+/// Suspend the running fiber `f`; `progress` tells its strand whether this
+/// resume did anything beyond re-polling an unchanged wait predicate.
+void suspend(Fiber* f, bool progress) {
+  if (progress) f->strand->progressed = true;
 #ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
@@ -219,6 +208,24 @@ void yield() {
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f->fake_stack, &f->ret_stack_bottom, &f->ret_stack_size);
 #endif
+}
+
+}  // namespace
+
+void block_step(const char* site, bool entry) {
+  if (t_current == nullptr) {
+    throw PreconditionError(std::string("blocking wait at ") + site +
+                            " off a scheduler strand: nothing else runs here to complete it");
+  }
+  suspend(t_current, entry);
+}
+
+void yield() {
+  if (t_current == nullptr) {
+    std::this_thread::yield();
+    return;
+  }
+  suspend(t_current, /*progress=*/true);
 }
 
 std::unique_ptr<Fiber> Scheduler::Impl::make_fiber(std::function<void()> fn,
@@ -257,7 +264,7 @@ void Scheduler::Impl::spawn_here(std::function<void()> fn, std::string label) {
   auto f = make_fiber(std::move(fn), std::move(label));
   f->strand = s;
   s->ready.push_back(f.get());
-  ++s->epoch;  // a fiber that has not run yet: the strand is not quiescent
+  s->progressed = true;  // a fiber that has not run yet: the strand is not quiescent
   std::lock_guard lock(mutex);
   s->fibers.push_back(std::move(f));
 }
@@ -345,25 +352,25 @@ Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
     s.ready.pop_front();
     resume(f);
     if (f->finished.load(std::memory_order_acquire)) {
-      retire(f);  // the trampoline noted progress
-      continue;
+      retire(f);
+      s.progressed = true;
+    } else {
+      s.ready.push_back(f);
     }
-    s.ready.push_back(f);
-    if (s.epoch != s.seen_epoch) {
-      s.seen_epoch = s.epoch;
+    if (s.progressed) {
+      s.progressed = false;
       s.fruitless = 0;
       s.nap = std::chrono::microseconds{0};
       continue;
     }
     if (++s.fruitless < s.ready.size()) continue;
-    // A full pass over the strand advanced nothing: run its backstop, which
-    // may release queued work (cancel-failed or deadline-rescued requests).
-    // Both the pass length and the epoch are the strand's own, so where the
-    // backstop fires is a function of the strand's schedule alone.
+    // A full pass in which every fiber only re-polled an unchanged wait:
+    // nothing on the strand can move by itself, so run its backstop, which
+    // may resolve a request (cancel or deadline rescue). The pass is
+    // counted in the strand's own resumes, so where the backstop fires is a
+    // function of the strand's schedule alone.
     s.fruitless = 0;
-    if (s.idle) s.idle();
-    if (s.epoch != s.seen_epoch) {
-      s.seen_epoch = s.epoch;
+    if (s.idle && s.idle()) {
       s.nap = std::chrono::microseconds{0};
       continue;
     }
@@ -428,7 +435,7 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::submit(std::uint64_t strand, std::vector<Task> tasks,
-                       std::function<void()> idle) {
+                       std::function<bool()> idle) {
   CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
   auto s = std::make_unique<Strand>();
   s->tag = strand;
@@ -492,7 +499,6 @@ ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
         ctx::current().job = job_ctx;
         fn();
         *done = true;
-        note_progress();
       },
       std::move(label));
   return h;

@@ -14,13 +14,15 @@
 // comes from running different strands (clusters) concurrently.
 //
 // Blocking model: poll-yield. A blocked fiber stays in its strand's FIFO and
-// re-checks its predicate on every resume. Completion sites call
-// note_progress(), which bumps the progress epoch of the strand running the
-// caller. After a full pass over a strand's fibers in which that epoch did
-// not move, the worker runs the strand's idle task (the runtime's liveness
-// backstop); if even that made no progress, the strand naps for a short,
-// growing wall-clock backoff. Workers with no runnable strand park on a
-// condition variable.
+// re-checks its predicate on every resume. Progress is read from fiber
+// state alone: a resume counts as progress unless the fiber only re-polled
+// a sched::wait predicate that still does not hold. Entering a wait, a raw
+// yield() and finishing all count. After a full pass over a strand's fibers
+// without progress nothing on the strand can change by itself, so the
+// worker runs the strand's idle task (the runtime's liveness backstop),
+// which reports whether it resolved anything; if not, the strand naps for a
+// short, growing wall-clock backoff. Workers with no runnable strand park on
+// a condition variable.
 //
 // Determinism contract: the order in which a strand's fibers run, and the
 // points at which its idle task fires, are functions of the strand alone —
@@ -50,38 +52,35 @@ namespace clmpi::sched {
 
 /// Cooperative reschedule point. On a fiber: suspend and hand the worker to
 /// the next ready fiber (the caller resumes later, possibly on a different
-/// worker). On a plain thread: std::this_thread::yield().
+/// worker). On a plain thread: std::this_thread::yield(). Always counts as
+/// progress, so a strand with a fiber spinning on yield() never goes idle:
+/// a poll loop that relies on the idle task (deadlines, cancels) must wait
+/// with sched::wait instead.
 void yield();
-
-/// Completion-side hook: something observable by a blocked task happened
-/// (request settled, event completed, message arrived, epoch closed). Bumps
-/// the progress epoch of the strand the caller runs on (a fiber, or that
-/// strand's idle task); a no-op anywhere else. Never required for
-/// correctness — blocked fibers re-poll regardless — it only decides when a
-/// strand counts as quiescent.
-void note_progress() noexcept;
 
 /// The strand tag of the calling code (a fiber, or its strand's idle task);
 /// 0 off a strand. One thread-local load: the owner checks of single-owner
 /// cluster state call it on every entry.
 [[nodiscard]] std::uint64_t current_strand() noexcept;
 
-/// Blocking-wait step: on a fiber, yield; off a strand, throw
+/// Blocking-wait step: on a fiber, suspend; off a strand, throw
 /// PreconditionError naming `site` — no other task there can make the
-/// awaited progress, so a wait would spin forever.
-void block_step(const char* site);
+/// awaited progress, so a wait would spin forever. `entry` marks the first
+/// step of a wait, which counts as progress (the fiber ran since it last
+/// suspended); a later step follows a re-poll that changed nothing.
+void block_step(const char* site, bool entry);
 
 /// Fiber-aware blocking wait: poll-yields until `pred()` holds, publishing
 /// `site` as the caller's blocked site (watchdog diagnostics). Off a strand
-/// it throws PreconditionError unless `pred()` already holds. `site` must
-/// be a string literal (or otherwise outlive the wait).
+/// it throws PreconditionError unless `pred()` already holds. `pred` must
+/// not change state, and `site` must be a string literal (or otherwise
+/// outlive the wait).
 template <typename Pred>
 void wait(Pred&& pred, const char* site) {
   if (pred()) return;
   ctx::BlockedScope blocked(site);
-  do {
-    block_step(site);
-  } while (!pred());
+  block_step(site, /*entry=*/true);
+  while (!pred()) block_step(site, /*entry=*/false);
 }
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
@@ -148,9 +147,10 @@ class Scheduler {
   /// Open strand `strand` with `tasks` queued in order before any of them
   /// runs, and `idle` as its idle task (may be empty): run by the worker
   /// holding the strand, serialized with its fibers, after a full pass in
-  /// which the strand made no progress. The strand must not exist yet; it
-  /// closes — and `idle` is destroyed — once its last fiber finished.
-  void submit(std::uint64_t strand, std::vector<Task> tasks, std::function<void()> idle);
+  /// which the strand made no progress; it returns whether it resolved
+  /// anything. The strand must not exist yet; it closes — and `idle` is
+  /// destroyed — once its last fiber finished.
+  void submit(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
 
   /// Block until strand `strand` closed (every fiber of it finished, and no
   /// worker holds it any more) or `timeout_s` seconds of real time passed

@@ -6,6 +6,7 @@
 
 #include "test_util.hpp"
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "simmpi/cluster.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
 
@@ -220,6 +222,59 @@ TEST(Runtime, RejectsForeignQueue) {
     EXPECT_THROW(node.runtime.enqueue_send_buffer(*foreign_queue, buf, false, 0, 64, 0, 0,
                                                   rank.world(), {}),
                  PreconditionError);
+  });
+}
+
+TEST(Runtime, FinishSettlesEveryCommandThenRethrowsTheFirstFailureOnce) {
+  // A receive that times out at 1 ms must not cut finish short: finish
+  // returns — by rethrowing the timeout — only once the 8 MiB send issued
+  // after it has completed, with the clock at that completion. The failure
+  // is reported once; a second finish has nothing left to report.
+  constexpr std::size_t size = 8_MiB;
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    Node node(rank);
+    auto queue = node.ctx.create_queue();
+    ocl::BufferPtr buf = node.ctx.create_buffer(size);
+    if (rank.rank() == 1) {
+      node.runtime.enqueue_recv_buffer(*queue, buf, true, 0, size, 0, 2, rank.world(), {});
+      return;
+    }
+    ocl::BufferPtr lost_buf = node.ctx.create_buffer(4_KiB);
+    node.runtime.set_default_deadline(vt::milliseconds(1.0));
+    auto lost = node.runtime.enqueue_recv_buffer(*queue, lost_buf, false, 0, 4_KiB, 1, 1,
+                                                 rank.world(), {});
+    node.runtime.set_default_deadline(vt::Duration{});
+    auto send =
+        node.runtime.enqueue_send_buffer(*queue, buf, false, 0, size, 1, 2, rank.world(), {});
+    try {
+      node.runtime.finish(rank.clock());
+      ADD_FAILURE() << "finish swallowed the timed-out receive";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::timeout) << e.what();
+    }
+    ASSERT_TRUE(send->complete());
+    EXPECT_GT(send->completion_time().s, lost->completion_time().s);
+    EXPECT_EQ(rank.clock().now().s, send->completion_time().s);
+    EXPECT_NO_THROW(node.runtime.finish(rank.clock()));
+  });
+}
+
+TEST(Runtime, FinishReleasesSettledCommands) {
+  // The runtime holds a command's event only until a finish has seen it
+  // settle.
+  std::weak_ptr<ocl::Event> watched;
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    Node node(rank);
+    auto queue = node.ctx.create_queue();
+    ocl::BufferPtr buf = node.ctx.create_buffer(4_KiB);
+    if (rank.rank() == 1) {
+      node.runtime.enqueue_recv_buffer(*queue, buf, true, 0, 4_KiB, 0, 0, rank.world(), {});
+      return;
+    }
+    watched = node.runtime.enqueue_send_buffer(*queue, buf, false, 0, 4_KiB, 1, 0,
+                                               rank.world(), {});
+    node.runtime.finish(rank.clock());
+    EXPECT_TRUE(watched.expired());
   });
 }
 

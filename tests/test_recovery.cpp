@@ -28,6 +28,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "clmpi/runtime.hpp"
 #include "ocl/context.hpp"
@@ -37,6 +38,7 @@
 #include "simmpi/fault.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/sched.hpp"
 #include "support/units.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
@@ -211,9 +213,12 @@ TEST(RetryRecovery, RetriesDisabledReproducesFirstFaultFatalBehaviour) {
 
 // --- per-operation deadlines -------------------------------------------------
 
+/// Wall-time bound on any one deadline case: the rescue fires as soon as the
+/// strand goes idle, so nothing waits out a real-time grace.
+constexpr auto kDeadlineWall = std::chrono::seconds(1);
+
 TEST(Deadline, UnmatchedRecvFailsWithTimeoutNotWatchdog) {
-  // A short real-time grace for the deadline rescue keeps the test fast.
-  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
+  const auto wall0 = std::chrono::steady_clock::now();
   mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
     Node node(rank);
     if (rank.rank() != 0) return;  // rank 1 never sends
@@ -235,15 +240,15 @@ TEST(Deadline, UnmatchedRecvFailsWithTimeoutNotWatchdog) {
     EXPECT_GE(ev->completion_time().s, enqueued + 0.001);
     EXPECT_LT(ev->completion_time().s, enqueued + 0.01);
   });
+  EXPECT_LT(std::chrono::steady_clock::now() - wall0, kDeadlineWall);
 }
 
 TEST(Deadline, BlockingTransferTimesOutAtTheVirtualDeadline) {
   // The blocking transfers wait on the engine's completion rather than on a
   // request, so a receive no one matches is ended by the strand backstop's
-  // stale-deadline rescue: a typed timeout at the virtual deadline, within a
+  // deadline rescue: a typed timeout at the virtual deadline, within a
   // bounded wall time. The sends are eager (48 KiB), so only the receive
   // direction of an exchange can fail.
-  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
   constexpr std::size_t size = 48_KiB;
   const vt::Duration deadline = vt::milliseconds(1.0);
   for (const xfer::Strategy& strategy :
@@ -278,9 +283,106 @@ TEST(Deadline, BlockingTransferTimesOutAtTheVirtualDeadline) {
               << e.what() << " (expected deadline " << expected.s << " s)";
         }
       });
-      EXPECT_LT(std::chrono::steady_clock::now() - wall0, std::chrono::seconds(10));
+      EXPECT_LT(std::chrono::steady_clock::now() - wall0, kDeadlineWall);
     }
   }
+}
+
+TEST(Deadline, EarlierDeadlineFiresFirst) {
+  // Two receives nothing matches yet: B (5 ms, registered first) and A
+  // (1 ms). An idle strand rescues the earliest virtual deadline, not the
+  // oldest registration, so A times out first — and its handler sends B's
+  // message, which lands well before B's deadline.
+  const auto wall0 = std::chrono::steady_clock::now();
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    std::vector<std::byte> buf(64);
+    mpi::Comm& world = rank.world();
+    if (rank.rank() == 1) {
+      mpi::Request b = world.irecv(buf, 0, /*tag=*/2, rank.clock().now(),
+                                   mpi::P2POptions{.deadline = vt::milliseconds(5.0)});
+      EXPECT_NO_THROW(b.wait(rank.clock()));
+      EXPECT_LT(rank.now_s(), 0.005);
+      return;
+    }
+    for (int i = 0; i < 8; ++i) sched::yield();  // rank 1 registers B well ahead of A
+    const vt::TimePoint posted = rank.clock().now();
+    mpi::Request a = world.irecv(buf, 1, /*tag=*/1, posted,
+                                 mpi::P2POptions{.deadline = vt::milliseconds(1.0)});
+    try {
+      a.wait(rank.clock());
+      ADD_FAILURE() << "receive with no sender completed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::timeout) << e.what();
+    }
+    EXPECT_EQ(rank.clock().now().s, (posted + vt::milliseconds(1.0)).s);
+    world.send(buf, 1, /*tag=*/2, rank.clock());
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - wall0, kDeadlineWall);
+}
+
+TEST(Deadline, WorkBetweenRawYieldsHoldsOffTheRescue) {
+  // A fiber that advances between raw sched::yield() calls is progress even
+  // though it settles nothing: the strand is not idle, so the receive's
+  // deadline must not fire before the message it waits for is sent.
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    std::vector<std::byte> buf(64);
+    mpi::Comm& world = rank.world();
+    if (rank.rank() == 1) {
+      mpi::Request r = world.irecv(buf, 0, /*tag=*/0, rank.clock().now(),
+                                   mpi::P2POptions{.deadline = vt::milliseconds(1.0)});
+      EXPECT_NO_THROW(r.wait(rank.clock()));
+      return;
+    }
+    for (int i = 0; i < 200; ++i) {
+      rank.clock().advance(vt::microseconds(1.0));
+      sched::yield();
+    }
+    world.send(buf, 1, /*tag=*/0, rank.clock());
+  });
+}
+
+TEST(Deadline, EnteringAWaitIsProgress) {
+  // Rank 1's send releases rank 0, which is still parked in its receive,
+  // and rank 1 then enters its own wait. That pass changed what rank 0 will
+  // see, so the strand is not idle and the reply's deadline must hold.
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    std::vector<std::byte> buf(64);
+    mpi::Comm& world = rank.world();
+    if (rank.rank() == 0) {
+      world.recv(buf, 1, /*tag=*/0, rank.clock());
+      world.send(buf, 1, /*tag=*/1, rank.clock());
+      return;
+    }
+    world.send(buf, 0, /*tag=*/0, rank.clock());
+    mpi::Request reply = world.irecv(buf, 0, /*tag=*/1, rank.clock().now(),
+                                     mpi::P2POptions{.deadline = vt::milliseconds(1.0)});
+    EXPECT_NO_THROW(reply.wait(rank.clock()));
+  });
+}
+
+TEST(Deadline, GenerousDeadlineDoesNotPerturbClMemTiming) {
+  // MPI_CL_MEM single messages post clock-driven (call overhead charged)
+  // whether or not a deadline is set, plain and persistent alike: a deadline
+  // that is never hit leaves every end time bit-equal.
+  const auto end_times = [](vt::Duration deadline) {
+    return mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+             Node node(rank);
+             node.runtime.set_default_deadline(deadline);
+             std::vector<std::byte> buf(4_KiB);
+             rt::Runtime& runtime = node.runtime;
+             if (rank.rank() == 0) {
+               runtime.send_cl_mem(buf, 1, 0, rank.world());
+               const rt::PersistentRequest p = runtime.send_init_cl_mem(buf, 1, 1, rank.world());
+               runtime.start(p).wait(rank.clock());
+             } else {
+               runtime.recv_cl_mem(buf, 0, 0, rank.world());
+               const rt::PersistentRequest p = runtime.recv_init_cl_mem(buf, 0, 1, rank.world());
+               runtime.start(p).wait(rank.clock());
+             }
+           })
+        .rank_end_s;
+  };
+  EXPECT_EQ(end_times(vt::Duration{}), end_times(vt::Duration{10.0}));
 }
 
 TEST(Deadline, GenerousDeadlineDoesNotPerturbDelivery) {

@@ -445,7 +445,6 @@ TEST(Endpoint, CrossWiredExchangeRejectedBeforePosting) {
   // cross-wired pair throws before anything is posted or charged: the
   // would-be peer finds no message and the copy engine stays idle. (The
   // deadline only bounds a wrongly posted receive.)
-  const testutil::EnvGuard grace("CLMPI_DEADLINE_GRACE_MS", "200");
   const auto& prof = sys::ricc();
   mpi::Cluster::run(opts(3, prof), [&](mpi::Rank& rank) {
     mpi::Comm other = rank.world().dup(rank.clock());

@@ -14,37 +14,6 @@
 
 namespace clmpi::testutil {
 
-/// Scoped environment-variable override (nullptr unsets); restores the
-/// previous value on destruction.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
-
 /// Deadlock-watchdog budget for Cluster::Options::watchdog_seconds.
 /// `CLMPI_TEST_WATCHDOG` (seconds, floating point) overrides the suite's
 /// default — shorten it to make chaos failures surface fast, lengthen it on
