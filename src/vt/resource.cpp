@@ -7,12 +7,15 @@
 namespace clmpi::vt {
 
 TimePoint Resource::earliest_fit(TimePoint t, Duration cost) const {
-  // busy_ is sorted; skip past every interval that would collide with
-  // [t, t+cost).
-  for (const Span& iv : busy_) {
-    if (iv.end <= t) continue;             // entirely in the past of t
-    if (iv.start >= t + cost) break;       // gap before iv fits
-    t = iv.end;                            // collide: try right after iv
+  // busy_ is sorted and disjoint, so its ends are sorted too: every interval
+  // entirely in the past of t forms a prefix, skipped by binary search.
+  auto it = std::partition_point(busy_.begin(), busy_.end(),
+                                 [t](const Span& iv) { return iv.end <= t; });
+  // From here on every interval ends after t; walk past those that would
+  // collide with [t, t+cost).
+  for (; it != busy_.end(); ++it) {
+    if (it->start >= t + cost) break;  // gap before *it fits
+    t = it->end;                       // collide: try right after *it
   }
   return t;
 }

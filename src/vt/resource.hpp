@@ -8,8 +8,11 @@
 // fibers run one at a time on its strand, but not in virtual-time order, so
 // grants can arrive out of virtual-time order; backfilling lets a late
 // request with an early ready time use an earlier gap, keeping the schedule
-// work-conserving. Single owner: a resource belongs to one cluster's strand
-// and holds no lock.
+// work-conserving. The history is kept whole, but a grant only visits the
+// intervals it collides with: the gap search starts with a binary search
+// for the first interval ending after `ready`, so its cost does not grow
+// with the age of the resource. Single owner: a resource belongs to one
+// cluster's strand and holds no lock.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +61,9 @@ class Resource {
   }
 
  private:
-  /// Earliest start >= t with a free gap of length `cost`.
+  /// Earliest start >= t with a free gap of length `cost`. O(log n) in the
+  /// history to find the first interval ending after t, plus one step per
+  /// interval that collides with the candidate span.
   [[nodiscard]] TimePoint earliest_fit(TimePoint t, Duration cost) const;
 
   /// Insert [start, start+cost) into the busy list; the interval must not

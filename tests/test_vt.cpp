@@ -2,11 +2,15 @@
 // serializing resources, clocks, tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "support/rng.hpp"
 #include "vt/clock.hpp"
 #include "vt/cost.hpp"
 #include "vt/resource.hpp"
@@ -157,6 +161,140 @@ TEST(Resource, ResetClearsHistory) {
   r.reset();
   EXPECT_DOUBLE_EQ(r.free_time().s, 0.0);
   EXPECT_DOUBLE_EQ(r.busy_time().s, 0.0);
+}
+
+/// The gap search as it was before it started at a binary search: a scan of
+/// the whole history from the front. Same insert and coalescing rules as
+/// Resource, so both see the same busy list.
+struct LinearScanResource {
+  std::vector<Resource::Span> busy;
+
+  TimePoint earliest_fit(TimePoint t, Duration cost) const {
+    for (const Resource::Span& iv : busy) {
+      if (iv.end <= t) continue;
+      if (iv.start >= t + cost) break;
+      t = iv.end;
+    }
+    return t;
+  }
+
+  void insert(TimePoint start, Duration cost) {
+    if (cost <= Duration{0.0}) return;
+    const Resource::Span span{start, start + cost};
+    auto it = std::lower_bound(busy.begin(), busy.end(), span,
+                               [](const auto& a, const auto& b) { return a.start < b.start; });
+    it = busy.insert(it, span);
+    if (it != busy.begin() && (it - 1)->end == it->start) {
+      (it - 1)->end = it->end;
+      it = busy.erase(it) - 1;
+    }
+    if (it + 1 != busy.end() && it->end == (it + 1)->start) {
+      it->end = (it + 1)->end;
+      busy.erase(it + 1);
+    }
+  }
+
+  Resource::Span acquire(TimePoint ready, Duration cost) {
+    const TimePoint start = earliest_fit(ready, cost);
+    insert(start, cost);
+    return {start, start + cost};
+  }
+
+  static Resource::Span acquire_joint(LinearScanResource& a, LinearScanResource& b,
+                                      TimePoint ready, Duration cost) {
+    if (&a == &b) return a.acquire(ready, cost);
+    TimePoint t = ready;
+    for (;;) {
+      const TimePoint ta = a.earliest_fit(t, cost);
+      const TimePoint tb = b.earliest_fit(ta, cost);
+      if (tb == ta) {
+        t = ta;
+        break;
+      }
+      t = tb;
+    }
+    a.insert(t, cost);
+    b.insert(t, cost);
+    return {t, t + cost};
+  }
+};
+
+TEST(Resource, EarliestFitMatchesLinearScan) {
+  constexpr int kResources = 3;
+  constexpr int kOps = 4000;
+  std::vector<std::unique_ptr<Resource>> fast;
+  std::vector<LinearScanResource> oracle(kResources);
+  for (int i = 0; i < kResources; ++i) {
+    fast.push_back(std::make_unique<Resource>("r" + std::to_string(i)));
+  }
+  Rng rng(0x5eed);
+  // Half the operations sit on a 0.25 s grid, where starts and ends are
+  // exact, so intervals touch and coalesce; the rest use arbitrary doubles.
+  const auto pick = [&](double lo, double hi, bool grid) {
+    if (!grid) return rng.uniform(lo, hi);
+    const auto steps = static_cast<std::uint64_t>((hi - lo) / 0.25);
+    return lo + 0.25 * static_cast<double>(steps == 0 ? 0 : rng.below(steps + 1));
+  };
+  const auto bits = [](TimePoint t) { return std::bit_cast<std::uint64_t>(t.s); };
+
+  for (int op = 0; op < kOps; ++op) {
+    const auto ia = static_cast<std::size_t>(rng.below(kResources));
+    // One joint acquire in three, a quarter of those with aliased operands.
+    const bool joint = rng.below(3) == 0;
+    const std::size_t ib =
+        !joint || rng.below(4) == 0 ? ia : static_cast<std::size_t>(rng.below(kResources));
+    const std::vector<Resource::Span>& hist = oracle[ia].busy;
+    const bool grid = rng.below(2) == 0;
+
+    // Ready time: before, inside, exactly at the end of, or after the
+    // existing intervals.
+    double ready = 0.0;
+    const double horizon = hist.empty() ? 0.0 : hist.back().end.s;
+    const Resource::Span* iv =
+        hist.empty() ? nullptr : &hist[static_cast<std::size_t>(rng.below(hist.size()))];
+    switch (iv == nullptr ? 3 : rng.below(4)) {
+      case 0:
+        ready = pick(0.0, hist.front().start.s, grid);
+        break;
+      case 1:
+        ready = pick(iv->start.s, iv->end.s, grid);
+        break;
+      case 2:
+        ready = iv->end.s;
+        break;
+      default:
+        ready = pick(horizon, horizon + 2.0, grid);
+        break;
+    }
+    // Cost: zero, exactly the gap after a random interval (touching on both
+    // sides), or an arbitrary length.
+    double cost = 0.0;
+    const std::uint64_t kind = rng.below(8);
+    if (kind == 0) {
+      cost = 0.0;
+    } else if (kind == 1 && iv != nullptr && iv + 1 != hist.data() + hist.size()) {
+      ready = iv->end.s;
+      cost = (iv + 1)->start.s - iv->end.s;
+    } else {
+      cost = grid ? 0.25 * static_cast<double>(1 + rng.below(8)) : rng.uniform(1e-6, 2.0);
+    }
+
+    const Resource::Span got =
+        joint ? Resource::acquire_joint(*fast[ia], *fast[ib], TimePoint{ready}, seconds(cost))
+              : fast[ia]->acquire(TimePoint{ready}, seconds(cost));
+    const Resource::Span want =
+        joint ? LinearScanResource::acquire_joint(oracle[ia], oracle[ib], TimePoint{ready},
+                                                  seconds(cost))
+              : oracle[ia].acquire(TimePoint{ready}, seconds(cost));
+    ASSERT_EQ(bits(got.start), bits(want.start)) << "op " << op << " ready " << ready;
+    ASSERT_EQ(bits(got.end), bits(want.end)) << "op " << op << " ready " << ready;
+  }
+  for (int i = 0; i < kResources; ++i) {
+    const auto& busy = oracle[static_cast<std::size_t>(i)].busy;
+    ASSERT_EQ(bits(fast[static_cast<std::size_t>(i)]->free_time()),
+              bits(busy.empty() ? TimePoint{} : busy.back().end));
+    EXPECT_GT(busy.size(), 10u) << "the mix should leave gaps to search";
+  }
 }
 
 TEST(Clock, AdvanceAndSync) {
