@@ -9,6 +9,7 @@
 #include "support/log.hpp"
 #include "svc/workloads.hpp"
 #include "systems/profile.hpp"
+#include "vt/tracer.hpp"
 
 namespace clmpi::svc {
 
@@ -99,11 +100,11 @@ std::uint64_t Service::submit(JobSpec spec) {
     rec->control.check_ranks(rec->spec.nranks);
     rec->submitted = std::chrono::steady_clock::now();
     if (rec->spec.deadline_s > 0.0) {
-      rec->deadline_armed = true;
       rec->deadline = rec->submitted + std::chrono::duration_cast<
                                            std::chrono::steady_clock::duration>(
                                            std::chrono::duration<double>(
                                                rec->spec.deadline_s));
+      armed_.push_back(rec);
     }
     ++submitted_;
     jobs_.emplace(id, rec);
@@ -186,12 +187,14 @@ void Service::monitor_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
     const auto now = std::chrono::steady_clock::now();
-    for (auto& [id, rec] : jobs_) {
-      (void)id;
-      if (rec->deadline_armed && !terminal(rec->result.state) && now >= rec->deadline) {
-        rec->control.request_cancel();
-      }
-    }
+    // A job leaves the list once terminal or once its deadline fired (the
+    // cancel flag stays set), so a pass costs the live armed jobs only.
+    std::erase_if(armed_, [now](const std::shared_ptr<JobRecord>& rec) {
+      if (terminal(rec->result.state)) return true;
+      if (now < rec->deadline) return false;
+      rec->control.request_cancel();
+      return true;
+    });
     monitor_cv_.wait_for(lock, std::chrono::milliseconds(5));
   }
 }
@@ -210,6 +213,8 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
   Status status = Status::success;
   std::string error;
   double makespan = 0.0;
+  // The job's own trace namespace; only its hash outlives the run.
+  vt::Tracer tracer;
 
   // A cancel (explicit, or a deadline that fired while queued) that landed
   // before launch finalizes without ever spinning up a cluster.
@@ -222,7 +227,7 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
       mpi::Cluster::Options copt;
       copt.nranks = rec->spec.nranks;
       copt.profile = &sys::profile_by_name(rec->spec.profile);
-      copt.tracer = &rec->tracer;
+      copt.tracer = &tracer;
       copt.watchdog_seconds = opts_.watchdog_seconds;
       copt.scheduler = &pool_;
       copt.job_tag = rec->id;
@@ -253,7 +258,7 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
     rec->result.status = status;
     rec->result.error = std::move(error);
     rec->result.makespan_s = makespan;
-    rec->result.trace_hash = rec->tracer.hash();
+    rec->result.trace_hash = tracer.hash();
     rec->result.usage = rec->control.usage();
     rec->result.run_wall_s = std::chrono::duration<double>(end - start).count();
   }

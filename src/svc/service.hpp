@@ -10,7 +10,8 @@
 //   * a bounded admission queue with typed rejection (Status::rejected),
 //   * a small set of runner threads (`max_active`) that dequeue jobs and
 //     drive Cluster::run in service mode (external scheduler + JobControl),
-//   * a wall-clock deadline monitor that cancels overdue jobs.
+//   * a wall-clock deadline monitor that cancels overdue jobs (it visits
+//     only the live jobs that armed a deadline).
 //
 // Isolation story, per job:
 //   * quotas — staging-pool bytes, mailbox depth, max ranks — enforced at
@@ -41,7 +42,6 @@
 #include "support/error.hpp"
 #include "support/sched.hpp"
 #include "support/tenant.hpp"
-#include "vt/tracer.hpp"
 
 namespace clmpi::svc {
 
@@ -151,12 +151,10 @@ class Service {
     std::uint64_t id{0};
     JobSpec spec;
     tenant::JobControl control;
-    vt::Tracer tracer;  ///< the job's own trace namespace
     JobResult result;
     std::chrono::steady_clock::time_point submitted{};
     std::chrono::steady_clock::time_point started{};
-    bool deadline_armed{false};
-    std::chrono::steady_clock::time_point deadline{};
+    std::chrono::steady_clock::time_point deadline{};  ///< when spec.deadline_s > 0
 
     JobRecord(std::uint64_t job_id, JobSpec s)
         : id(job_id), spec(std::move(s)), control(job_id, spec.quotas) {}
@@ -181,6 +179,9 @@ class Service {
   std::size_t active_{0};
   std::deque<std::shared_ptr<JobRecord>> queue_;
   std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs_;
+  /// The deadline-armed jobs the monitor has not yet cancelled and that are
+  /// not terminal: all it visits per pass, however many jobs have finished.
+  std::vector<std::shared_ptr<JobRecord>> armed_;
 
   std::vector<std::thread> runners_;
   std::thread monitor_;
