@@ -107,8 +107,8 @@ sched::Scheduler& default_pool() {
   return *pool;
 }
 
-/// Strand tags for runs on the default pool: process-unique, so concurrent
-/// runs never share a strand.
+/// Strand tags: process-unique across every pool, so no two runs ever share
+/// a strand, and one run's owner checks reject every other run's callers.
 std::uint64_t next_strand_tag() {
   static std::atomic<std::uint64_t> next{0};
   return ++next;
@@ -244,7 +244,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   // spawn, execute serially in a schedule that depends on nothing but the
   // program. The strand's idle task is the cluster's liveness backstop.
   sched::Scheduler& pool = options.scheduler != nullptr ? *options.scheduler : default_pool();
-  const std::uint64_t strand = options.job_tag != 0 ? options.job_tag : next_strand_tag();
+  const std::uint64_t strand = next_strand_tag();
   core.strand = strand;
   const std::string prefix =
       options.job_tag != 0 ? "job" + std::to_string(options.job_tag) + ".rank" : "rank";

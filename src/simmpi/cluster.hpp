@@ -92,8 +92,8 @@ class Cluster {
     /// process-wide default pool (svc::Service passes its own; tests pass
     /// pools of a chosen worker count). Must be started and outlive the run.
     sched::Scheduler* scheduler{nullptr};
-    /// Strand tag of the run (svc::Service passes the job id); 0 = a
-    /// process-unique tag. Runs sharing a scheduler need distinct tags.
+    /// Service job id (svc::Service passes it); nonzero names the rank
+    /// fibers "job<id>.rank<r>". The strand tag is always process-unique.
     std::uint64_t job_tag{0};
     /// Quota/cancellation control block; null = standalone (no hooks). Must
     /// outlive the run.

@@ -440,6 +440,27 @@ TEST(SchedOwnership, CrossStrandAccessIsRejected) {
   owner.join();
 }
 
+TEST(SchedOwnership, JobTagNeverBecomesAnotherRunsStrand) {
+  // A service job id only names the rank fibers; the strand tag comes from
+  // the process-wide series. Otherwise a job tagged with the number a
+  // default-pool run drew (1 when this test has its process to itself)
+  // would share that run's strand and pass its owner checks.
+  std::uint64_t default_strand = 0;
+  mpi::Cluster::run(opts(1, nullptr),
+                    [&](mpi::Rank&) { default_strand = sched::current_strand(); });
+  ASSERT_NE(default_strand, 0u);
+  const auto pool = testutil::make_pool(2);
+  for (const std::uint64_t tag : {std::uint64_t{1}, default_strand}) {
+    auto o = opts(1, nullptr);
+    o.scheduler = pool.get();
+    o.job_tag = tag;
+    std::uint64_t job_strand = 0;
+    mpi::Cluster::run(o, [&](mpi::Rank&) { job_strand = sched::current_strand(); });
+    EXPECT_NE(job_strand, 0u) << "job_tag " << tag;
+    EXPECT_NE(job_strand, default_strand) << "job_tag " << tag;
+  }
+}
+
 // --- error aggregation -------------------------------------------------------
 
 std::uint64_t suppressed_counter() {
