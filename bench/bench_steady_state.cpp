@@ -14,19 +14,13 @@
 // ratio exceeds kMaxGrowth. Runs are short (few steps) rather than few, so
 // the check fits the bench-smoke time budget while the history still grows
 // by thousands of intervals.
-//
-// Usage: bench_steady_state [--runs N] [--steps N]
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "clmpi/runtime.hpp"
@@ -44,6 +38,8 @@ namespace {
 constexpr int kRanks = 4;
 constexpr std::size_t kLocalNx = 32;
 constexpr std::size_t kLocalNy = 256;  // x-edges of 256 floats = 1 KiB
+constexpr int kRuns = 240;
+constexpr int kSteps = 16;
 constexpr double kMaxGrowth = 1.5;
 
 /// 5-point Jacobi sweep; args 0 src, 1 dst, 2 resid, 3 nx, 4 ny, 5 padded x.
@@ -65,7 +61,7 @@ void jacobi_body(const ocl::NDRange&, const ocl::KernelArgs& a) {
   a.buffer(2)->as<double>()[0] = acc;
 }
 
-void rank_body(mpi::Rank& rank, int runs, int steps, std::vector<double>& walls) {
+void rank_body(mpi::Rank& rank, std::vector<double>& walls) {
   ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
   ocl::Context ctx(platform.device());
   rt::Runtime runtime(rank, platform.device());
@@ -87,18 +83,16 @@ void rank_body(mpi::Rank& rank, int runs, int steps, std::vector<double>& walls)
   ocl::Program program;
   program.define("jacobi", jacobi_body, ocl::flops_per_item(7.0));
   // One plan per buffer: the buffers swap roles every step.
-  std::optional<halo::Plan> plan_cur;
-  std::optional<halo::Plan> plan_nxt;
-  plan_cur.emplace(runtime, ctx, rank.world(), cur, spec);
-  plan_nxt.emplace(runtime, ctx, rank.world(), nxt, spec_nxt);
+  halo::Plan plan_cur(runtime, ctx, rank.world(), cur, spec);
+  halo::Plan plan_nxt(runtime, ctx, rank.world(), nxt, spec_nxt);
 
   ocl::EventPtr prev;
-  for (int run = 0; run < runs; ++run) {
+  for (int run = 0; run < kRuns; ++run) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int it = 0; it < steps; ++it) {
+    for (int it = 0; it < kSteps; ++it) {
       const ocl::BufferPtr& src = it % 2 == 0 ? cur : nxt;
       const ocl::BufferPtr& dst = it % 2 == 0 ? nxt : cur;
-      halo::Plan& plan = it % 2 == 0 ? *plan_cur : *plan_nxt;
+      halo::Plan& plan = it % 2 == 0 ? plan_cur : plan_nxt;
       std::array<ocl::EventPtr, 1> w{prev};
       plan.start(*queue, prev ? ocl::WaitList(w) : ocl::WaitList{});
       std::array<ocl::EventPtr, 1> ready{plan.complete(*queue)};
@@ -133,37 +127,20 @@ double mean(std::span<const double> v) {
 }  // namespace
 }  // namespace clmpi
 
-int main(int argc, char** argv) {
+int main() {
   using namespace clmpi;
-  int runs = 240;
-  int steps = 16;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      runs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: %s [--runs N] [--steps N]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (runs < 4 || steps < 1) {
-    std::fprintf(stderr, "need --runs >= 4 and --steps >= 1\n");
-    return 2;
-  }
-
   std::vector<double> walls;
-  walls.reserve(static_cast<std::size_t>(runs));
+  walls.reserve(kRuns);
   mpi::Cluster::Options o;
   o.nranks = kRanks;
   o.profile = &sys::ricc();
-  mpi::Cluster::run(o, [&](mpi::Rank& rank) { rank_body(rank, runs, steps, walls); });
+  mpi::Cluster::run(o, [&](mpi::Rank& rank) { rank_body(rank, walls); });
 
   const std::size_t quarter = walls.size() / 4;
   const std::span<const double> all(walls);
   const double first = mean(all.first(quarter));
   const double last = mean(all.last(quarter));
-  std::printf("%d runs x %d steps in one cluster; mean run wall per quarter:", runs, steps);
+  std::printf("%d runs x %d steps in one cluster; mean run wall per quarter:", kRuns, kSteps);
   for (int q = 0; q < 4; ++q) {
     std::printf(" %.4f", mean(all.subspan(static_cast<std::size_t>(q) * quarter, quarter)));
   }
