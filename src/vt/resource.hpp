@@ -8,11 +8,9 @@
 // fibers run one at a time on its strand, but not in virtual-time order, so
 // grants can arrive out of virtual-time order; backfilling lets a late
 // request with an early ready time use an earlier gap, keeping the schedule
-// work-conserving. The history is kept whole, but a grant only visits the
-// intervals it collides with: the gap search starts with a binary search
-// for the first interval ending after `ready`, so its cost does not grow
-// with the age of the resource. Single owner: a resource belongs to one
-// cluster's strand and holds no lock.
+// work-conserving. The history is kept whole, but a grant skips its past by
+// binary search instead of walking it (earliest_fit). Single owner: a
+// resource belongs to one cluster's strand and holds no lock.
 #pragma once
 
 #include <cstddef>
