@@ -313,7 +313,6 @@ RunSummary run_cluster(const sys::SystemProfile& profile, int nranks, const Conf
   options.nranks = nranks;
   options.profile = &profile;
   options.tracer = tracer;
-  options.watchdog_seconds = 300.0;
 
   RunSummary summary;
   HostState state(config);

@@ -49,8 +49,7 @@ inline constexpr cl_int CLMPI_RUNTIME_SHUTDOWN = -1005;
 /// The command's message was lost in transit (fault injection / NIC loss).
 inline constexpr cl_int CLMPI_MESSAGE_DROPPED = -1006;
 /// The operation exceeded its deadline (clmpiSetOperationTimeout) or
-/// exhausted its retransmission budget; it failed at the deadline instead of
-/// hanging until the watchdog killed the run.
+/// exhausted its retransmission budget; it failed at its virtual deadline.
 inline constexpr cl_int CLMPI_TIMEOUT = -1007;
 /// The output buffer was too small; it was filled as far as it fits and the
 /// required size was reported (see clmpiListCounters).
@@ -62,6 +61,8 @@ inline constexpr cl_int CLMPI_INVALID_WINDOW = -1009;
 inline constexpr cl_int CLMPI_RMA_EPOCH = -1010;
 /// A null, released or otherwise unknown halo-plan handle.
 inline constexpr cl_int CLMPI_INVALID_HALO = -1011;
+/// The wait could never complete: the deadlock verdict (docs/SCHEDULER.md).
+inline constexpr cl_int CLMPI_DEADLOCK = -1016;
 // Extension-namespaced aliases for stale/invalid handle lookups through the
 // clmpiGet* escape hatches; same numeric values as the OpenCL codes.
 inline constexpr cl_int CLMPI_INVALID_MEM_OBJECT = CL_INVALID_MEM_OBJECT;

@@ -135,7 +135,8 @@ void Runtime::dispatcher_loop() {
     // Drain the whole queue per wakeup: enqueue bursts (an application
     // posting a dependency chain of commands) cost one resume instead of one
     // per command.
-    sched::wait([this] { return shutdown_ || !jobs_.empty(); }, "rt.dispatcher.idle");
+    sched::wait([this] { return shutdown_ || !jobs_.empty(); }, "rt.dispatcher.idle",
+                /*interruptible=*/false);
     if (jobs_.empty()) return;  // shutdown with a drained queue
     std::deque<Job> batch;
     batch.swap(jobs_);

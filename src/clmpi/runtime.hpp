@@ -224,7 +224,7 @@ class Runtime {
   /// enqueued after the call (clmpiSetOperationTimeout). Relative to each
   /// operation's ready time; zero (default) disables. An operation that
   /// cannot resolve by its deadline fails its event/request with
-  /// CLMPI_TIMEOUT instead of hanging until the watchdog kills the run.
+  /// CLMPI_TIMEOUT at that deadline.
   void set_default_deadline(vt::Duration deadline) noexcept { deadline_ = deadline; }
   [[nodiscard]] vt::Duration default_deadline() const noexcept { return deadline_; }
 

@@ -219,7 +219,13 @@ Plan::Plan(rt::Runtime& runtime, ocl::Context& ctx, mpi::Comm& comm, ocl::Buffer
 }
 
 Plan::~Plan() {
-  if (win_.valid()) win_.free(runtime_->rank().clock());
+  if (!win_.valid()) return;
+  // A destructor must not throw; a failed free (e.g. a peer that never
+  // frees: the deadlock verdict) leaves the window to the cluster teardown.
+  try {
+    win_.free(runtime_->rank().clock());
+  } catch (...) {  // NOLINT(bugprone-empty-catch)
+  }
 }
 
 Plan::EdgeState& Plan::opposite(const EdgeState& es) {

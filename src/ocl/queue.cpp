@@ -78,7 +78,8 @@ EventPtr CommandQueue::push(std::string op_label, WaitList waits, vt::Clock& clo
 
 void CommandQueue::worker_loop() {
   for (;;) {
-    sched::wait([this] { return shutdown_ || !pending_.empty(); }, "ocl.queue.idle");
+    sched::wait([this] { return shutdown_ || !pending_.empty(); }, "ocl.queue.idle",
+                /*interruptible=*/false);
     if (pending_.empty()) return;  // shutdown with a drained queue
     Command cmd = std::move(pending_.front());
     pending_.pop_front();

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
-#include <iostream>
 #include <mutex>
 #include <numeric>
+#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
@@ -33,8 +32,35 @@ bool ClusterCore::backstop() {
   });
   // Rescue after the sweep: timeout callbacks may re-enter the cluster
   // (fire events, post follow-up operations that register themselves).
-  if (next == nullptr || !next->rescue_timeout()) return cancelled;
-  if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
+  if (next != nullptr && next->rescue_timeout()) {
+    if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
+    return true;
+  }
+  return cancelled || fail_deadlocked();
+}
+
+bool ClusterCore::fail_deadlocked() {
+  ctx::ExecContext* target = sched::deadlock_target();
+  if (target == nullptr) return false;
+  const int r = target->rank;
+  for (const Mailbox& m : mailboxes) {
+    if (std::string mismatch = m.describe_block_mismatch(r); !mismatch.empty()) {
+      target->interrupt = std::make_exception_ptr(PreconditionError(mismatch));
+      return true;
+    }
+  }
+  const RankState& failed = ranks[static_cast<std::size_t>(r)];
+  std::ostringstream what;
+  what << "deadlock: every task of the cluster is blocked and none can complete; failing rank "
+       << r << "'s " << (failed.task == target ? "" : target->log_label + " ") << "wait at "
+       << target->blocked;
+  if (failed.clock != nullptr) what << ", virtual time " << failed.clock->now().s << " s";
+  what << "; blocked sites:";
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    // At an idle pass every live fiber waits, so a live rank has a site.
+    what << " rank" << i << '=' << (ranks[i].task != nullptr ? ranks[i].task->blocked : "returned");
+  }
+  target->interrupt = std::make_exception_ptr(DeadlockError(what.str()));
   return true;
 }
 
@@ -189,44 +215,41 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   }
   for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(core, *core.network, n);
 
-  // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
-  // so they outlive the rank contexts that write them.
-  for (int n = 0; n < options.nranks; ++n) core.blocked_sites.emplace_back(nullptr);
+  core.ranks.resize(static_cast<std::size_t>(options.nranks));
 
   RunResult result;
   result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
 
-  std::mutex state_mutex;
   std::exception_ptr first_error;
   int suppressed = 0;
-  std::vector<char> rank_done(static_cast<std::size_t>(options.nranks), 0);
 
   const auto rank_main = [&](int r) {
-    ctx::current().blocked_mirror = &core.blocked_sites[static_cast<std::size_t>(r)];
+    detail::ClusterCore::RankState& state = core.ranks[static_cast<std::size_t>(r)];
+    ctx::ExecContext& task = ctx::current();
+    state.task = &task;
+    task.rank = r;
     // Tenancy: the rank task (and, via spawn_service propagation, every
     // runtime service it starts) charges allocations to the job.
-    ctx::current().job = options.job;
+    task.job = options.job;
     log::set_thread_label("rank" + std::to_string(r));
     try {
       Rank rank(&core, r, options.nranks);
+      state.clock = &rank.clock();
       body(rank);
       result.rank_end_s[static_cast<std::size_t>(r)] = rank.now_s();
     } catch (...) {
-      {
-        std::lock_guard lock(state_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        } else {
-          // First error wins the rethrow, but secondary failures (usually the
-          // cascade the first one caused in peer ranks) must not vanish
-          // silently: count and log each one.
-          ++suppressed;
-          CLMPI_WARN("rank " << r << ": secondary error suppressed: "
-                             << describe_exception(std::current_exception()));
-          if (obs::metrics_enabled()) {
-            static auto& c = obs::Registry::instance().counter("cluster.suppressed_errors");
-            c.add();
-          }
+      if (!first_error) {
+        first_error = std::current_exception();
+      } else {
+        // First error wins the rethrow, but secondary failures (usually the
+        // cascade the first one caused in peer ranks) must not vanish
+        // silently: count and log each one.
+        ++suppressed;
+        CLMPI_WARN("rank " << r << ": secondary error suppressed: "
+                           << describe_exception(std::current_exception()));
+        if (obs::metrics_enabled()) {
+          static auto& c = obs::Registry::instance().counter("cluster.suppressed_errors");
+          c.add();
         }
       }
       // A failed rank fails the whole job: without a runtime teardown to
@@ -236,8 +259,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       // CancelledErrors — the line above already recorded the real cause).
       if (options.job != nullptr) options.job->request_cancel();
     }
-    std::lock_guard lock(state_mutex);
-    rank_done[static_cast<std::size_t>(r)] = 1;
+    state = {};
   };
 
   // The run is one strand: its rank fibers, and every service fiber they
@@ -253,47 +275,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   for (int r = 0; r < options.nranks; ++r) {
     tasks.push_back({[&rank_main, r] { rank_main(r); }, prefix + std::to_string(r)});
   }
-  pool.submit(strand, std::move(tasks), [&core] { return core.backstop(); });
-
-  double watchdog_s = options.watchdog_seconds;
-#ifdef CLMPI_SANITIZE_BUILD
-  // Sanitizer instrumentation slows the simulated ranks several-fold; scale
-  // the deadlock watchdog so sanitize runs are not shot while merely slow.
-  watchdog_s *= 4.0;
-#endif
-  if (!pool.wait_strand(strand, watchdog_s)) {
-    // A rank is stuck in a blocking operation: this is a communication
-    // deadlock in the user program, the same hang a real MPI job would
-    // exhibit. There is no safe way to unwind a foreign stuck task, so dump
-    // everything we know about where each rank is parked, flush the
-    // observability state, and abort.
-    std::lock_guard lock(state_mutex);
-    const auto remaining = std::count(rank_done.begin(), rank_done.end(), 0);
-    std::cerr << "clmpi::mpi::Cluster watchdog: " << remaining << " of " << options.nranks
-              << " ranks still blocked after " << watchdog_s
-              << "s of real time — communication deadlock; aborting.\n";
-    for (int r = 0; r < options.nranks; ++r) {
-      if (rank_done[static_cast<std::size_t>(r)]) continue;
-      const char* site =
-          core.blocked_sites[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
-      std::cerr << "  rank" << r << ": blocked at "
-                << (site != nullptr ? site : "<running or unknown>") << "\n";
-    }
-    for (const auto& f : pool.snapshot()) {
-      if (f.strand != strand) continue;  // a shared pool: only ours to report
-      std::cerr << "  fiber " << f.label << ": "
-                << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
-    }
-    for (const auto& s : obs::Registry::instance().snapshot()) {
-      if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
-    }
-    if (core.tracer != nullptr && !obs::trace_export_path().empty()) {
-      obs::write_trace_file(*core.tracer, obs::trace_export_path());
-      std::cerr << "  trace flushed to " << obs::trace_export_path() << "\n";
-    }
-    std::cerr.flush();
-    std::abort();
-  }
+  pool.run(strand, std::move(tasks), [&core] { return core.backstop(); });
 
   // The strand closed, so every fiber — ranks, queue workers, dispatchers,
   // collective progression — finished; the handles only need releasing.

@@ -3,9 +3,9 @@
 // Cluster::run executes the supplied body once per MPI rank (one rank per
 // node, as in the paper's evaluation), each as a fiber of one serial strand
 // on a fiber worker pool (support/sched.hpp), and reports per-rank virtual
-// end times. A real-time watchdog converts accidental communication
-// deadlocks (which block ranks exactly as they would block real MPI
-// processes) into a diagnosed abort instead of a hang.
+// end times. A communication deadlock (which blocks ranks exactly as it would
+// block real MPI processes) ends in a typed DeadlockError at a fixed virtual
+// time instead of a hang: see ClusterCore::fail_deadlocked.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +83,6 @@ class Cluster {
     int nranks{2};
     const sys::SystemProfile* profile{nullptr};  ///< required
     vt::Tracer* tracer{nullptr};
-    /// Real-time deadlock watchdog; 0 disables.
-    double watchdog_seconds{120.0};
     /// Deterministic fault-injection plan; all-zero rates disable injection.
     FaultPlan faults{};
 

@@ -4,12 +4,10 @@
 // dispatcher, queue-worker and collective-progression fibers never run at
 // the same time, so nothing below is locked; the mailboxes, command queues
 // and runtimes check at their entry points that the caller runs on
-// `strand`. The only exceptions are the blocked-site mirrors (read by the
-// watchdog on the Cluster::run caller) and the teardown after the strand
-// closed, which runs on the caller with `closed` set.
+// `strand`. The only exception is the teardown after the strand closed,
+// which runs on the caller with `closed` set.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -23,6 +21,7 @@
 #include "support/sched.hpp"
 #include "support/tenant.hpp"
 #include "systems/profile.hpp"
+#include "vt/clock.hpp"
 #include "vt/tracer.hpp"
 
 namespace clmpi::mpi::detail {
@@ -56,8 +55,15 @@ struct ClusterCore {
   /// operation. It fails a cancelled job's pending operations, then the
   /// pending deadline-armed operation with the earliest virtual deadline
   /// (ties: registration order) — the next event on the virtual timeline,
-  /// one per idle pass. Returns whether it resolved anything.
+  /// one per idle pass; failing both, the deadlock verdict
+  /// (fail_deadlocked). Returns whether it resolved anything.
   bool backstop();
+
+  /// Fail the wait of sched::deadlock_target() with a PreconditionError when
+  /// a pipelined send of its rank has mismatched block counts, else with a
+  /// DeadlockError naming every rank's blocked site and the failed rank's
+  /// virtual time. False when no wait can be failed.
+  bool fail_deadlocked();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
   /// A slot only lives for the duration of one collective create_window call
@@ -72,12 +78,13 @@ struct ClusterCore {
 
   void register_aux_service(sched::ServiceHandle s) { aux_services.push_back(std::move(s)); }
 
-  /// Per-rank blocked-site mirrors for watchdog diagnostics. Sized by
-  /// Cluster::run before ranks start; each rank's execution context mirrors
-  /// its current blocked site here (ctx::BlockedScope), so the watchdog can
-  /// report where every rank is stuck even after rank contexts are gone.
-  /// deque: atomics are immovable.
-  std::deque<std::atomic<const char*>> blocked_sites;
+  /// Per rank, for the deadlock verdict: its fiber's context and its clock,
+  /// both null once the body returned. Sized by Cluster::run.
+  struct RankState {
+    const ctx::ExecContext* task{nullptr};
+    const vt::Clock* clock{nullptr};
+  };
+  std::vector<RankState> ranks;
 
   /// The operations only the backstop can rescue: every point-to-point
   /// operation of a service job, and every deadline-armed one, registers

@@ -46,8 +46,8 @@ struct P2POptions {
   /// Per-operation deadline, relative to the operation's ready time; zero
   /// (default) means none. An operation resolving after ready + deadline on
   /// the virtual timeline — or never resolving at all — fails with
-  /// TimeoutError (CLMPI_TIMEOUT / MPI_ERR_TIMEOUT) at exactly that instant
-  /// instead of hanging until the watchdog kills the run.
+  /// TimeoutError (CLMPI_TIMEOUT / MPI_ERR_TIMEOUT) at exactly that instant,
+  /// before the deadlock verdict could fail its waiter.
   vt::Duration deadline{};
 };
 

@@ -127,6 +127,34 @@ std::size_t Mailbox::ChannelHash::operator()(const ChannelKey& k) const noexcept
   return static_cast<std::size_t>(h);
 }
 
+std::string Mailbox::describe_block_mismatch(int node) const {
+  constexpr int kFirst = pipeline_subtag(0, 0);
+  for (const auto& [key, fifo] : unexpected_) {
+    if (fifo.empty() || key.tag < kFirst) continue;
+    if (node_ != node && fifo.front().src_node != node) continue;
+    const int base = key.tag - (key.tag - kFirst) % 64;
+    const auto queued = [&](int k) {
+      if (k >= 64) return false;
+      const auto it = unexpected_.find(ChannelKey{key.src_rank, base + k, key.context});
+      return it != unexpected_.end() && !it->second.empty();
+    };
+    // Blocks queued while block 0 is not: the receiver matched blocks
+    // 0..first-1 and has no more, the sender's run to `last`.
+    if (queued(0)) continue;
+    int first = key.tag - base;
+    int last = first;
+    while (queued(first - 1)) --first;
+    while (queued(last + 1)) ++last;
+    return "pipelined block-count mismatch on tag " + std::to_string((base - kFirst) / 64) +
+           " from rank " + std::to_string(key.src_rank) + " to rank " + std::to_string(node_) +
+           ": the sender's wire decomposition is " + std::to_string(last + 1) + " " +
+           describe_decomp(fifo.front().wire_decomp) + ", the receiver's has " +
+           std::to_string(first) + " block(s); blocks " + std::to_string(first) + ".." +
+           std::to_string(last) + " can never match";
+  }
+  return {};
+}
+
 void Mailbox::require_owner() const {
   CLMPI_REQUIRE(core_->closed || sched::current_strand() == core_->strand,
                 "mailbox touched from outside its cluster's strand");

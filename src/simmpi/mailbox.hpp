@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -173,6 +174,11 @@ class Mailbox {
   /// wire arrival; rendezvous: the sender's post, when its envelope/header
   /// reaches the receiver).
   std::pair<MsgStatus, vt::TimePoint> probe(int src_rank, int tag, int context);
+
+  /// Deadlock diagnosis: a pipelined send queued here, from or to `node`,
+  /// whose receiver split it into fewer blocks, so its later blocks can
+  /// never match. Names both wire decompositions; empty when there is none.
+  [[nodiscard]] std::string describe_block_mismatch(int node) const;
 
  private:
   /// Exact-match channel identity: the full matching key of a specific

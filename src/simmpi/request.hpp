@@ -121,8 +121,8 @@ class RequestState {
   ///    the deadline, independent of fiber scheduling;
   ///  * liveness rescue — an operation that never resolves (e.g. a receive
   ///    no one will ever match) is failed with the same TimeoutError at
-  ///    `deadline` by the cluster's idle backstop, instead of hanging until
-  ///    the watchdog kills the process.
+  ///    `deadline` by the cluster's idle backstop, before its deadlock
+  ///    verdict.
   /// Must be armed before the operation can complete (i.e. before posting).
   void arm_deadline(vt::TimePoint deadline);
 

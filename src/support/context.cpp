@@ -1,5 +1,7 @@
 #include "support/context.hpp"
 
+#include <atomic>
+
 namespace clmpi::ctx {
 
 namespace detail {

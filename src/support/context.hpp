@@ -9,7 +9,7 @@
 //
 //   * the log label (support/log.cpp tags every line with it),
 //   * the published blocked-site (what blocking primitive the task is parked
-//     in right now, for the cluster watchdog's deadlock diagnostics),
+//     in right now) and the deadlock verdict's hook into that wait,
 //   * typed lazily-allocated slots for higher layers (ctx::slot<T>()), so
 //     this lowest-layer header never learns their types.
 //
@@ -18,8 +18,8 @@
 // instance — so call sites need no fiber check.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,13 +46,16 @@ class ExecContext {
   std::string log_label{"-"};
 
   /// The blocking site this task is currently parked in (a string literal;
-  /// nullptr while running). Written by ctx::BlockedScope, read by the
-  /// watchdog via the scheduler's fiber snapshot.
-  std::atomic<const char*> blocked{nullptr};
-  /// Optional mirror slot owned by the cluster (one per rank, outliving the
-  /// context), so the watchdog can dump per-RANK sites without touching a
-  /// possibly-dead rank's context.
-  std::atomic<const char*>* blocked_mirror{nullptr};
+  /// nullptr while running). Written by ctx::BlockedScope; read on the
+  /// task's strand by the deadlock verdict.
+  const char* blocked{nullptr};
+  /// Whether the deadlock verdict may fail the current wait (sched::wait).
+  bool interruptible{false};
+  /// Set by the deadlock verdict; the blocked wait rethrows it when resumed.
+  std::exception_ptr interrupt;
+  /// The cluster rank this task works for (a rank fiber, or a service it
+  /// spawned); -1 outside a cluster.
+  int rank{-1};
 
   /// The service job this task runs under; null for standalone runs. Set by
   /// the cluster launcher on rank tasks and propagated by spawn_service to
@@ -86,22 +89,14 @@ ExecContext& current() noexcept;
 void set_current(ExecContext* c) noexcept;
 
 /// RAII publication of a blocking site ("mpi.request.wait", ...). `site`
-/// must be a string literal (or otherwise immortal). Publishes to both the
-/// context's own slot and the cluster-owned mirror, if installed.
+/// must be a string literal (or otherwise immortal).
 class BlockedScope {
  public:
-  explicit BlockedScope(const char* site) noexcept : ctx_(&current()) {
-    ctx_->blocked.store(site, std::memory_order_relaxed);
-    if (ctx_->blocked_mirror != nullptr) {
-      ctx_->blocked_mirror->store(site, std::memory_order_relaxed);
-    }
+  BlockedScope(const char* site, bool interruptible) noexcept : ctx_(&current()) {
+    ctx_->blocked = site;
+    ctx_->interruptible = interruptible;
   }
-  ~BlockedScope() {
-    ctx_->blocked.store(nullptr, std::memory_order_relaxed);
-    if (ctx_->blocked_mirror != nullptr) {
-      ctx_->blocked_mirror->store(nullptr, std::memory_order_relaxed);
-    }
-  }
+  ~BlockedScope() { ctx_->blocked = nullptr; }
   BlockedScope(const BlockedScope&) = delete;
   BlockedScope& operator=(const BlockedScope&) = delete;
 

@@ -29,6 +29,7 @@ const char* to_string(Status s) noexcept {
     case Status::quota_exceeded: return "CLMPI_QUOTA_EXCEEDED";
     case Status::invalid_job: return "CLMPI_INVALID_JOB";
     case Status::cancelled: return "CLMPI_CANCELLED";
+    case Status::deadlock: return "CLMPI_DEADLOCK";
   }
   return "CLMPI_UNKNOWN_STATUS";
 }

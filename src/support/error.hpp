@@ -57,6 +57,8 @@ enum class Status : int {
   /// The job was cancelled (explicitly, or by its job-level deadline); ranks
   /// unwind at their next cancellation point with this status.
   cancelled = -1015,
+  /// A wait failed by the deadlock verdict (DeadlockError).
+  deadlock = -1016,
 };
 
 /// Human-readable name of a status code ("CL_SUCCESS", ...).
@@ -127,6 +129,14 @@ class CancelledError : public Error {
  public:
   explicit CancelledError(const std::string& what_arg)
       : Error(what_arg, Status::cancelled) {}
+};
+
+/// The deadlock verdict: the cluster's strand went idle with nothing left to
+/// rescue, so the failed wait could never have completed.
+class DeadlockError : public Error {
+ public:
+  explicit DeadlockError(const std::string& what_arg)
+      : Error(what_arg, Status::deadlock) {}
 };
 
 namespace detail {

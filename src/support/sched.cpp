@@ -1,16 +1,17 @@
 #include "support/sched.hpp"
 
+#include <cxxabi.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -63,11 +64,24 @@ std::size_t default_stack_bytes() {
 /// Fiber resumes per strand checkout. A count, never a time slice: where a
 /// quantum ends must not depend on the host.
 constexpr int kQuantum = 64;
-/// Wall-clock nap of a quiescent strand (every fiber waits on another
-/// thread, or the program is deadlocked): doubles per consecutive quiescent
-/// pass.
-constexpr std::chrono::microseconds kNapMin{20};
-constexpr std::chrono::microseconds kNapMax{1000};
+
+/// The Itanium C++ ABI's per-thread exception state (__cxa_eh_globals:
+/// caught-exception stack, uncaught count). Each fiber keeps its own across
+/// suspends, so std::uncaught_exceptions() answers for the calling fiber and
+/// one suspended mid-unwind leaves nothing behind on its worker.
+struct EhState {
+  void* caught;
+  unsigned int uncaught;
+};
+/// The running worker's __cxa_eh_globals, looked up once per worker.
+thread_local void* t_eh_globals = nullptr;
+
+void swap_eh_state(EhState& saved) noexcept {
+  EhState live;
+  std::memcpy(&live, t_eh_globals, sizeof live);
+  std::memcpy(t_eh_globals, &saved, sizeof live);
+  saved = live;
+}
 
 struct Strand;
 
@@ -79,10 +93,11 @@ struct Fiber {
   std::byte* mapping{nullptr};  ///< stack + low guard page
   std::size_t mapping_size{0};
   std::function<void()> fn;
-  std::atomic<bool> finished{false};
+  bool finished{false};
   bool started{false};
   Strand* strand{nullptr};
   ctx::ExecContext ctx;
+  EhState eh{};
   Scheduler::Impl* owner{nullptr};
 #ifdef CLMPI_FIBER_ASAN
   void* fake_stack{nullptr};
@@ -106,10 +121,8 @@ struct Strand {
   /// wait predicate (or a fiber was spawned); cleared per resume.
   bool progressed{false};
   std::size_t fruitless{0};  ///< resumes without progress since the last one
-  std::chrono::microseconds nap{0};
-  // Guarded by Scheduler::Impl::mutex.
-  std::chrono::steady_clock::time_point wake{};  ///< end of the current nap
-  std::vector<std::unique_ptr<Fiber>> fibers;    ///< ownership, for snapshot()
+  /// Ownership, in creation order (the deadlock verdict's order).
+  std::vector<std::unique_ptr<Fiber>> fibers;
 };
 
 thread_local Fiber* t_current = nullptr;
@@ -131,24 +144,18 @@ thread_local void* t_worker_fake = nullptr;
 struct Scheduler::Impl {
   std::size_t stack_bytes{0};
 
-  mutable std::mutex mutex;
+  std::mutex mutex;
   std::condition_variable work_cv;    ///< parked workers
-  std::condition_variable closed_cv;  ///< wait_strand callers
+  std::condition_variable closed_cv;  ///< run() callers
   std::unordered_map<std::uint64_t, std::unique_ptr<Strand>> strands;
   std::deque<Strand*> rotation;  ///< runnable strands nobody holds
-  std::vector<Strand*> napping;  ///< quiescent strands, by Strand::wake
   int parked{0};
   bool stopping{false};
   std::vector<std::thread> workers;
 
-  /// Outcome of one quantum.
-  enum class Pass { runnable, quiescent, closed };
-
   std::unique_ptr<Fiber> make_fiber(std::function<void()> fn, std::string label);
   void spawn_here(std::function<void()> fn, std::string label);
-  Strand* checkout(std::unique_lock<std::mutex>& lock);  // nullptr = exit
-  Pass run_quantum(Strand& s);
-  void release(Strand& s, Pass pass);  // requires `mutex`
+  bool run_quantum(Strand& s);  // true = closed
   void worker_loop(int index);
   void resume(Fiber* f);
   void retire(Fiber* f);
@@ -173,7 +180,7 @@ namespace {
     std::terminate();
   }
   f->fn = nullptr;  // release captures before the stack goes away
-  f->finished.store(true, std::memory_order_release);
+  f->finished = true;
 #ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
@@ -210,14 +217,37 @@ void suspend(Fiber* f, bool progress) {
 #endif
 }
 
+/// A strand whose idle task resolved nothing can never move again, and none
+/// of its waits may be failed: report every fiber and end the process.
+[[noreturn]] void abort_deadlocked(const Strand& s) {
+  std::cerr << "clmpi::sched: strand " << s.tag
+            << " is deadlocked and none of its waits can be failed; aborting.\n";
+  for (const auto& f : s.fibers) {
+    std::cerr << "  fiber " << f->ctx.log_label << ": blocked at "
+              << (f->ctx.blocked != nullptr ? f->ctx.blocked : "-") << "\n";
+  }
+  std::cerr.flush();
+  std::abort();
+}
+
 }  // namespace
 
 void block_step(const char* site, bool entry) {
-  if (t_current == nullptr) {
+  Fiber* f = t_current;
+  if (f == nullptr) {
     throw PreconditionError(std::string("blocking wait at ") + site +
                             " off a scheduler strand: nothing else runs here to complete it");
   }
-  suspend(t_current, entry);
+  suspend(f, entry);
+  if (f->ctx.interrupt) std::rethrow_exception(std::exchange(f->ctx.interrupt, nullptr));
+}
+
+ctx::ExecContext* deadlock_target() noexcept {
+  if (t_strand == nullptr) return nullptr;
+  for (const auto& f : t_strand->fibers) {
+    if (f->ctx.blocked != nullptr && f->ctx.interruptible) return &f->ctx;
+  }
+  return nullptr;
 }
 
 void yield() {
@@ -265,7 +295,6 @@ void Scheduler::Impl::spawn_here(std::function<void()> fn, std::string label) {
   f->strand = s;
   s->ready.push_back(f.get());
   s->progressed = true;  // a fiber that has not run yet: the strand is not quiescent
-  std::lock_guard lock(mutex);
   s->fibers.push_back(std::move(f));
 }
 
@@ -277,6 +306,7 @@ void Scheduler::Impl::resume(Fiber* f) {
   }
   t_current = f;
   ctx::set_current(&f->ctx);
+  swap_eh_state(f->eh);  // install the fiber's exception state ...
 #ifdef CLMPI_FIBER_TSAN
   f->tsan_ret = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(f->tsan_fiber, 0);
@@ -288,6 +318,7 @@ void Scheduler::Impl::resume(Fiber* f) {
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(t_worker_fake, nullptr, nullptr);
 #endif
+  swap_eh_state(f->eh);  // ... and keep it with the fiber
   ctx::set_current(nullptr);
   t_current = nullptr;
 }
@@ -303,55 +334,17 @@ void Scheduler::Impl::retire(Fiber* f) {
   f->ctx.clear_slots();
   // Drop the Fiber record itself: a persistent scheduler hosts thousands of
   // short strands over its life and must not accumulate their corpses.
-  std::lock_guard lock(mutex);
   std::erase_if(f->strand->fibers, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
 }
 
-Strand* Scheduler::Impl::checkout(std::unique_lock<std::mutex>& lock) {
-  for (;;) {
-    if (!napping.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      std::erase_if(napping, [&](Strand* s) {
-        if (s->wake > now) return false;
-        rotation.push_back(s);
-        return true;
-      });
-    }
-    if (!rotation.empty()) {
-      Strand* s = rotation.front();
-      rotation.pop_front();
-      if (!rotation.empty() && parked > 0) work_cv.notify_one();
-      return s;
-    }
-    if (strands.empty() && stopping) return nullptr;
-    ++parked;
-    if (napping.empty()) {
-      work_cv.wait(lock);
-    } else {
-      // By value: while this worker waits, another may wake, run and close
-      // that strand.
-      const auto wake = (*std::min_element(napping.begin(), napping.end(), [](Strand* a, Strand* b) {
-        return a->wake < b->wake;
-      }))->wake;
-      work_cv.wait_until(lock, wake);
-    }
-    --parked;
-  }
-}
-
-Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
+bool Scheduler::Impl::run_quantum(Strand& s) {
   t_strand = &s;
   t_strand_tag = s.tag;
-  Pass pass = Pass::runnable;
-  for (int i = 0; i < kQuantum; ++i) {
-    if (s.ready.empty()) {
-      pass = Pass::closed;
-      break;
-    }
+  for (int i = 0; i < kQuantum && !s.ready.empty(); ++i) {
     Fiber* f = s.ready.front();
     s.ready.pop_front();
     resume(f);
-    if (f->finished.load(std::memory_order_acquire)) {
+    if (f->finished) {
       retire(f);
       s.progressed = true;
     } else {
@@ -360,57 +353,49 @@ Scheduler::Impl::Pass Scheduler::Impl::run_quantum(Strand& s) {
     if (s.progressed) {
       s.progressed = false;
       s.fruitless = 0;
-      s.nap = std::chrono::microseconds{0};
       continue;
     }
     if (++s.fruitless < s.ready.size()) continue;
     // A full pass in which every fiber only re-polled an unchanged wait:
     // nothing on the strand can move by itself, so run its backstop, which
-    // may resolve a request (cancel or deadline rescue). The pass is
-    // counted in the strand's own resumes, so where the backstop fires is a
-    // function of the strand's schedule alone.
+    // may resolve a request (cancel or deadline rescue) or fail a wait (the
+    // deadlock verdict). The pass is counted in the strand's own resumes, so
+    // where the backstop fires is a function of the strand's schedule alone.
     s.fruitless = 0;
-    if (s.idle && s.idle()) {
-      s.nap = std::chrono::microseconds{0};
-      continue;
-    }
-    pass = Pass::quiescent;
-    break;
+    if (!s.idle()) abort_deadlocked(s);
   }
-  if (pass == Pass::runnable && s.ready.empty()) pass = Pass::closed;
   t_strand = nullptr;
   t_strand_tag = 0;
-  return pass;
-}
-
-void Scheduler::Impl::release(Strand& s, Pass pass) {
-  switch (pass) {
-    case Pass::closed:
-      // The last fiber finished: close the strand (destroying its idle task)
-      // and wake whoever waits for it.
-      strands.erase(s.tag);
-      closed_cv.notify_all();
-      if (strands.empty() && stopping) work_cv.notify_all();
-      return;
-    case Pass::quiescent:
-      s.nap = std::clamp(s.nap * 2, kNapMin, kNapMax);
-      s.wake = std::chrono::steady_clock::now() + s.nap;
-      napping.push_back(&s);
-      return;
-    case Pass::runnable:
-      rotation.push_back(&s);
-      return;
-  }
+  return s.ready.empty();
 }
 
 void Scheduler::Impl::worker_loop(int index) {
   log::set_thread_label("sched-worker" + std::to_string(index));
+  t_eh_globals = abi::__cxa_get_globals();
   std::unique_lock lock(mutex);
-  while (Strand* s = checkout(lock)) {
+  for (;;) {
+    if (rotation.empty()) {
+      if (strands.empty() && stopping) return;
+      ++parked;
+      work_cv.wait(lock);
+      --parked;
+      continue;
+    }
+    Strand* s = rotation.front();
+    rotation.pop_front();
+    if (!rotation.empty() && parked > 0) work_cv.notify_one();
     lock.unlock();
-    const Pass pass = run_quantum(*s);
+    const bool closed = run_quantum(*s);
     lock.lock();
-    release(*s, pass);
+    if (!closed) {
+      rotation.push_back(s);
+      continue;
+    }
+    // The last fiber finished: close the strand (destroying its idle task)
+    // and wake whoever waits for it.
+    strands.erase(s->tag);
+    closed_cv.notify_all();
+    if (strands.empty() && stopping) work_cv.notify_all();
   }
 }
 
@@ -434,8 +419,7 @@ Scheduler::~Scheduler() {
   for (auto& w : impl_->workers) w.join();
 }
 
-void Scheduler::submit(std::uint64_t strand, std::vector<Task> tasks,
-                       std::function<bool()> idle) {
+void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle) {
   CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
   auto s = std::make_unique<Strand>();
   s->tag = strand;
@@ -445,33 +429,12 @@ void Scheduler::submit(std::uint64_t strand, std::vector<Task> tasks,
     s->fibers.back()->strand = s.get();
     s->ready.push_back(s->fibers.back().get());
   }
-  std::lock_guard lock(impl_->mutex);
+  std::unique_lock lock(impl_->mutex);
   CLMPI_REQUIRE(!impl_->strands.contains(strand), "strand tag already in use");
   impl_->rotation.push_back(s.get());
   impl_->strands.emplace(strand, std::move(s));
   if (impl_->parked > 0) impl_->work_cv.notify_one();
-}
-
-bool Scheduler::wait_strand(std::uint64_t strand, double timeout_s) {
-  std::unique_lock lock(impl_->mutex);
-  const auto closed = [&] { return !impl_->strands.contains(strand); };
-  if (timeout_s <= 0.0) {
-    impl_->closed_cv.wait(lock, closed);
-    return true;
-  }
-  return impl_->closed_cv.wait_for(lock, std::chrono::duration<double>(timeout_s), closed);
-}
-
-std::vector<Scheduler::FiberInfo> Scheduler::snapshot() const {
-  std::vector<FiberInfo> out;
-  std::lock_guard lock(impl_->mutex);
-  for (const auto& [tag, s] : impl_->strands) {
-    for (const auto& f : s->fibers) {
-      if (f->finished.load(std::memory_order_acquire)) continue;
-      out.push_back({f->ctx.log_label, f->ctx.blocked.load(std::memory_order_relaxed), tag});
-    }
-  }
-  return out;
+  impl_->closed_cv.wait(lock, [&] { return !impl_->strands.contains(strand); });
 }
 
 ServiceHandle::~ServiceHandle() {
@@ -480,7 +443,7 @@ ServiceHandle::~ServiceHandle() {
 
 void ServiceHandle::join() {
   if (done_ == nullptr) return;
-  wait([this] { return *done_; }, "sched.service.join");
+  wait([this] { return *done_; }, "sched.service.join", /*interruptible=*/false);
   done_.reset();
 }
 
@@ -490,13 +453,16 @@ ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
                 "spawn_service needs a scheduler strand (run inside Cluster::run)");
   // Tenancy propagation: a runtime service works on behalf of the task that
   // started it, so it inherits the spawner's job (strand AND context
-  // pointer — quota charges from inside the service bill the right tenant).
+  // pointer — quota charges from inside the service bill the right tenant)
+  // and rank (the deadlock verdict names it).
   tenant::JobControl* job_ctx = ctx::current().job;
+  const int rank = ctx::current().rank;
   ServiceHandle h;
   h.done_ = std::make_shared<bool>(false);
   cur->owner->spawn_here(
-      [done = h.done_, job_ctx, fn = std::move(fn)] {
+      [done = h.done_, job_ctx, rank, fn = std::move(fn)] {
         ctx::current().job = job_ctx;
+        ctx::current().rank = rank;
         fn();
         *done = true;
       },

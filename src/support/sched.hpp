@@ -20,9 +20,10 @@
 // yield() and finishing all count. After a full pass over a strand's fibers
 // without progress nothing on the strand can change by itself, so the
 // worker runs the strand's idle task (the runtime's liveness backstop),
-// which reports whether it resolved anything; if not, the strand naps for a
-// short, growing wall-clock backoff. Workers with no runnable strand park on
-// a condition variable.
+// which reports whether it resolved anything — a cluster's ends with the
+// deadlock verdict, which fails one blocked wait. If not, no wait is left to
+// fail: the worker prints the strand's fibers and aborts. Workers with no
+// runnable strand park on a condition variable.
 //
 // Determinism contract: the order in which a strand's fibers run, and the
 // points at which its idle task fires, are functions of the strand alone —
@@ -38,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -63,25 +65,34 @@ void yield();
 /// cluster state call it on every entry.
 [[nodiscard]] std::uint64_t current_strand() noexcept;
 
-/// Blocking-wait step: on a fiber, suspend; off a strand, throw
-/// PreconditionError naming `site` — no other task there can make the
-/// awaited progress, so a wait would spin forever. `entry` marks the first
-/// step of a wait, which counts as progress (the fiber ran since it last
-/// suspended); a later step follows a re-poll that changed nothing.
+/// Blocking-wait step: on a fiber, suspend, then rethrow the deadlock
+/// verdict if it picked this wait; off a strand, throw PreconditionError
+/// naming `site` — no other task there can make the awaited progress, so a
+/// wait would spin forever. `entry` marks the first step of a wait, which
+/// counts as progress (the fiber ran since it last suspended); a later step
+/// follows a re-poll that changed nothing.
 void block_step(const char* site, bool entry);
 
 /// Fiber-aware blocking wait: poll-yields until `pred()` holds, publishing
-/// `site` as the caller's blocked site (watchdog diagnostics). Off a strand
-/// it throws PreconditionError unless `pred()` already holds. `pred` must
-/// not change state, and `site` must be a string literal (or otherwise
-/// outlive the wait).
+/// `site` as the caller's blocked site. Off a strand it throws
+/// PreconditionError unless `pred()` already holds. `pred` must not change
+/// state, and `site` must be a string literal (or otherwise outlive the
+/// wait). The deadlock verdict may fail an `interruptible` wait, which then
+/// throws its error; pass false where a throw cannot be handled (a service's
+/// idle wait, a join in a destructor). A wait entered while its fiber
+/// unwinds is never interruptible (each fiber has its own exception state).
 template <typename Pred>
-void wait(Pred&& pred, const char* site) {
+void wait(Pred&& pred, const char* site, bool interruptible = true) {
   if (pred()) return;
-  ctx::BlockedScope blocked(site);
+  ctx::BlockedScope blocked(site, interruptible && std::uncaught_exceptions() == 0);
   block_step(site, /*entry=*/true);
   while (!pred()) block_step(site, /*entry=*/false);
 }
+
+/// For the strand's idle task: the first fiber of the calling strand, in
+/// creation order (a cluster's rank fibers by rank, then services), parked
+/// in an interruptible wait; nullptr when none. The deadlock verdict's target.
+[[nodiscard]] ctx::ExecContext* deadlock_target() noexcept;
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
 /// collective progression): a fiber on the spawner's strand. join() yields
@@ -144,27 +155,14 @@ class Scheduler {
     std::string label;
   };
 
-  /// Open strand `strand` with `tasks` queued in order before any of them
-  /// runs, and `idle` as its idle task (may be empty): run by the worker
-  /// holding the strand, serialized with its fibers, after a full pass in
-  /// which the strand made no progress; it returns whether it resolved
-  /// anything. The strand must not exist yet; it closes — and `idle` is
-  /// destroyed — once its last fiber finished.
-  void submit(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
-
-  /// Block until strand `strand` closed (every fiber of it finished, and no
-  /// worker holds it any more) or `timeout_s` seconds of real time passed
-  /// (<= 0: no limit); false on timeout.
-  bool wait_strand(std::uint64_t strand, double timeout_s);
-
-  /// Diagnostic snapshot of every unfinished fiber: (label, blocked site or
-  /// nullptr, strand tag). Safe to call from the watchdog while workers run.
-  struct FiberInfo {
-    std::string label;
-    const char* blocked{nullptr};
-    std::uint64_t strand{0};
-  };
-  [[nodiscard]] std::vector<FiberInfo> snapshot() const;
+  /// Run strand `strand` — `tasks` queued in order before any of them runs —
+  /// and block until it closed: every fiber of it finished, and no worker
+  /// holds it any more. `idle` is its idle task: run by the worker holding
+  /// the strand, serialized with its fibers, after a full pass in which the
+  /// strand made no progress; it returns whether it resolved anything. If
+  /// not, the strand is deadlocked: the worker prints its fibers and blocked
+  /// sites and aborts. The strand must not exist yet.
+  void run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
 
   struct Impl;
 

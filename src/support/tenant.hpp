@@ -76,8 +76,6 @@ class JobControl {
   [[nodiscard]] bool cancel_requested() const noexcept {
     return cancelled_.load(std::memory_order_relaxed);
   }
-  /// The raw flag, for wait loops that poll it (sched::wait).
-  [[nodiscard]] const std::atomic<bool>* cancel_flag() const noexcept { return &cancelled_; }
 
   /// Cancellation point: throw CancelledError when cancellation was
   /// requested. `where` names the point for the error message.

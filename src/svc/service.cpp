@@ -228,7 +228,6 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
       copt.nranks = rec->spec.nranks;
       copt.profile = &sys::profile_by_name(rec->spec.profile);
       copt.tracer = &tracer;
-      copt.watchdog_seconds = opts_.watchdog_seconds;
       copt.scheduler = &pool_;
       copt.job_tag = rec->id;
       copt.job = &rec->control;

@@ -103,8 +103,6 @@ class Service {
     std::size_t queue_limit{64};
     /// Runner threads = max jobs whose clusters run concurrently.
     std::size_t max_active{4};
-    /// Per-job cluster watchdog (deadlock abort), seconds; 0 disables.
-    double watchdog_seconds{120.0};
   };
 
   explicit Service(Options options);

@@ -8,8 +8,8 @@
 //
 //   1. every message is either delivered byte-exact or fails with a defined
 //      error (Status::message_dropped) on *both* endpoints — never silent
-//      corruption, never a hang (the cluster watchdog converts hangs into
-//      aborts);
+//      corruption, never a hang (a deadlock ends in the cluster's typed
+//      DeadlockError);
 //   2. event completion times are monotone along each rank's blocking command
 //      sequence, and no event completes before the virtual time at which its
 //      command was enqueued (no causality break);
@@ -192,7 +192,6 @@ ScenarioOutcome run_scenario(FaultClass fault, ForcedStrategy forced, std::uint6
   o.nranks = 2;
   o.profile = &sys::ricc();
   o.tracer = &tracer;
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   o.faults = plan_for(fault, seed);
 
   const xfer::Strategy strategy = strategy_for(forced);
@@ -330,7 +329,6 @@ ScenarioOutcome run_rma_scenario(FaultClass fault, std::uint64_t seed) {
   o.nranks = 2;
   o.profile = &sys::cxlpod();
   o.tracer = &tracer;
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   o.faults = plan_for(fault, seed);
 
   const mpi::RunResult res = mpi::Cluster::run(o, [&](mpi::Rank& rank) {

@@ -7,7 +7,6 @@
 
 #include "test_util.hpp"
 
-#include <cstdlib>
 #include <vector>
 
 #include "clmpi/capi.h"
@@ -27,7 +26,6 @@ mpi::Cluster::Options opts(int nranks, mpi::FaultPlan plan = {}) {
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   o.faults = plan;
   return o;
 }
@@ -404,20 +402,6 @@ TEST(FaultInjection, EventFromRequestPropagatesFailure) {
     EXPECT_EQ(clWaitForEvents(1, &evt), CLMPI_MESSAGE_DROPPED);
     clReleaseEvent(evt);
   });
-}
-
-// --- watchdog override helper ------------------------------------------------
-
-TEST(TestUtil, WatchdogEnvOverride) {
-  ASSERT_EQ(unsetenv("CLMPI_TEST_WATCHDOG"), 0);
-  EXPECT_DOUBLE_EQ(testutil::watchdog_seconds(12.0), 12.0);
-  ASSERT_EQ(setenv("CLMPI_TEST_WATCHDOG", "3.5", 1), 0);
-  EXPECT_DOUBLE_EQ(testutil::watchdog_seconds(12.0), 3.5);
-  ASSERT_EQ(setenv("CLMPI_TEST_WATCHDOG", "garbage", 1), 0);
-  EXPECT_DOUBLE_EQ(testutil::watchdog_seconds(12.0), 12.0);
-  ASSERT_EQ(setenv("CLMPI_TEST_WATCHDOG", "-4", 1), 0);
-  EXPECT_DOUBLE_EQ(testutil::watchdog_seconds(12.0), 12.0);
-  ASSERT_EQ(unsetenv("CLMPI_TEST_WATCHDOG"), 0);
 }
 
 }  // namespace

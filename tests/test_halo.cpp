@@ -42,7 +42,6 @@ mpi::Cluster::Options opts(int nranks, const sys::SystemProfile& prof,
   o.nranks = nranks;
   o.profile = &prof;
   o.tracer = tracer;
-  o.watchdog_seconds = testutil::watchdog_seconds(60.0);
   return o;
 }
 

@@ -167,7 +167,6 @@ TEST(EagerBoundaries, ByteExactDeliveryAcrossThresholds) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const std::size_t n = sizes[i];
@@ -192,7 +191,6 @@ TEST(EagerBoundaries, SenderBufferReusableAfterEagerSend) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   const std::vector<std::size_t> sizes = {64, 256, 4096};
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -224,7 +222,6 @@ TEST(Mailbox, SpecificAndWildcardMatching) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {
     if (rank.rank() == 0) {
       std::vector<std::vector<std::byte>> bufs(kMsgs, std::vector<std::byte>(64));
@@ -257,7 +254,6 @@ TEST(Mailbox, ProbeAndIprobeSeeUnexpectedMessages) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {
     if (rank.rank() == 0) {
       std::vector<std::byte> buf(128, std::byte{0x7C});
@@ -288,7 +284,6 @@ TEST(Mailbox, NestedSettleFiresAfterTheCurrentBatch) {
   mpi::Cluster::Options o;
   o.nranks = 1;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {
     mpi::detail::Mailbox& box = rank.core()->mailboxes[0];
     std::vector<std::string> order;
@@ -350,7 +345,6 @@ Fingerprint run_mixed_workload(std::uint64_t seed, bool faults) {
   o.nranks = 4;
   o.profile = &sys::ricc();
   o.tracer = &tracer;
-  o.watchdog_seconds = testutil::watchdog_seconds(30.0);
   if (faults) {
     o.faults.seed = seed;
     o.faults.duplicate_rate = 0.3;
@@ -421,7 +415,6 @@ TEST(WireDecomposition, ForcedStrategyMismatchFailsBothEndpoints) {
   mpi::Cluster::Options o;
   o.nranks = 2;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   std::mutex mu;
   int failures = 0;
   mpi::Cluster::run(o, [&](mpi::Rank& rank) {

@@ -35,7 +35,6 @@ mpi::Cluster::Options opts(int nranks) {
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(60.0);
   return o;
 }
 

@@ -39,7 +39,6 @@ mpi::Cluster::Options opts(int nranks) {
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   return o;
 }
 

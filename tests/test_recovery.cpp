@@ -7,8 +7,8 @@
 //    deterministic as the faults it repairs (seed-identical trace hashes
 //    and retry counters across runs).
 //  * Deadlines: an operation that can never resolve fails its request with
-//    Status::timeout at its virtual deadline instead of hanging until the
-//    cluster watchdog kills the run.
+//    Status::timeout at its virtual deadline, before the deadlock verdict
+//    could fail its waiter.
 //  * Degradation: gpudirect falls back to pinned staging on incapable or
 //    badly degraded NICs; pipelined falls back to pinned once a link has
 //    accumulated repeated block-level failures — with both endpoints
@@ -54,7 +54,6 @@ mpi::Cluster::Options opts(int nranks) {
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &sys::ricc();
-  o.watchdog_seconds = testutil::watchdog_seconds(20.0);
   return o;
 }
 
@@ -182,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RetryRecovery, ::testing::Range(0, 3));
 TEST(RetryRecovery, ExhaustedBudgetSurfacesAsTimeoutOnBothEndpoints) {
   // A fully lossy wire: every attempt of every message is dropped, so every
   // operation exhausts its budget and must fail with Status::timeout — a
-  // defined error on BOTH endpoints, never a hang or a watchdog kill.
+  // defined error on BOTH endpoints, never a hang or a deadlock verdict.
   const std::uint64_t seed = 0xDEADBEA7u;
   const mpi::FaultPlan plan = retry_plan(1.0, 2, seed);
 

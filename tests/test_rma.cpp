@@ -49,7 +49,6 @@ mpi::Cluster::Options opts(int nranks, const sys::SystemProfile& prof,
   o.nranks = nranks;
   o.profile = &prof;
   o.tracer = tracer;
-  o.watchdog_seconds = testutil::watchdog_seconds(30.0);
   return o;
 }
 

@@ -24,7 +24,6 @@ mpi::Cluster::Options opts(int nranks, const sys::SystemProfile& prof = sys::ric
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &prof;
-  o.watchdog_seconds = testutil::watchdog_seconds(30.0);
   return o;
 }
 

@@ -25,7 +25,6 @@ Cluster::Options opts(int nranks, const sys::SystemProfile& prof = sys::cichlid(
   Cluster::Options o;
   o.nranks = nranks;
   o.profile = &prof;
-  o.watchdog_seconds = testutil::watchdog_seconds(30.0);
   return o;
 }
 

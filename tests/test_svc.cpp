@@ -25,7 +25,6 @@ svc::Service::Options small_service(std::size_t max_active = 2) {
   svc::Service::Options opts;
   opts.workers = 1;
   opts.max_active = max_active;
-  opts.watchdog_seconds = testutil::watchdog_seconds(120.0);
   return opts;
 }
 
@@ -75,7 +74,6 @@ TEST(Service, TraceHashMatchesStandaloneRun) {
     opts.nranks = spec.nranks;
     opts.profile = &sys::profile_by_name(spec.profile);
     opts.tracer = &standalone;
-    opts.watchdog_seconds = testutil::watchdog_seconds(120.0);
     mpi::Cluster::run(opts, svc::make_workload(spec));
   }
 

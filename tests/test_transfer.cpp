@@ -22,7 +22,6 @@ mpi::Cluster::Options opts(int nranks, const sys::SystemProfile& prof) {
   mpi::Cluster::Options o;
   o.nranks = nranks;
   o.profile = &prof;
-  o.watchdog_seconds = testutil::watchdog_seconds(30.0);
   return o;
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <array>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -13,19 +12,6 @@
 #include "vt/tracer.hpp"
 
 namespace clmpi::testutil {
-
-/// Deadlock-watchdog budget for Cluster::Options::watchdog_seconds.
-/// `CLMPI_TEST_WATCHDOG` (seconds, floating point) overrides the suite's
-/// default — shorten it to make chaos failures surface fast, lengthen it on
-/// slow machines. Non-positive or unparsable values fall back to `fallback`.
-inline double watchdog_seconds(double fallback) {
-  const char* env = std::getenv("CLMPI_TEST_WATCHDOG");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || v <= 0.0) return fallback;
-  return v;
-}
 
 /// Worker counts of the worker-count gates: the same workload must give the
 /// same trace hash, makespan and fault counters on each.
@@ -44,7 +30,6 @@ inline void on_strand(const std::function<void()>& body) {
   mpi::Cluster::Options o;
   o.nranks = 1;
   o.profile = &sys::cichlid();
-  o.watchdog_seconds = watchdog_seconds(60.0);
   mpi::Cluster::run(o, [&](mpi::Rank&) { body(); });
 }
 
