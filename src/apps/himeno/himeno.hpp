@@ -75,7 +75,6 @@ struct Config {
   /// Floating point operations per updated cell (the Himeno standard count).
   static constexpr double flops_per_cell = 34.0;
 
-  [[nodiscard]] std::size_t halo_plane_bytes() const { return jmax * kmax * sizeof(float); }
   [[nodiscard]] double total_flops() const {
     // Updated cells per iteration: interior * (jmax-2) * (kmax-2).
     return static_cast<double>(interior) * static_cast<double>(jmax - 2) *

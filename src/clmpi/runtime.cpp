@@ -1,5 +1,6 @@
 #include "clmpi/runtime.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -150,33 +151,20 @@ void Runtime::dispatcher_loop() {
       // Release the command once its wait list fires (§IV-B): commands are
       // released in enqueue order, which preserves MPI tag-matching order.
       //
-      // The wait-list barrier is a countdown latch armed via on_complete
-      // continuations rather than a chain of blocking w->wait() calls: the
-      // dispatcher parks at most once per job (never once per event) and a
-      // failed event hands over its exception_ptr instead of a rethrow/catch
-      // round trip. The release walk below replicates the old semantics
-      // exactly — waits visited in list order, ready is the running max of
-      // completion times, and the FIRST failed event (with the ready
-      // accumulated over its predecessors) poisons the command.
+      // The dispatcher parks at most once per job (one progress continuation)
+      // and registers nothing on the events, so a wait the deadlock verdict
+      // fails leaves no callback behind. Release walk: ready is the running
+      // max of completion times, and the FIRST failed event in list order
+      // poisons the command.
       vt::TimePoint ready = job.enqueue_time;
+      const auto fired = [&job] {
+        return std::all_of(job.waits.begin(), job.waits.end(),
+                           [](const ocl::EventPtr& w) { return w->complete(); });
+      };
       try {
-        bool armed = false;
-        for (const auto& w : job.waits) {
-          if (!w->complete()) {
-            armed = true;
-            break;
-          }
-        }
-        if (armed) {
-          // A local: the wait below outlasts every callback it counts.
-          std::size_t remaining = job.waits.size();
-          for (const auto& w : job.waits) {
-            // Already-complete events fire the callback inline; pending ones
-            // fire it from their completing fiber.
-            w->on_complete([&remaining](vt::TimePoint) { --remaining; });
-          }
+        if (!fired()) {
           if (obs::metrics_enabled()) mpi::detail::progress_metrics().continuations.add();
-          sched::wait([&] { return remaining == 0; }, "rt.dispatcher.waitlist");
+          sched::wait(fired, "rt.dispatcher.waitlist");
         }
         std::exception_ptr err;
         for (const auto& w : job.waits) {

@@ -6,6 +6,7 @@
 
 #include "simmpi/datatype.hpp"
 #include "support/error.hpp"
+#include "support/log.hpp"
 
 namespace clmpi::halo {
 
@@ -220,11 +221,13 @@ Plan::Plan(rt::Runtime& runtime, ocl::Context& ctx, mpi::Comm& comm, ocl::Buffer
 
 Plan::~Plan() {
   if (!win_.valid()) return;
-  // A destructor must not throw; a failed free (e.g. a peer that never
-  // frees: the deadlock verdict) leaves the window to the cluster teardown.
+  // A destructor must not throw. A free the deadlock verdict fails (a peer
+  // that never frees) leaves the window to the cluster teardown; any other
+  // failure still ends the process.
   try {
     win_.free(runtime_->rank().clock());
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
+  } catch (const DeadlockError& e) {
+    CLMPI_WARN("halo plan: window left to teardown: " << e.what());
   }
 }
 

@@ -65,12 +65,4 @@ void Event::mark_failed(vt::TimePoint when, std::exception_ptr error) {
   mark_complete(when);
 }
 
-vt::TimePoint Event::wait_all(std::span<const EventPtr> events) {
-  vt::TimePoint latest{};
-  for (const EventPtr& ev : events) {
-    if (ev) latest = vt::max(latest, ev->wait());
-  }
-  return latest;
-}
-
 }  // namespace clmpi::ocl

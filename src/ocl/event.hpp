@@ -13,7 +13,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -79,9 +78,6 @@ class Event {
 
   /// Complete the event carrying a failure; waiters rethrow `error`.
   void mark_failed(vt::TimePoint when, std::exception_ptr error);
-
-  /// Latest completion time across `events`, blocking until all complete.
-  static vt::TimePoint wait_all(std::span<const EventPtr> events);
 
  private:
   std::string label_;

@@ -231,10 +231,4 @@ void CommandQueue::finish(vt::Clock& clock) {
   traced_wait(*device_, barrier, clock, "clFinish " + label_);
 }
 
-EventPtr CommandQueue::enqueue_custom(std::string op_label, vt::SpanKind /*kind*/,
-                                      std::function<vt::Resource::Span(vt::TimePoint)> body,
-                                      WaitList waits, vt::Clock& clock) {
-  return push(std::move(op_label), waits, clock, std::move(body));
-}
-
 }  // namespace clmpi::ocl

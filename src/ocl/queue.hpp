@@ -105,17 +105,6 @@ class CommandQueue {
   /// clFinish: block until every enqueued command has completed.
   void finish(vt::Clock& clock);
 
-  // --- extension hook --------------------------------------------------------
-
-  /// Enqueue an arbitrary command. `body(ready)` runs on the queue worker
-  /// once queue order and the wait list allow, performs its side effects,
-  /// and returns the [start,end) span it occupied on the virtual timeline.
-  /// This is the mechanism the clMPI runtime uses for its inter-node
-  /// communication commands.
-  EventPtr enqueue_custom(std::string op_label, vt::SpanKind kind,
-                          std::function<vt::Resource::Span(vt::TimePoint)> body,
-                          WaitList waits, vt::Clock& clock);
-
   /// Number of commands executed so far (observability for tests).
   [[nodiscard]] std::size_t commands_executed() const noexcept { return executed_; }
 

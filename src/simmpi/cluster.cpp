@@ -42,26 +42,41 @@ bool ClusterCore::backstop() {
 bool ClusterCore::fail_deadlocked() {
   ctx::ExecContext* target = sched::deadlock_target();
   if (target == nullptr) return false;
-  const int r = target->rank;
+  target->interrupt = deadlock_error(*target);
+  // The operations the target posted fail too: a caller that handles the
+  // error may free the buffers they point into.
+  fail_posted(target, target->interrupt);
+  return true;
+}
+
+std::exception_ptr ClusterCore::deadlock_error(const ctx::ExecContext& target) const {
+  const int r = target.rank;
   for (const Mailbox& m : mailboxes) {
     if (std::string mismatch = m.describe_block_mismatch(r); !mismatch.empty()) {
-      target->interrupt = std::make_exception_ptr(PreconditionError(mismatch));
-      return true;
+      return std::make_exception_ptr(PreconditionError(mismatch));
     }
   }
   const RankState& failed = ranks[static_cast<std::size_t>(r)];
   std::ostringstream what;
   what << "deadlock: every task of the cluster is blocked and none can complete; failing rank "
-       << r << "'s " << (failed.task == target ? "" : target->log_label + " ") << "wait at "
-       << target->blocked;
+       << r << "'s " << (failed.task == &target ? "" : target.log_label + " ") << "wait at "
+       << target.blocked;
   if (failed.clock != nullptr) what << ", virtual time " << failed.clock->now().s << " s";
   what << "; blocked sites:";
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     // At an idle pass every live fiber waits, so a live rank has a site.
     what << " rank" << i << '=' << (ranks[i].task != nullptr ? ranks[i].task->blocked : "returned");
   }
-  target->interrupt = std::make_exception_ptr(DeadlockError(what.str()));
-  return true;
+  return std::make_exception_ptr(DeadlockError(what.str()));
+}
+
+bool ClusterCore::fail_posted(const ctx::ExecContext* poster, const std::exception_ptr& error) {
+  std::vector<std::shared_ptr<RequestState>> posted;
+  for (Mailbox& m : mailboxes) m.withdraw(poster, posted);
+  // Fail after the sweep: settle callbacks may re-enter the cluster (fire
+  // events, post follow-up operations).
+  for (const auto& s : posted) s->cancel_now(error);
+  return !posted.empty();
 }
 
 void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
@@ -77,22 +92,10 @@ void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
 }
 
 bool ClusterCore::fail_pending_as_cancelled() {
-  if (job == nullptr || !job->cancel_requested()) return false;
-  std::vector<std::shared_ptr<RequestState>> live;
-  std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
-    auto s = weak.lock();
-    if (s == nullptr || s->done()) return true;
-    live.push_back(std::move(s));
-    return false;
-  });
-  // Fail after the sweep: settle callbacks may re-enter the cluster (fire
-  // events, post follow-ups that call register_pending).
-  for (auto& s : live) {
-    s->cancel_now(std::make_exception_ptr(
-        CancelledError("job " + std::to_string(job->id()) + " cancelled; pending "
-                       "operation failed by the cancel backstop")));
-  }
-  return !live.empty();
+  return job != nullptr && job->cancel_requested() &&
+         fail_posted(nullptr, std::make_exception_ptr(CancelledError(
+                                  "job " + std::to_string(job->id()) +
+                                  " cancelled; pending operation failed by the cancel backstop")));
 }
 
 }  // namespace detail

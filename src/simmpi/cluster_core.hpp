@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -59,11 +60,18 @@ struct ClusterCore {
   /// (fail_deadlocked). Returns whether it resolved anything.
   bool backstop();
 
-  /// Fail the wait of sched::deadlock_target() with a PreconditionError when
-  /// a pipelined send of its rank has mismatched block counts, else with a
-  /// DeadlockError naming every rank's blocked site and the failed rank's
-  /// virtual time. False when no wait can be failed.
+  /// Fail the wait of sched::deadlock_target(), and the operations that
+  /// task posted, with deadlock_error(). False when no wait can be failed.
   bool fail_deadlocked();
+
+  /// A PreconditionError when a pipelined send of the target's rank has
+  /// mismatched block counts, else a DeadlockError naming every rank's
+  /// blocked site and the failed rank's virtual time.
+  [[nodiscard]] std::exception_ptr deadlock_error(const ctx::ExecContext& target) const;
+
+  /// Withdraw the pending operations `poster` (every task when null) queued
+  /// in the mailboxes and fail them with `error`; whether there were any.
+  bool fail_posted(const ctx::ExecContext* poster, const std::exception_ptr& error);
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
   /// A slot only lives for the duration of one collective create_window call
@@ -86,15 +94,15 @@ struct ClusterCore {
   };
   std::vector<RankState> ranks;
 
-  /// The operations only the backstop can rescue: every point-to-point
-  /// operation of a service job, and every deadline-armed one, registers
-  /// its request state at post time. When the job's cancel flag is up,
-  /// fail_pending_as_cancelled fails every still-pending one with
-  /// CancelledError, so blocked waiters wake instead of hanging on peers
-  /// that already unwound (the cancellation points in the post paths do the
-  /// prompt part), and returns whether it failed any. A deadline fires as
-  /// CLMPI_TIMEOUT at its VIRTUAL deadline even when no task waits on it.
+  /// Every deadline-armed point-to-point operation registers its request
+  /// state at post time, so the backstop fails it as CLMPI_TIMEOUT at its
+  /// VIRTUAL deadline even when no task waits on it.
   void register_pending(std::shared_ptr<RequestState> state);
+  /// When the job's cancel flag is up, withdraw every pending operation
+  /// from the mailboxes and fail it with CancelledError, so blocked waiters
+  /// wake instead of hanging on peers that already unwound (the
+  /// cancellation points in the post paths do the prompt part). Returns
+  /// whether it failed any.
   bool fail_pending_as_cancelled();
 
   std::vector<std::weak_ptr<RequestState>> pending_ops;

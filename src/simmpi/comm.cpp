@@ -6,6 +6,7 @@
 #include "obs/metrics.hpp"
 #include "simmpi/cluster_core.hpp"
 #include "simmpi/progress.hpp"
+#include "support/context.hpp"
 #include "support/error.hpp"
 
 namespace clmpi::mpi {
@@ -44,9 +45,9 @@ namespace {
 /// deadline (the clamp must be in place before anything can match), then
 /// the tenancy hooks — cancellation point and mailbox-depth quota charge,
 /// credited back when the operation settles; a QuotaError/CancelledError
-/// leaves nothing in flight — and registration with the cluster's backstop,
-/// which gives deadlines and cancels liveness even when no task ever blocks
-/// on the request (callback-driven runtime commands).
+/// leaves nothing in flight — and, for a deadline, registration with the
+/// cluster's backstop, which fires it even when no task ever blocks on the
+/// request (callback-driven runtime commands).
 void tenant_admit_p2p(detail::ClusterCore* core,
                       const std::shared_ptr<detail::RequestState>& state, const char* where,
                       vt::TimePoint ready, vt::Duration deadline) {
@@ -61,7 +62,7 @@ void tenant_admit_p2p(detail::ClusterCore* core,
           job->credit_mailbox();
         });
   }
-  if (armed || job != nullptr) core->register_pending(state);
+  if (armed) core->register_pending(state);
 }
 
 }  // namespace
@@ -83,6 +84,7 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
   env.bw_cap = opts.wire_bw_cap;
   env.wire_decomp = opts.wire_decomp;
   env.sreq = state;
+  env.poster = &ctx::current();
   core_->mailboxes[static_cast<std::size_t>(node_of(dst))].post_send(std::move(env));
   return Request(state);
 }
@@ -101,6 +103,7 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
   pr.bw_cap = opts.wire_bw_cap;
   pr.wire_decomp = opts.wire_decomp;
   pr.rreq = state;
+  pr.poster = &ctx::current();
   core_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]
       .post_recv(std::move(pr));
   return Request(state);

@@ -155,6 +155,21 @@ std::string Mailbox::describe_block_mismatch(int node) const {
   return {};
 }
 
+void Mailbox::withdraw(const ctx::ExecContext* poster,
+                       std::vector<std::shared_ptr<RequestState>>& out) {
+  const auto take = [&](const ctx::ExecContext* by, const std::shared_ptr<RequestState>& req) {
+    if ((poster != nullptr && by != poster) || req->done()) return false;
+    out.push_back(req);
+    return true;
+  };
+  const auto recv = [&](const PostedRecv& pr) { return take(pr.poster, pr.rreq); };
+  for (auto& [key, fifo] : posted_) fifo.erase_if(recv);
+  std::erase_if(wild_posted_, recv);
+  for (auto& [key, fifo] : unexpected_) {
+    fifo.erase_if([&](const Envelope& env) { return take(env.poster, env.sreq); });
+  }
+}
+
 void Mailbox::require_owner() const {
   CLMPI_REQUIRE(core_->closed || sched::current_strand() == core_->strand,
                 "mailbox touched from outside its cluster's strand");

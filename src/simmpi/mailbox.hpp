@@ -36,6 +36,7 @@
 // identical to a single-queue engine.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +53,7 @@
 #include "simmpi/datatype.hpp"
 #include "simmpi/network.hpp"
 #include "simmpi/request.hpp"
+#include "support/context.hpp"
 
 namespace clmpi::mpi::detail {
 
@@ -90,6 +92,7 @@ struct Envelope {
   /// is limited by the mapped-access bandwidth.
   double bw_cap{std::numeric_limits<double>::infinity()};
   std::shared_ptr<RequestState> sreq;
+  const ctx::ExecContext* poster{nullptr};  ///< posting task (Mailbox::withdraw)
   /// Fault-injection verdict (set by Mailbox::post_send when a FaultEngine
   /// is active). A dropped message still occupies the wire — the loss is
   /// detected when the transfer window closes. With retries disabled it then
@@ -120,6 +123,7 @@ struct PostedRecv {
   /// Receiver-side wire bandwidth cap (see Envelope::bw_cap).
   double bw_cap{std::numeric_limits<double>::infinity()};
   std::shared_ptr<RequestState> rreq;
+  const ctx::ExecContext* poster{nullptr};  ///< posting task (Mailbox::withdraw)
   /// Global posting-order stamp (ordering specific vs wildcard receives).
   std::uint64_t seq{0};
   std::size_t wire_decomp{wire_decomp_unset};
@@ -180,6 +184,12 @@ class Mailbox {
   /// never match. Names both wire decompositions; empty when there is none.
   [[nodiscard]] std::string describe_block_mismatch(int node) const;
 
+  /// Unlink every pending receive and rendezvous send `poster` (any task
+  /// when null) queued here and append their requests to `out`, for the
+  /// caller to fail: no later match may touch the buffers of an operation
+  /// the backstop failed. Queued eager sends already completed and stay.
+  void withdraw(const ctx::ExecContext* poster, std::vector<std::shared_ptr<RequestState>>& out);
+
  private:
   /// Exact-match channel identity: the full matching key of a specific
   /// (no-wildcard) operation.
@@ -219,6 +229,12 @@ class Mailbox {
         head = 0;
       }
       return v;
+    }
+    /// Unlink every queued entry `pred` selects, keeping the others' order.
+    template <typename Pred>
+    void erase_if(Pred pred) {
+      const auto first = items.begin() + static_cast<std::ptrdiff_t>(head);
+      items.erase(std::remove_if(first, items.end(), pred), items.end());
     }
   };
 

@@ -54,7 +54,6 @@ class Network {
 
   /// Whether this system has a shared-memory tier at all.
   [[nodiscard]] bool has_shmem() const noexcept { return shmem_.available; }
-  [[nodiscard]] const sys::ShmemModel& shmem_model() const noexcept { return shmem_; }
 
   [[nodiscard]] const sys::NicModel& model() const noexcept { return model_; }
   [[nodiscard]] int nodes() const noexcept { return static_cast<int>(tx_.size()); }

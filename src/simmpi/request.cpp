@@ -249,13 +249,9 @@ std::optional<vt::TimePoint> RequestState::deadline() const noexcept {
 }
 
 bool RequestState::rescue_timeout() {
-  if (!deadline_armed_ || done_) return false;
-  // The operation never resolved: fail it at its VIRTUAL deadline, so the
-  // timeline stays schedule-independent. A real resolution after us is
-  // ignored by settle() — the outcome was fixed here.
-  timed_out_ = true;
-  resolve(deadline_, MsgStatus{}, make_timeout_error());
-  return true;
+  // cancel_now stamps the failure at the VIRTUAL deadline, so the timeline
+  // stays schedule-independent.
+  return deadline_armed_ && cancel_now(make_timeout_error());
 }
 
 bool RequestState::cancel_now(std::exception_ptr error) {

@@ -82,13 +82,6 @@ class PreconditionError : public Error {
   using Error::Error;
 };
 
-/// Raised when an operation is attempted on a shut-down runtime.
-class ShutdownError : public Error {
- public:
-  explicit ShutdownError(const std::string& what_arg)
-      : Error(what_arg, Status::runtime_shutdown) {}
-};
-
 /// Carried by requests/events whose message was lost in transit (injected
 /// by simmpi fault plans, or any transport-level loss the NIC detects).
 class MessageDroppedError : public Error {

@@ -69,6 +69,10 @@ constexpr int kQuantum = 64;
 /// caught-exception stack, uncaught count). Each fiber keeps its own across
 /// suspends, so std::uncaught_exceptions() answers for the calling fiber and
 /// one suspended mid-unwind leaves nothing behind on its worker.
+/// Layout checked on x86-64 and AArch64 only (ARM EABI appends a field).
+#if !(defined(__x86_64__) || defined(__aarch64__)) || defined(__ARM_EABI_UNWINDER__)
+#error "per-fiber exception state: the __cxa_eh_globals layout is unchecked on this target"
+#endif
 struct EhState {
   void* caught;
   unsigned int uncaught;

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "simmpi/cluster.hpp"
 #include "simmpi/window.hpp"
 #include "support/error.hpp"
+#include "support/sched.hpp"
 #include "support/tenant.hpp"
 #include "transfer/strategy.hpp"
 
@@ -168,6 +170,123 @@ TEST(Deadlock, FinishOnAnEventNobodyCompletes) {
       << v.message;
 }
 
+TEST(Deadlock, RuntimeCommandGatedOnAStuckQueueCommand) {
+  // The runtime is created before the queue, so the verdict reaches the
+  // clMPI dispatcher's wait-list wait while the queue command it counts is
+  // still pending. Failing that command later must not touch the
+  // dispatcher's abandoned wait (run under ASan: ctest -L sanitize).
+  const Verdict v = expect_verdict(Status::deadlock, 2, [](mpi::Rank& rank, Verdict& out) {
+    if (rank.rank() == 1) return;
+    ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    rt::Runtime runtime(rank, platform.device());
+    auto queue = ctx.create_queue();
+    ocl::BufferPtr buf = ctx.create_buffer(4096);
+    const std::vector<ocl::EventPtr> never{ctx.create_user_event("never")};
+    const std::vector<ocl::EventPtr> gate{queue->enqueue_marker(never, rank.clock())};
+    (void)runtime.enqueue_send_buffer(*queue, buf, false, 0, 4096, 1, 9, rank.world(), gate);
+    observe(rank, out, [&] { runtime.finish(rank.clock()); });
+  });
+  EXPECT_NE(v.message.find("failing rank 0's wait at rt.finish"), std::string::npos)
+      << v.message;
+}
+
+TEST(Deadlock, AFailedWaitListWaitLeavesTheNextCommandAlone) {
+  // This rank parks where the verdict cannot fail it, so the verdict fails
+  // the clMPI dispatcher's wait for `gate`. The queue command behind `gate`
+  // completes later, while the dispatcher waits for the next command's wait
+  // list: that late completion must not count toward the next command.
+  for (const int workers : testutil::kGateWorkers) {
+    bool released_early = true;
+    const Verdict v = run_on(workers, 2, [&](mpi::Rank& rank, Verdict&) {
+      if (rank.rank() == 1) return;
+      ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+      ocl::Context ctx(platform.device());
+      rt::Runtime runtime(rank, platform.device());
+      auto queue = ctx.create_queue();
+      ocl::BufferPtr buf = ctx.create_buffer(64);
+      const std::vector<ocl::EventPtr> late{ctx.create_user_event("late")};
+      const std::vector<ocl::EventPtr> gate{queue->enqueue_marker(late, rank.clock())};
+      const ocl::EventPtr first =
+          runtime.enqueue_send_buffer(*queue, buf, false, 0, 64, 1, 9, rank.world(), gate);
+      sched::wait([&] { return first->complete(); }, "test.park", /*interruptible=*/false);
+      EXPECT_TRUE(first->failed());
+      const std::vector<ocl::EventPtr> hold{ctx.create_user_event("hold")};
+      const ocl::EventPtr second =
+          runtime.enqueue_send_buffer(*queue, buf, false, 0, 64, 1, 10, rank.world(), hold);
+      for (int i = 0; i < 8; ++i) sched::yield();  // the dispatcher parks on `hold`
+      static_cast<ocl::UserEvent&>(*late[0]).set_complete(rank.clock().now());
+      for (int i = 0; i < 8; ++i) sched::yield();  // the queue worker completes `gate`
+      released_early = second->complete();
+      static_cast<ocl::UserEvent&>(*hold[0]).set_complete(rank.clock().now());
+      EXPECT_THROW(runtime.finish(rank.clock()), DeadlockError);
+    });
+    EXPECT_FALSE(v.rethrown) << v.rethrown_message;
+    EXPECT_FALSE(released_early) << workers << " workers";
+  }
+}
+
+TEST(Deadlock, AFailedReceiveIsWithdrawn) {
+  // Rank 0's blocking receive fails; it frees the buffer and lets rank 1
+  // send. The late message must not land in the freed buffer: it waits,
+  // unexpected, for the next receive.
+  for (const int workers : testutil::kGateWorkers) {
+    std::vector<std::byte> got;
+    Verdict first;
+    const Verdict v = run_on(workers, 2, [&](mpi::Rank& rank, Verdict&) {
+      mpi::Comm& world = rank.world();
+      std::vector<std::byte> token(8);
+      if (rank.rank() == 1) {
+        world.recv(token, 0, 2, rank.clock());
+        world.send(std::vector<std::byte>(64, std::byte{7}), 0, 1, rank.clock());
+        return;
+      }
+      auto buf = std::make_unique<std::vector<std::byte>>(64);
+      try {
+        observe(rank, first, [&] { world.recv(*buf, 1, 1, rank.clock()); });
+      } catch (const DeadlockError&) {
+        buf.reset();
+      }
+      world.send(token, 1, 2, rank.clock());
+      got.resize(64);
+      world.recv(got, 1, 1, rank.clock());
+    });
+    EXPECT_FALSE(v.rethrown) << v.rethrown_message;
+    EXPECT_EQ(first.status, Status::deadlock) << first.message;
+    EXPECT_EQ(got, std::vector<std::byte>(64, std::byte{7}));
+  }
+}
+
+TEST(Deadlock, AFailedRendezvousSendIsWithdrawn) {
+  // Rank 0's rendezvous send fails and it frees the payload. The peer's
+  // later receive must match the resent message, never read the freed one.
+  constexpr std::size_t kBig = std::size_t{1} << 20;
+  for (const int workers : testutil::kGateWorkers) {
+    std::vector<std::byte> got(kBig);
+    Verdict first;
+    const Verdict v = run_on(workers, 2, [&](mpi::Rank& rank, Verdict&) {
+      mpi::Comm& world = rank.world();
+      std::vector<std::byte> token(8);
+      if (rank.rank() == 1) {
+        world.recv(token, 0, 6, rank.clock());
+        world.recv(got, 0, 5, rank.clock());
+        return;
+      }
+      auto payload = std::make_unique<std::vector<std::byte>>(kBig, std::byte{1});
+      try {
+        observe(rank, first, [&] { world.send(*payload, 1, 5, rank.clock()); });
+      } catch (const DeadlockError&) {
+        payload.reset();
+      }
+      world.send(token, 1, 6, rank.clock());
+      world.send(std::vector<std::byte>(kBig, std::byte{2}), 1, 5, rank.clock());
+    });
+    EXPECT_FALSE(v.rethrown) << v.rethrown_message;
+    EXPECT_EQ(first.status, Status::deadlock) << first.message;
+    EXPECT_EQ(got, std::vector<std::byte>(kBig, std::byte{2}));
+  }
+}
+
 TEST(Deadlock, PipelineBlockCountMismatchNamesBothDecompositions) {
   // 1 MiB in 256 KiB blocks against 512 KiB blocks: the receiver matches
   // two blocks (and fails them as a decomposition mismatch), the sender's
@@ -297,12 +416,14 @@ TEST(Deadlock, CApiWaitAndFinishReturnDeadlock) {
     ASSERT_EQ(err, CL_SUCCESS);
     cl_mem buf = clCreateBuffer(ctx, 256, &err);
     ASSERT_EQ(err, CL_SUCCESS);
-    // A receive nobody matches, as an event; a device write waits on it.
+    // A device receive nobody matches; a device write waits on its event.
+    // The clMPI dispatcher posts the receive, so failing this rank's waits
+    // leaves it pending.
     std::vector<std::byte> host(256);
-    MPI_Request req;
-    ASSERT_EQ(MPI_Irecv(host.data(), 256, MPI_BYTE, 1, 3, MPI_COMM_WORLD, &req), MPI_SUCCESS);
-    cl_event never = clCreateEventFromMPIRequest(ctx, &req, &err);
-    ASSERT_EQ(err, CL_SUCCESS);
+    cl_event never = nullptr;
+    ASSERT_EQ(clEnqueueRecvBuffer(queue, buf, CL_FALSE, 0, 256, 1, 3, MPI_COMM_WORLD, 0, nullptr,
+                                  &never),
+              CL_SUCCESS);
     wait_rc = clWaitForEvents(1, &never);
     ASSERT_EQ(clEnqueueWriteBuffer(queue, buf, CL_FALSE, 0, 256, host.data(), 1, &never,
                                    nullptr),
