@@ -66,7 +66,7 @@ int main() {
       }
     }
     row.push_back(format_bytes(best_block));
-    row.push_back(format_bytes(xfer::default_pipeline_block(prof, size)));
+    row.push_back(format_bytes(xfer::default_pipeline_block(size)));
     t.add_row(std::move(row));
   }
   std::cout << t.str() << '\n';

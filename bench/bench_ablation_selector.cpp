@@ -52,22 +52,17 @@ int main() {
   std::cout << "Ablation B: transfer time for the " << format_bytes(halo)
             << " Himeno halo [ms], fixed strategy vs automatic selection\n\n";
   Table t({"system", "pinned", "mapped", "pipelined(128K)", "pipelined(1M)", "auto",
-           "auto picks", "predictive picks"});
+           "auto picks"});
   for (const auto* prof : {&sys::cichlid(), &sys::ricc()}) {
-    auto describe = [&](xfer::SelectionMode mode) {
-      const auto choice = xfer::select(*prof, halo, mode);
-      std::string picked = xfer::to_string(choice.kind);
-      if (choice.kind == xfer::StrategyKind::pipelined)
-        picked += "(" + format_bytes(choice.block) + ")";
-      return picked;
-    };
+    const auto choice = xfer::select(*prof, halo);
+    std::string picked = xfer::to_string(choice.kind);
+    if (choice.kind == xfer::StrategyKind::pipelined)
+      picked += "(" + format_bytes(choice.block) + ")";
     t.add_row({prof->name, fmt(p2p_ms(*prof, halo, xfer::Strategy::pinned()), 2),
                fmt(p2p_ms(*prof, halo, xfer::Strategy::mapped()), 2),
                fmt(p2p_ms(*prof, halo, xfer::Strategy::pipelined(128_KiB)), 2),
                fmt(p2p_ms(*prof, halo, xfer::Strategy::pipelined(1_MiB)), 2),
-               fmt(p2p_ms(*prof, halo, std::nullopt), 2),
-               describe(xfer::SelectionMode::heuristic),
-               describe(xfer::SelectionMode::predictive)});
+               fmt(p2p_ms(*prof, halo, std::nullopt), 2), picked});
   }
   std::cout << t.str() << '\n';
 

@@ -16,6 +16,7 @@
 #include "transfer/pool.hpp"
 #include "transfer/wire.hpp"
 #include "support/error.hpp"
+#include "support/units.hpp"
 
 namespace clmpi::rt {
 
@@ -64,7 +65,7 @@ void validate_transfer_args(const ocl::BufferPtr& buf, std::size_t offset, std::
   // A zero-size transfer is legal: it is carried as a single empty message
   // (matching-only, no payload wire time) under every strategy, mirroring
   // the RMA rule below and the transfer layer's empty-pipeline handling.
-  if (offset > buf->size() || size > buf->size() - offset) {
+  if (!region_fits(offset, size, buf->size())) {
     throw Error("transfer region outside the device buffer", Status::invalid_value);
   }
   if (peer < 0 || peer >= comm.size()) {
@@ -86,11 +87,11 @@ void validate_rma_args(const ocl::BufferPtr& buf, std::size_t offset, std::size_
   if (!win.valid()) {
     throw Error("invalid RMA window handle", Status::invalid_window);
   }
-  if (offset > buf->size() || size > buf->size() - offset) {
+  if (!region_fits(offset, size, buf->size())) {
     throw Error("RMA local region outside the device buffer", Status::invalid_value);
   }
   const std::size_t tsize = win.region_size(target);  // typed: invalid_rank / invalid_window
-  if (target_offset > tsize || size > tsize - target_offset) {
+  if (!region_fits(target_offset, size, tsize)) {
     throw Error("RMA access [" + std::to_string(target_offset) + ", " +
                     std::to_string(target_offset + size) +
                     ") outside the target region of " + std::to_string(tsize) + " B",
@@ -105,10 +106,9 @@ mpi::RmaPath rma_path_for(const xfer::Strategy& s) {
 
 }  // namespace
 
-Runtime::Runtime(mpi::Rank& rank, ocl::Device& device, xfer::SelectionMode selection)
+Runtime::Runtime(mpi::Rank& rank, ocl::Device& device)
     : rank_(&rank),
       device_(&device),
-      selection_(selection),
       disk_("disk" + std::to_string(rank.rank())) {
   CLMPI_REQUIRE(device.node() == rank.rank(),
                 "the communicator device must live on the rank's node");
@@ -238,7 +238,7 @@ void Runtime::traced_wait(const ocl::EventPtr& ev, std::string what) {
 }
 
 xfer::Strategy Runtime::policy(std::size_t size) const {
-  return xfer::select(device_->profile(), size, selection_);
+  return xfer::select(device_->profile(), size);
 }
 
 void Runtime::finish(vt::Clock& clock) {
@@ -322,7 +322,7 @@ ocl::EventPtr Runtime::enqueue_recv_buffer(ocl::CommandQueue& queue,
 mpi::Win Runtime::create_window(const ocl::BufferPtr& buf, std::size_t offset,
                                 std::size_t size, mpi::Comm& comm) {
   CLMPI_REQUIRE(buf != nullptr, "window over a null buffer");
-  if (offset > buf->size() || size > buf->size() - offset) {
+  if (!region_fits(offset, size, buf->size())) {
     throw Error("window region outside the device buffer", Status::invalid_value);
   }
   auto* dev = device_;
@@ -349,7 +349,7 @@ ocl::EventPtr Runtime::enqueue_put_buffer(ocl::CommandQueue& queue, const ocl::B
   CLMPI_REQUIRE(buf != nullptr, "put from a null buffer");
   validate_rma_args(buf, offset, size, target, target_offset, win);
   const xfer::Strategy requested =
-      force.value_or(xfer::select_rma(device_->profile(), size, selection_));
+      force.value_or(xfer::select_rma(device_->profile(), size));
   CLMPI_REQUIRE(requested.kind == xfer::StrategyKind::shmem ||
                     requested.kind == xfer::StrategyKind::pinned,
                 "RMA accesses support only the shmem and pinned strategies");
@@ -394,7 +394,7 @@ ocl::EventPtr Runtime::enqueue_get_buffer(ocl::CommandQueue& queue, const ocl::B
   }
   validate_rma_args(buf, offset, size, target, target_offset, win);
   const xfer::Strategy requested =
-      force.value_or(xfer::select_rma(device_->profile(), size, selection_));
+      force.value_or(xfer::select_rma(device_->profile(), size));
   CLMPI_REQUIRE(requested.kind == xfer::StrategyKind::shmem ||
                     requested.kind == xfer::StrategyKind::pinned,
                 "RMA accesses support only the shmem and pinned strategies");
@@ -457,7 +457,7 @@ ocl::EventPtr Runtime::enqueue_bcast_buffer(ocl::CommandQueue& queue,
                                             std::size_t offset, std::size_t size, int root,
                                             mpi::Comm& comm, ocl::WaitList waits) {
   CLMPI_REQUIRE(buf != nullptr, "broadcast of a null buffer");
-  CLMPI_REQUIRE(offset + size <= buf->size(), "broadcast region outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, buf->size()), "broadcast region outside the buffer");
   CLMPI_REQUIRE(size > 0, "empty broadcast");
   auto* dev = device_;
   const bool is_root = comm.rank() == root;
@@ -509,7 +509,7 @@ ocl::EventPtr Runtime::enqueue_write_file(ocl::CommandQueue& queue,
                                           std::size_t offset, std::size_t size,
                                           std::string path, ocl::WaitList waits) {
   CLMPI_REQUIRE(buf != nullptr, "file write from a null buffer");
-  CLMPI_REQUIRE(offset + size <= buf->size(), "file write region outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, buf->size()), "file write region outside the buffer");
   CLMPI_REQUIRE(!path.empty(), "file write needs a path");
   auto* dev = device_;
   auto* disk = &disk_;
@@ -541,7 +541,7 @@ ocl::EventPtr Runtime::enqueue_read_file(ocl::CommandQueue& queue, const ocl::Bu
                                          bool blocking, std::size_t offset, std::size_t size,
                                          std::string path, ocl::WaitList waits) {
   CLMPI_REQUIRE(buf != nullptr, "file read into a null buffer");
-  CLMPI_REQUIRE(offset + size <= buf->size(), "file read region outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, buf->size()), "file read region outside the buffer");
   CLMPI_REQUIRE(!path.empty(), "file read needs a path");
   auto* dev = device_;
   auto* disk = &disk_;

@@ -75,11 +75,8 @@ class PersistentRequest {
 /// Per-rank clMPI runtime, binding one MPI rank to one communicator device.
 class Runtime {
  public:
-  /// `rank` and `device` must outlive the runtime. `selection` chooses the
-  /// automatic strategy-selection mechanism (§V-B); every rank of a job must
-  /// use the same mode so message decompositions agree.
-  Runtime(mpi::Rank& rank, ocl::Device& device,
-          xfer::SelectionMode selection = xfer::SelectionMode::heuristic);
+  /// `rank` and `device` must outlive the runtime.
+  Runtime(mpi::Rank& rank, ocl::Device& device);
 
   /// Drains every pending communication command and waits for all posted
   /// transfers to complete before returning.
@@ -253,7 +250,6 @@ class Runtime {
 
   mpi::Rank* rank_;
   ocl::Device* device_;
-  xfer::SelectionMode selection_;
   /// Default deadline (zero = none).
   vt::Duration deadline_{};
   /// Node-local storage; file-I/O commands of this runtime serialize on it.

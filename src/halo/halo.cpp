@@ -182,16 +182,14 @@ Plan::Plan(rt::Runtime& runtime, ocl::Context& ctx, mpi::Comm& comm, ocl::Buffer
   // Mode selection is a pure function of (profile, geometry): every rank of
   // the plan derives the same answer, which the collective RMA tier needs.
   rma_ = profile.shmem.available && max_bytes > 0 &&
-         xfer::select_rma(profile, max_bytes, xfer::SelectionMode::heuristic).kind ==
-             xfer::StrategyKind::shmem;
+         xfer::select_rma(profile, max_bytes).kind == xfer::StrategyKind::shmem;
 
   for (EdgeState& es : states_) {
     if (!exchanged(*this, es.info) || es.info.self) continue;
     if (rma_) {
       es.info.strategy =
-          xfer::resolve_rma_strategy(
-              profile, comm.faults(),
-              xfer::select_rma(profile, es.info.bytes, xfer::SelectionMode::heuristic))
+          xfer::resolve_rma_strategy(profile, comm.faults(),
+                                     xfer::select_rma(profile, es.info.bytes))
               .kind;
     } else {
       es.info.strategy =

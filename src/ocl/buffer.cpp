@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/error.hpp"
+#include "support/units.hpp"
 
 namespace clmpi::ocl {
 
@@ -12,7 +13,7 @@ Buffer::Buffer(Context* ctx, std::size_t size, MemFlags flags, std::string label
 }
 
 std::byte* Buffer::map_region(std::size_t offset, std::size_t size) {
-  CLMPI_REQUIRE(offset + size <= storage_.size(), "mapping outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, storage_.size()), "mapping outside the buffer");
   std::byte* ptr = storage_.data() + offset;
   mappings_.push_back(ptr);
   return ptr;

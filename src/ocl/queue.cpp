@@ -4,6 +4,7 @@
 
 #include "ocl/context.hpp"
 #include "support/error.hpp"
+#include "support/units.hpp"
 
 namespace clmpi::ocl {
 
@@ -114,7 +115,7 @@ EventPtr CommandQueue::enqueue_read_buffer(const BufferPtr& buf, bool blocking,
                                            WaitList waits, vt::Clock& clock,
                                            bool pinned_host) {
   CLMPI_REQUIRE(buf != nullptr, "read from a null buffer");
-  CLMPI_REQUIRE(offset + size <= buf->size(), "read outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, buf->size()), "read outside the buffer");
   CLMPI_REQUIRE(dst != nullptr, "read into a null host pointer");
 
   EventPtr ev = push(
@@ -132,7 +133,7 @@ EventPtr CommandQueue::enqueue_write_buffer(const BufferPtr& buf, bool blocking,
                                             const void* src, WaitList waits, vt::Clock& clock,
                                             bool pinned_host) {
   CLMPI_REQUIRE(buf != nullptr, "write to a null buffer");
-  CLMPI_REQUIRE(offset + size <= buf->size(), "write outside the buffer");
+  CLMPI_REQUIRE(region_fits(offset, size, buf->size()), "write outside the buffer");
   CLMPI_REQUIRE(src != nullptr, "write from a null host pointer");
 
   EventPtr ev = push(
@@ -150,8 +151,8 @@ EventPtr CommandQueue::enqueue_copy_buffer(const BufferPtr& src, const BufferPtr
                                            std::size_t size, WaitList waits,
                                            vt::Clock& clock) {
   CLMPI_REQUIRE(src != nullptr && dst != nullptr, "copy with a null buffer");
-  CLMPI_REQUIRE(src_offset + size <= src->size(), "copy outside the source buffer");
-  CLMPI_REQUIRE(dst_offset + size <= dst->size(), "copy outside the destination buffer");
+  CLMPI_REQUIRE(region_fits(src_offset, size, src->size()), "copy outside the source buffer");
+  CLMPI_REQUIRE(region_fits(dst_offset, size, dst->size()), "copy outside the destination buffer");
 
   return push("copy " + src->label() + "->" + dst->label(), waits, clock,
               [=, dev = device_](vt::TimePoint ready) {

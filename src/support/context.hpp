@@ -2,8 +2,8 @@
 //
 // Under the fiber scheduler (support/sched.hpp), a rank is a fiber that may
 // migrate between worker threads, so "per-thread" state silently keyed on
-// thread identity (the capi binding, the strategy-selection memo, the staging
-// pool's node cache, the log label) would leak across ranks sharing a worker.
+// thread identity (the capi binding, the staging pool's node cache, the log
+// label) would leak across ranks sharing a worker.
 // ExecContext is the replacement: one instance per logical task — a fiber
 // when the scheduler runs it, the thread itself otherwise — carrying
 //

@@ -1,4 +1,5 @@
-// Byte-size and rate literal helpers used across cost models and benches.
+// Byte-size and rate literal helpers used across cost models and benches,
+// and the bounds check for byte regions.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +28,13 @@ constexpr double operator""_ms(unsigned long long v) { return static_cast<double
 constexpr double operator""_ms(long double v) { return static_cast<double>(v) * 1.0e-3; }
 
 }  // namespace units
+
+/// True when the region [offset, offset + size) lies inside [0, total).
+/// Never forms the sum, which wraps for offsets near SIZE_MAX and would let
+/// a region far outside the buffer pass.
+constexpr bool region_fits(std::size_t offset, std::size_t size, std::size_t total) noexcept {
+  return offset <= total && size <= total - offset;
+}
 
 /// "64 KiB", "1.5 MiB", "2 GiB" — human-readable byte counts for reports.
 std::string format_bytes(std::size_t bytes);

@@ -29,8 +29,7 @@ struct NicModel {
   /// (mpi::Envelope::kInlineEagerBytes = 256); profiles can only tune it
   /// downwards — a larger value warns once at cluster start and the
   /// effective cutoff is published as the
-  /// "simmpi.mailbox.eager_inline_effective" gauge. Part of the
-  /// strategy-memo fingerprint.
+  /// "simmpi.mailbox.eager_inline_effective" gauge.
   std::size_t eager_inline{256};
   /// GPUDirect-RDMA-capable (paper §II: CUDA 5 / Kepler + a compatible
   /// InfiniBand HCA — "such devices are not available at this time"). When

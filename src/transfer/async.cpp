@@ -10,6 +10,7 @@
 
 #include "simmpi/datatype.hpp"
 #include "support/error.hpp"
+#include "support/units.hpp"
 #include "support/sched.hpp"
 #include "transfer/pool.hpp"
 #include "transfer/wire.hpp"
@@ -21,7 +22,7 @@ namespace {
 void check_endpoint(const DeviceEndpoint& ep) {
   CLMPI_REQUIRE(ep.comm != nullptr && ep.dev != nullptr && ep.buf != nullptr,
                 "device endpoint is missing a component");
-  CLMPI_REQUIRE(ep.offset + ep.size <= ep.buf->size(),
+  CLMPI_REQUIRE(region_fits(ep.offset, ep.size, ep.buf->size()),
                 "transfer region outside the device buffer");
   CLMPI_REQUIRE(ep.tag >= 0 && ep.tag <= mpi::max_user_tag,
                 "transfer tag outside the user tag space");

@@ -116,29 +116,14 @@ vt::TimePoint send_host(mpi::Comm& comm, std::span<const std::byte> data, int pe
 vt::TimePoint recv_host(mpi::Comm& comm, std::span<std::byte> data, int peer, int tag,
                         const Strategy& strategy, vt::TimePoint ready);
 
-/// How the runtime picks a strategy (§V-B's "automatic selection mechanism
-/// can be adopted behind the interfaces").
-enum class SelectionMode {
-  /// The static per-system policy of the paper's evaluation: the profile's
-  /// small-message preference below the pipeline threshold, pipelined above.
-  heuristic,
-  /// Model-predictive: evaluate the analytic cost of every strategy (and a
-  /// range of pipeline blocks) for this exact size and take the argmin.
-  predictive,
-};
-
-/// Analytic end-to-end one-way cost of moving `size` device bytes to a
-/// remote device with `strategy` on an idle system — the model the
-/// predictive selector minimizes.
-vt::Duration predict_transfer(const sys::SystemProfile& profile, std::size_t size,
-                              const Strategy& strategy);
-
-/// The clMPI runtime's automatic strategy selection (§V-B). Pure function of
-/// (profile, size, mode), so both endpoints of a message derive the same
-/// wire decomposition. Well-defined for size 0 (a zero-size transfer is
-/// carried as a single empty message under every strategy).
-Strategy select(const sys::SystemProfile& profile, std::size_t size,
-                SelectionMode mode = SelectionMode::heuristic);
+/// The clMPI runtime's automatic strategy selection (§V-B): the static
+/// per-system policy of the paper's evaluation. GPUDirect where the NIC has
+/// it; otherwise the profile's small-message preference below the pipeline
+/// threshold and pipelined above. Pure function of (profile, size), so both
+/// endpoints of a message derive the same wire decomposition. Well-defined
+/// for size 0 (a zero-size transfer is carried as a single empty message
+/// under every strategy).
+Strategy select(const sys::SystemProfile& profile, std::size_t size);
 
 /// Strategy for a bidirectional exchange. `select()` is a pure function of
 /// size, so an exchange with unequal send/recv sizes would derive different
@@ -147,8 +132,7 @@ Strategy select(const sys::SystemProfile& profile, std::size_t size,
 /// must derive its strategy from this single agreed key: the larger of the
 /// two sizes (both peers of a halo exchange see the same pair of sizes).
 Strategy select_exchange(const sys::SystemProfile& profile, std::size_t send_size,
-                         std::size_t recv_size,
-                         SelectionMode mode = SelectionMode::heuristic);
+                         std::size_t recv_size);
 
 /// Graceful degradation: resolve the strategy that will actually run for an
 /// operation with `peer` on `comm`. Falls back
@@ -172,12 +156,10 @@ inline constexpr double kGpudirectDegradationThreshold = 0.5;
 /// The RMA selector (Fig. 8 policy extended to the one-sided tier): picks
 /// between a one-sided shmem Put/Get and a two-sided emulation (single
 /// pinned-staged message) for a device-resident window access of `size`
-/// bytes. Heuristic mode uses the profile's ShmemModel::one_sided_threshold;
-/// predictive mode takes the argmin of predict_transfer over both. Pure
-/// function of (profile, size, mode): both endpoints of an access derive the
-/// same tier. On profiles without a shmem fabric this always returns pinned.
-Strategy select_rma(const sys::SystemProfile& profile, std::size_t size,
-                    SelectionMode mode = SelectionMode::heuristic);
+/// bytes at the profile's ShmemModel::one_sided_threshold. Pure function of
+/// (profile, size): both endpoints of an access derive the same tier. On
+/// profiles without a shmem fabric this always returns pinned.
+Strategy select_rma(const sys::SystemProfile& profile, std::size_t size);
 
 /// Graceful degradation for RMA accesses, mirroring resolve_strategy: shmem
 /// falls back to the two-sided pinned emulation when the profile has no
@@ -195,12 +177,11 @@ inline constexpr double kShmemDegradationThreshold = 0.5;
 
 /// Pipeline block size heuristic: grows with the message (Figure 8(b):
 /// small blocks win for small messages, large blocks for large ones).
-std::size_t default_pipeline_block(const sys::SystemProfile& profile, std::size_t size);
+std::size_t default_pipeline_block(std::size_t size);
 
 /// Number of blocks a pipelined transfer of `size` with block `block` uses.
 /// A zero-size transfer is one empty block (never zero: a 0-block pipeline
-/// would underflow every fill/drain formula and carry no message to match
-/// the peer's).
+/// would carry no message to match the peer's posted receive).
 std::size_t pipeline_block_count(std::size_t size, std::size_t block);
 
 }  // namespace clmpi::xfer

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -220,6 +221,11 @@ TEST(CApiNegative, TransferRegionAndPeerValidation) {
     EXPECT_EQ(clEnqueueSendBuffer(s.cmd, buf, CL_TRUE, 512, 1, 1, 0, MPI_COMM_WORLD, 0,
                                   nullptr, nullptr),
               CL_INVALID_VALUE);
+    // offset + size wraps to 8; the OpenCL read path rejects it as misuse.
+    std::byte host[16];
+    EXPECT_EQ(clEnqueueReadBuffer(s.cmd, buf, CL_TRUE, SIZE_MAX - 7, 16, host, 0, nullptr,
+                                  nullptr),
+              CL_INVALID_OPERATION);
     // Zero-size device transfers are legal and must succeed (matched pair).
     if (rank.rank() == 0) {
       EXPECT_EQ(clEnqueueSendBuffer(s.cmd, buf, CL_TRUE, 0, 0, 1, 5, MPI_COMM_WORLD, 0,

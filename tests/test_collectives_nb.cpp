@@ -6,6 +6,7 @@
 #include "test_util.hpp"
 
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -228,6 +229,10 @@ TEST(BcastBuffer, InvalidRegionPoisonsEvent) {
     EXPECT_THROW(
         runtime.enqueue_bcast_buffer(*queue, buf, false, 32, 64, 0, rank.world(), {}),
         PreconditionError);
+    // offset + size wraps to 8, which would pass a naive bounds check.
+    EXPECT_THROW(runtime.enqueue_bcast_buffer(*queue, buf, false, SIZE_MAX - 7, 16, 0,
+                                              rank.world(), {}),
+                 PreconditionError);
   });
 }
 

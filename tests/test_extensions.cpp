@@ -1,12 +1,12 @@
 // Tests for the extension features beyond the paper's evaluated core:
-// model-predictive strategy selection (§V-B's "automatic selection
-// mechanism"), file-I/O commands (§VI), out-of-order queues, and multiple
-// communicator devices per rank.
+// file-I/O commands (§VI), out-of-order queues, multiple communicator
+// devices per rank, and the GPUDirect RDMA upgrade path.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,59 +30,6 @@ mpi::Cluster::Options opts(int nranks, const sys::SystemProfile& prof = sys::ric
   return o;
 }
 
-// --- predictive selection -----------------------------------------------------
-
-TEST(Predictive, ModelOrdersStrategiesLikeFig8) {
-  const auto& ricc = sys::ricc();
-  constexpr std::size_t large = 32_MiB;
-  const auto pinned = xfer::predict_transfer(ricc, large, xfer::Strategy::pinned());
-  const auto mapped = xfer::predict_transfer(ricc, large, xfer::Strategy::mapped());
-  const auto piped = xfer::predict_transfer(ricc, large, xfer::Strategy::pipelined(4_MiB));
-  EXPECT_LT(piped.s, pinned.s);
-  EXPECT_LT(pinned.s, mapped.s);
-}
-
-TEST(Predictive, NeverWorseThanHeuristicUnderTheModel) {
-  for (const auto* prof : {&sys::cichlid(), &sys::ricc()}) {
-    for (std::size_t size : {64_KiB, 768_KiB, 4_MiB, 64_MiB}) {
-      const auto h = xfer::select(*prof, size, xfer::SelectionMode::heuristic);
-      const auto p = xfer::select(*prof, size, xfer::SelectionMode::predictive);
-      EXPECT_LE(xfer::predict_transfer(*prof, size, p).s,
-                xfer::predict_transfer(*prof, size, h).s)
-          << prof->name << " size=" << size;
-    }
-  }
-}
-
-TEST(Predictive, IsDeterministicAcrossCalls) {
-  for (std::size_t size : {100_KiB, 3_MiB, 50_MiB}) {
-    const auto a = xfer::select(sys::ricc(), size, xfer::SelectionMode::predictive);
-    const auto b = xfer::select(sys::ricc(), size, xfer::SelectionMode::predictive);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.block, b.block);
-  }
-}
-
-TEST(Predictive, EndToEndTransferWithPredictiveRuntimes) {
-  constexpr std::size_t size = 24_MiB;
-  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
-    ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
-    ocl::Context ctx(platform.device());
-    rt::Runtime runtime(rank, platform.device(), xfer::SelectionMode::predictive);
-    auto queue = ctx.create_queue();
-    ocl::BufferPtr buf = ctx.create_buffer(size);
-    if (rank.rank() == 0) {
-      fill_pattern(buf->storage(), 77);
-      runtime.enqueue_send_buffer(*queue, buf, true, 0, size, 1, 0, rank.world(), {});
-    } else {
-      runtime.enqueue_recv_buffer(*queue, buf, true, 0, size, 0, 0, rank.world(), {});
-      EXPECT_TRUE(check_pattern(buf->storage(), 77));
-      // Predictive picks pipelined for a large message on RICC.
-      EXPECT_EQ(runtime.policy(size).kind, xfer::StrategyKind::pipelined);
-    }
-  });
-}
-
 // --- file I/O commands -----------------------------------------------------------
 
 TEST(FileIo, WriteThenReadRoundTripsThroughDisk) {
@@ -96,11 +43,16 @@ TEST(FileIo, WriteThenReadRoundTripsThroughDisk) {
 
     ocl::BufferPtr src = ctx.create_buffer(size);
     fill_pattern(src->storage(), 13);
+    // offset + size wraps to 8, which would pass a naive bounds check.
+    EXPECT_THROW(runtime.enqueue_write_file(*queue, src, false, SIZE_MAX - 7, 16, path, {}),
+                 PreconditionError);
     ocl::EventPtr written =
         runtime.enqueue_write_file(*queue, src, false, 0, size, path, {});
 
     ocl::BufferPtr dst = ctx.create_buffer(size);
     const std::array<ocl::EventPtr, 1> waits{written};
+    EXPECT_THROW(runtime.enqueue_read_file(*queue, dst, false, SIZE_MAX - 7, 16, path, waits),
+                 PreconditionError);
     ocl::EventPtr loaded = runtime.enqueue_read_file(*queue, dst, true, 0, size, path, waits);
 
     EXPECT_TRUE(check_pattern(dst->storage(), 13));
@@ -300,10 +252,7 @@ sys::SystemProfile gpudirect_profile() {
 TEST(GpuDirect, SelectorDiscoversTheDirectPath) {
   const auto prof = gpudirect_profile();
   for (std::size_t size : {64_KiB, 768_KiB, 64_MiB}) {
-    EXPECT_EQ(xfer::select(prof, size, xfer::SelectionMode::heuristic).kind,
-              xfer::StrategyKind::gpudirect);
-    EXPECT_EQ(xfer::select(prof, size, xfer::SelectionMode::predictive).kind,
-              xfer::StrategyKind::gpudirect);
+    EXPECT_EQ(xfer::select(prof, size).kind, xfer::StrategyKind::gpudirect);
   }
   // Unchanged on the historical hardware.
   EXPECT_NE(xfer::select(sys::ricc(), 64_MiB).kind, xfer::StrategyKind::gpudirect);
@@ -330,14 +279,33 @@ TEST(GpuDirect, TransfersStayExactAndSkipTheCopyEngine) {
   });
 }
 
+/// Receive-side completion time (seconds) of one idle 2-rank device-to-
+/// device transfer of `size` bytes with `strategy`, timed by the engine.
+double engine_receive_s(const sys::SystemProfile& prof, std::size_t size,
+                        const xfer::Strategy& strategy) {
+  double completion = 0.0;
+  mpi::Cluster::run(opts(2, prof), [&](mpi::Rank& rank) {
+    ocl::Platform platform(prof, rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    ocl::BufferPtr buf = ctx.create_buffer(size);
+    xfer::DeviceEndpoint ep{&rank.world(), &platform.device(), buf.get(), 0, size,
+                            1 - rank.rank(), 0};
+    if (rank.rank() == 0) {
+      (void)xfer::send_device(ep, strategy, rank.clock().now());
+    } else {
+      completion = xfer::recv_device(ep, strategy, rank.clock().now()).s;
+    }
+  });
+  return completion;
+}
+
 TEST(GpuDirect, FasterThanEveryStagedStrategy) {
   const auto prof = gpudirect_profile();
   constexpr std::size_t size = 32_MiB;
-  const auto direct = xfer::predict_transfer(prof, size, xfer::Strategy::gpudirect());
-  EXPECT_LT(direct.s, xfer::predict_transfer(prof, size, xfer::Strategy::pinned()).s);
-  EXPECT_LT(direct.s, xfer::predict_transfer(prof, size, xfer::Strategy::mapped()).s);
-  EXPECT_LT(direct.s,
-            xfer::predict_transfer(prof, size, xfer::Strategy::pipelined(1_MiB)).s);
+  const double direct = engine_receive_s(prof, size, xfer::Strategy::gpudirect());
+  EXPECT_LT(direct, engine_receive_s(prof, size, xfer::Strategy::pinned()));
+  EXPECT_LT(direct, engine_receive_s(prof, size, xfer::Strategy::mapped()));
+  EXPECT_LT(direct, engine_receive_s(prof, size, xfer::Strategy::pipelined(1_MiB)));
 }
 
 TEST(GpuDirect, FallsBackToPinnedOnIncapableHardware) {
@@ -364,10 +332,6 @@ TEST(GpuDirect, FallsBackToPinnedOnIncapableHardware) {
     // which a true zero-copy gpudirect transfer never does.
     EXPECT_GT(platform.device().copy_engine().busy_time().s, 0.0);
   });
-  // The cost model, by contrast, still refuses to predict gpudirect on
-  // incapable hardware — prediction has no peer to agree a fallback with.
-  EXPECT_THROW(xfer::predict_transfer(sys::ricc(), 1_MiB, xfer::Strategy::gpudirect()),
-               PreconditionError);
 }
 
 }  // namespace

@@ -127,9 +127,9 @@ TEST(Strategy, EqualityComparesKindAndBlock) {
 }
 
 TEST(Strategy, SelectIsStableUnderMemoization) {
-  // The memoized selector must return exactly what the policy dictates for
-  // repeated and for alternating (profile, size) queries — including near
-  // the pipeline threshold, where a size-class-granular cache would go wrong.
+  // select() must return exactly what the policy dictates for repeated and
+  // for alternating (profile, size) queries, exactly at the pipeline
+  // threshold and for a profile copy with different knobs.
   const sys::SystemProfile& ricc = sys::ricc();
   sys::SystemProfile modified = ricc;  // same sizes, different knobs
   modified.pipeline_threshold = 1_MiB;
@@ -138,20 +138,12 @@ TEST(Strategy, SelectIsStableUnderMemoization) {
 
   const std::size_t at = ricc.pipeline_threshold;
   for (int round = 0; round < 3; ++round) {
-    // Exact-size boundary: a size-class-granular cache would conflate these.
     EXPECT_EQ(xfer::select(ricc, at - 1).kind, xfer::StrategyKind::pinned);
     EXPECT_EQ(xfer::select(ricc, at).kind, xfer::StrategyKind::pipelined);
-    // 768 KiB lands in the same cache slot for both profiles but the two
-    // policies disagree: the memo must key on profile content, not identity.
+    // The two profiles' policies disagree at 768 KiB: selection reads the
+    // profile's content, not its identity.
     EXPECT_EQ(xfer::select(ricc, 768_KiB).kind, xfer::StrategyKind::pipelined);
     EXPECT_EQ(xfer::select(modified, 768_KiB).kind, xfer::StrategyKind::pinned);
-  }
-  // Predictive mode answers are memoized separately from heuristic ones.
-  for (int round = 0; round < 2; ++round) {
-    const xfer::Strategy h = xfer::select(ricc, 8_MiB, xfer::SelectionMode::heuristic);
-    const xfer::Strategy p = xfer::select(ricc, 8_MiB, xfer::SelectionMode::predictive);
-    EXPECT_EQ(h, xfer::select(ricc, 8_MiB, xfer::SelectionMode::heuristic));
-    EXPECT_EQ(p, xfer::select(ricc, 8_MiB, xfer::SelectionMode::predictive));
   }
 }
 

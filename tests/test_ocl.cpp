@@ -5,6 +5,7 @@
 
 #include "test_util.hpp"
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -79,6 +80,19 @@ TEST(Queue, OutOfRangeAccessRejected) {
     EXPECT_THROW(q->enqueue_read_buffer(buf, true, 0, 128, tmp, {}, f.clock),
                  PreconditionError);
     EXPECT_THROW(q->enqueue_write_buffer(buf, true, 60, 8, tmp, {}, f.clock),
+                 PreconditionError);
+    // offset + size wraps to 8, which would pass a naive bounds check.
+    constexpr std::size_t wrapped = SIZE_MAX - 7;
+    EXPECT_THROW(q->enqueue_read_buffer(buf, true, wrapped, 16, tmp, {}, f.clock),
+                 PreconditionError);
+    EXPECT_THROW(q->enqueue_write_buffer(buf, true, wrapped, 16, tmp, {}, f.clock),
+                 PreconditionError);
+    BufferPtr other = f.ctx.create_buffer(64);
+    EXPECT_THROW(q->enqueue_copy_buffer(buf, other, wrapped, 0, 16, {}, f.clock),
+                 PreconditionError);
+    EXPECT_THROW(q->enqueue_copy_buffer(other, buf, 0, wrapped, 16, {}, f.clock),
+                 PreconditionError);
+    EXPECT_THROW(q->enqueue_map_buffer(buf, true, wrapped, 16, {}, f.clock),
                  PreconditionError);
   });
 }

@@ -7,10 +7,8 @@
 //     self-targeted accesses, multi-epoch reuse;
 //   * typed negative paths — posting outside an epoch, OOB offsets, bad
 //     ranks, freed windows, free-with-pending, shmem path without a fabric;
-//   * strategy selection — select_rma boundaries per wire tier (heuristic
-//     exactly at the profile threshold, predictive at the analytic
-//     crossover), resolve_rma_strategy degradation fallback and its
-//     counters;
+//   * strategy selection — select_rma flips exactly at the profile
+//     threshold, resolve_rma_strategy degradation fallback and its counters;
 //   * the clMPI runtime — event-chained clEnqueuePutBuffer /
 //     clEnqueueGetBuffer / clEnqueueWindowFence commands, blocking-get
 //     rejection, RMA-vs-send/recv byte equivalence;
@@ -389,30 +387,11 @@ TEST(RmaStrategy, HeuristicFlipsExactlyAtTheProfileThreshold) {
   EXPECT_EQ(xfer::select_rma(p, 4_MiB).kind, xfer::StrategyKind::shmem);
 }
 
-TEST(RmaStrategy, PredictiveCrossoverMatchesTheAnalyticModel) {
-  const auto& p = sys::cxlpod();
-  // On cxlpod the predictive crossover sits near 38 KB: the fabric's extra
-  // map latency loses at 32 KiB and wins at 64 KiB — a deliberate divergence
-  // from the 32 KiB heuristic threshold.
-  EXPECT_EQ(xfer::select_rma(p, 32_KiB, xfer::SelectionMode::predictive).kind,
-            xfer::StrategyKind::pinned);
-  EXPECT_EQ(xfer::select_rma(p, 64_KiB, xfer::SelectionMode::predictive).kind,
-            xfer::StrategyKind::shmem);
-  // The selector is the argmin of the same predictor the test can query.
-  const auto at = [&](std::size_t size, xfer::Strategy s) {
-    return xfer::predict_transfer(p, size, s).s;
-  };
-  EXPECT_LT(at(32_KiB, xfer::Strategy::pinned()), at(32_KiB, xfer::Strategy::shmem()));
-  EXPECT_LT(at(64_KiB, xfer::Strategy::shmem()), at(64_KiB, xfer::Strategy::pinned()));
-}
-
 TEST(RmaStrategy, SystemsWithoutAFabricAlwaysPickPinned) {
   for (const sys::SystemProfile* p : {&sys::ricc(), &sys::cichlid()}) {
     ASSERT_FALSE(p->shmem.available);
     for (std::size_t size : {std::size_t{0}, std::size_t{1}, 32_KiB, 4_MiB}) {
       EXPECT_EQ(xfer::select_rma(*p, size).kind, xfer::StrategyKind::pinned);
-      EXPECT_EQ(xfer::select_rma(*p, size, xfer::SelectionMode::predictive).kind,
-                xfer::StrategyKind::pinned);
     }
   }
 }
@@ -447,17 +426,6 @@ TEST(RmaStrategy, ResolveDegradesShmemToPinned) {
   EXPECT_TRUE(obs::Registry::instance().value("xfer.fallback.shmem_to_pinned", fallbacks));
   EXPECT_EQ(fallbacks, 1u);
   obs::set_metrics_enabled(false);
-}
-
-TEST(RmaStrategy, ShmemPredictionIsFiniteAndMonotone) {
-  const auto& p = sys::cxlpod();
-  double prev = 0.0;
-  for (std::size_t size : {std::size_t{0}, 1_KiB, 64_KiB, 1_MiB, 16_MiB}) {
-    const double t = xfer::predict_transfer(p, size, xfer::Strategy::shmem()).s;
-    EXPECT_GT(t, 0.0);
-    EXPECT_GE(t, prev);
-    prev = t;
-  }
 }
 
 // --- runtime commands (event-chained RMA) ------------------------------------

@@ -10,9 +10,8 @@
 //     without injected faults, a contended fan-in, 16-rank Himeno, and
 //     512 ranks on the same pools.
 //   * Context migration: rank-scoped state (the capi ThreadBinding, the
-//     strategy memo, the staging-pool node cache) must follow a rank's fiber
-//     across worker threads and never leak to another rank time-sharing the
-//     same worker.
+//     staging-pool node cache) must follow a rank's fiber across worker
+//     threads and never leak to another rank time-sharing the same worker.
 //   * The launcher's contract: Cluster::run from a fiber is rejected, and
 //     the first rank error is rethrown while the secondary ones are counted.
 //   * Single-owner cluster state: a command queue, a mailbox or a blocking
@@ -332,7 +331,7 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
   // All four ranks (and their runtimes' service fibers) time-share the
   // pool's workers, and with more than one worker a strand resumes on
   // whichever worker checks it out next. Any leftover thread_local rank
-  // state — the capi binding, the strategy memo, the staging-pool cache —
+  // state — the capi binding, the staging-pool cache —
   // would be shared across ranks and trip immediately: ThreadBinding
   // construction requires an empty slot, and MPI_Comm_rank must return the
   // OWN rank after every scheduling point.
@@ -352,13 +351,6 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
         int self = -1;
         ASSERT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &self), 0);
         EXPECT_EQ(self, rank.rank());
-        // The strategy memo is rank-scoped: repeated selection stays
-        // self-consistent under migration.
-        const xfer::Strategy a = xfer::select(rank.profile(), 1024u << iter,
-                                              xfer::SelectionMode::heuristic);
-        const xfer::Strategy b = xfer::select(rank.profile(), 1024u << iter,
-                                              xfer::SelectionMode::heuristic);
-        EXPECT_EQ(a.kind, b.kind);
       }
     });
   }

@@ -271,11 +271,10 @@ TEST(Policy, LargeMessagesPipelined) {
 }
 
 TEST(Policy, PipelineBlockGrowsAndIsClamped) {
-  const auto& prof = sys::ricc();
-  EXPECT_LE(default_pipeline_block(prof, 1_MiB), 1_MiB);
-  EXPECT_GE(default_pipeline_block(prof, 1_GiB), 8_MiB);
-  EXPECT_LE(default_pipeline_block(prof, 1_GiB), 16_MiB);
-  EXPECT_LE(default_pipeline_block(prof, 8_MiB), default_pipeline_block(prof, 128_MiB));
+  EXPECT_LE(default_pipeline_block(1_MiB), 1_MiB);
+  EXPECT_GE(default_pipeline_block(1_GiB), 8_MiB);
+  EXPECT_LE(default_pipeline_block(1_GiB), 16_MiB);
+  EXPECT_LE(default_pipeline_block(8_MiB), default_pipeline_block(128_MiB));
 }
 
 TEST(Policy, SelectionIsDeterministic) {
@@ -308,10 +307,9 @@ TEST(Policy, ThresholdBoundaryIsExact) {
 }
 
 TEST(Policy, DefaultBlockClampAndRounding) {
-  const auto& prof = sys::ricc();
-  EXPECT_EQ(default_pipeline_block(prof, 1), 256_KiB);      // lower clamp
-  EXPECT_EQ(default_pipeline_block(prof, 1_GiB), 16_MiB);   // upper clamp
-  EXPECT_EQ(default_pipeline_block(prof, 24_MiB), 2_MiB);   // size/8 -> pow2 round-down
+  EXPECT_EQ(default_pipeline_block(1), 256_KiB);     // lower clamp
+  EXPECT_EQ(default_pipeline_block(1_GiB), 16_MiB);  // upper clamp
+  EXPECT_EQ(default_pipeline_block(24_MiB), 2_MiB);  // size/8 -> pow2 round-down
 }
 
 TEST(Policy, BlockCountAtChunkEdges) {
