@@ -3,7 +3,7 @@
 // Unlike the figure benches (which report *virtual* time reproduced from the
 // paper's model), this harness measures how fast the simulator itself runs:
 // messages per wall-clock second through the sharded mailbox, the eager
-// inline fast path, the staging-buffer pool and the batched dispatcher. It
+// inline fast path, the staged device transfers and the batched dispatcher. It
 // is the regression gate for host-side overhead — the virtual results must
 // not move at all (each scenario also records its trace hash, makespan and
 // fault counters, which must be identical across builds for equal seeds).
@@ -12,8 +12,8 @@
 //   eager_inline     64 B ping-pong        (inline eager store, shard locks)
 //   eager_small      4 KiB ping-pong       (eager heap copy path)
 //   rendezvous_large 256 KiB ping-pong     (rendezvous matching)
-//   pinned_repeat    repeated 256 KiB pinned device transfers (pool reuse)
-//   pipelined_large  8 MiB pipelined device transfers (block-ring pool reuse)
+//   pinned_repeat    repeated 256 KiB pinned device transfers (bounce buffers)
+//   pipelined_large  8 MiB pipelined device transfers (per-block bounce buffers)
 //   mailbox_fanin    4 ranks, 3 senders fan in to rank 0 on distinct tags
 //   rma_put_fanin    4 ranks, 3 peers Put 16 KiB slots into rank 0's window
 //                    each fence epoch (shmem one-sided tier on cxlpod)
@@ -71,7 +71,6 @@
 #include "support/sched.hpp"
 #include "support/units.hpp"
 #include "svc/service.hpp"
-#include "transfer/pool.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
 
@@ -93,8 +92,6 @@ struct ScenarioResult {
   double virtual_makespan_s{0.0};
   std::uint64_t trace_hash{0};
   mpi::FaultCounters counters;
-  double pool_hit_rate{-1.0};   ///< -1 when the scenario does not measure it
-  std::size_t pool_high_water{0};
   double p99_job_latency_s{-1.0};  ///< service_soak only; -1 elsewhere
   std::vector<obs::Sample> metrics;  ///< nonzero obs counters from the timed reps
 };
@@ -200,7 +197,6 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     r.counters = res.faults;
   }
 
-  xfer::StagingPool::reset_all_stats();
   obs::Registry::instance().reset();
   r.wall = benchutil::time_wall(cfg.warmup, cfg.reps, [&] {
     mpi::Cluster::Options o;
@@ -210,11 +206,6 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     mpi::Cluster::run(o, body);
   });
   r.metrics = drain_metrics();
-  const xfer::StagingPool::Stats stats = xfer::StagingPool::aggregate_stats();
-  r.pool_hit_rate = stats.acquires > 0
-                        ? static_cast<double>(stats.hits) / static_cast<double>(stats.acquires)
-                        : 0.0;
-  r.pool_high_water = stats.high_water_in_use;
   return r;
 }
 
@@ -431,7 +422,7 @@ ScenarioResult persistent_halo(const Config& cfg, int epochs) {
       });
 }
 
-// --- device transfers through the runtime (pool scenarios) -------------------
+// --- device transfers through the runtime (staged scenarios) -----------------
 
 struct Node {
   explicit Node(mpi::Rank& rank)
@@ -854,17 +845,12 @@ ScenarioResult service_soak(const Config& cfg) {
 // --- reporting ---------------------------------------------------------------
 
 void print_table(const std::vector<ScenarioResult>& results) {
-  std::printf("%-18s %12s %12s %12s %14s %9s\n", "scenario", "median_ms", "min_ms",
-              "max_ms", "msgs/s", "pool_hit");
+  std::printf("%-18s %12s %12s %12s %14s\n", "scenario", "median_ms", "min_ms", "max_ms",
+              "msgs/s");
   for (const auto& r : results) {
-    std::printf("%-18s %12.3f %12.3f %12.3f %14.0f ", r.name.c_str(),
+    std::printf("%-18s %12.3f %12.3f %12.3f %14.0f\n", r.name.c_str(),
                 r.wall.median_s * 1e3, r.wall.min_s * 1e3, r.wall.max_s * 1e3,
                 msgs_per_sec(r));
-    if (r.pool_hit_rate >= 0.0) {
-      std::printf("%8.1f%%\n", r.pool_hit_rate * 100.0);
-    } else {
-      std::printf("%9s\n", "n/a");
-    }
   }
 }
 
@@ -894,10 +880,6 @@ void write_json(const std::vector<ScenarioResult>& results, const Config& cfg,
         << ", \"fault_delays\": " << r.counters.delays;
     if (r.p99_job_latency_s >= 0.0) {
       out << ", \"p99_job_latency_s\": " << r.p99_job_latency_s;
-    }
-    if (r.pool_hit_rate >= 0.0) {
-      out << ", \"pool_hit_rate\": " << r.pool_hit_rate
-          << ", \"pool_high_water_bytes\": " << r.pool_high_water;
     }
     out << ", \"counters\": {";
     for (std::size_t c = 0; c < r.metrics.size(); ++c) {

@@ -8,7 +8,7 @@
 namespace clmpi::benchutil {
 
 /// Wall-clock timing for throughput benches: `warmup` untimed iterations
-/// (populating allocator caches, staging pools and thread-locals), then
+/// (populating allocator caches and thread-locals), then
 /// `reps` timed runs on std::chrono::steady_clock — monotonic, unlike
 /// wall-time clocks which can step under NTP — reporting the MEDIAN, which
 /// is robust against the occasional descheduling outlier that contaminates

@@ -432,7 +432,7 @@ struct clmpi_job_result {
   cl_int status;           ///< typed failure code; CL_SUCCESS otherwise
   double makespan_s;       ///< virtual makespan of the job's cluster run
   cl_ulong trace_hash;     ///< the job's own trace digest
-  cl_ulong staging_hwm;    ///< peak staging-pool bytes charged
+  cl_ulong staging_hwm;    ///< peak staging bytes charged (exact bytes staged)
   cl_ulong mailbox_hwm;    ///< peak pending p2p operations
   cl_ulong quota_denials;  ///< allocations refused by quota
   cl_ulong messages;       ///< p2p operations posted

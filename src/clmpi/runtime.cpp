@@ -13,7 +13,7 @@
 #include "simmpi/progress.hpp"
 #include "simmpi/datatype.hpp"
 #include "transfer/async.hpp"
-#include "transfer/pool.hpp"
+#include "transfer/staging.hpp"
 #include "transfer/wire.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
@@ -468,8 +468,7 @@ ocl::EventPtr Runtime::enqueue_bcast_buffer(ocl::CommandQueue& queue,
       [dev, buf, offset, size, root, is_root, comm_ptr](vt::TimePoint ready,
                                                         const ocl::EventPtr& event) {
         auto& prof = dev->profile();
-        auto bounce = std::make_shared<xfer::StagingPool::Buffer>(
-            xfer::StagingPool::for_node(dev->node()).acquire(size));
+        auto bounce = std::make_shared<xfer::StagingBuffer>(size);
         vt::TimePoint wire_ready = ready;
         if (is_root) {
           // Stage the payload down through the pinned path first.

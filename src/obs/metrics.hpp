@@ -1,7 +1,7 @@
 // Process-wide observability metrics: named monotonic counters and gauges.
 //
-// The runtime's subsystems (mailbox, staging pool, strategy selection, fault
-// engine, dispatcher) already make interesting decisions on their hot paths;
+// The runtime's subsystems (mailbox, strategy selection, fault engine,
+// dispatcher) already make interesting decisions on their hot paths;
 // this registry lets them publish those decisions without perturbing either
 // wall-clock performance or the virtual timeline. Design constraints:
 //

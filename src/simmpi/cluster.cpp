@@ -32,9 +32,15 @@ bool ClusterCore::backstop() {
   });
   // Rescue after the sweep: timeout callbacks may re-enter the cluster
   // (fire events, post follow-up operations that register themselves).
-  if (next != nullptr && next->rescue_timeout()) {
-    if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
-    return true;
+  // Unlink the operation first: its caller may free the buffer once it
+  // sees the timeout, so no later match may touch it.
+  if (next != nullptr) {
+    std::vector<std::shared_ptr<RequestState>> queued;
+    for (Mailbox& m : mailboxes) m.withdraw(nullptr, next.get(), queued);
+    if (next->rescue_timeout()) {
+      if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
+      return true;
+    }
   }
   return cancelled || fail_deadlocked();
 }
@@ -72,7 +78,7 @@ std::exception_ptr ClusterCore::deadlock_error(const ctx::ExecContext& target) c
 
 bool ClusterCore::fail_posted(const ctx::ExecContext* poster, const std::exception_ptr& error) {
   std::vector<std::shared_ptr<RequestState>> posted;
-  for (Mailbox& m : mailboxes) m.withdraw(poster, posted);
+  for (Mailbox& m : mailboxes) m.withdraw(poster, nullptr, posted);
   // Fail after the sweep: settle callbacks may re-enter the cluster (fire
   // events, post follow-up operations).
   for (const auto& s : posted) s->cancel_now(error);
@@ -196,26 +202,6 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   core.network = std::make_unique<Network>(options.profile->nic, options.nranks,
                                            core.tracer, core.faults.get(),
                                            &options.profile->shmem);
-  // The per-profile eager-inline cutoff is clamped by the envelope's fixed
-  // store capacity (see Mailbox::inject_eager). A profile asking for more
-  // would otherwise be silently degraded to heap-copied eager sends; surface
-  // the clamp once and publish the effective cutoff for observability.
-  {
-    const std::size_t requested = options.profile->nic.eager_inline;
-    const std::size_t effective = std::min(requested, detail::Envelope::kInlineEagerBytes);
-    obs::Registry::instance()
-        .gauge("simmpi.mailbox.eager_inline_effective")
-        .record(effective);
-    if (requested > effective) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        CLMPI_WARN("profile '" << options.profile->nic.name << "' requests eager_inline="
-                               << requested << " B, above the envelope inline store ("
-                               << detail::Envelope::kInlineEagerBytes
-                               << " B); clamping to " << effective << " B");
-      }
-    }
-  }
   for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(core, *core.network, n);
 
   core.ranks.resize(static_cast<std::size_t>(options.nranks));

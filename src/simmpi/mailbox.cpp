@@ -155,11 +155,14 @@ std::string Mailbox::describe_block_mismatch(int node) const {
   return {};
 }
 
-void Mailbox::withdraw(const ctx::ExecContext* poster,
+void Mailbox::withdraw(const ctx::ExecContext* poster, const RequestState* req,
                        std::vector<std::shared_ptr<RequestState>>& out) {
-  const auto take = [&](const ctx::ExecContext* by, const std::shared_ptr<RequestState>& req) {
-    if ((poster != nullptr && by != poster) || req->done()) return false;
-    out.push_back(req);
+  const auto take = [&](const ctx::ExecContext* by, const std::shared_ptr<RequestState>& r) {
+    if ((poster != nullptr && by != poster) || (req != nullptr && r.get() != req) ||
+        r->done()) {
+      return false;
+    }
+    out.push_back(r);
     return true;
   };
   const auto recv = [&](const PostedRecv& pr) { return take(pr.poster, pr.rreq); };
@@ -221,11 +224,7 @@ void Mailbox::inject_eager(Envelope& env, std::vector<Completion>& out) {
   // reusable after injection, so copy the payload out first. Small payloads
   // go to the envelope's inline store (no allocation).
   if (env.fault_delivered && env.bytes > 0) {
-    // The inline cutoff is a per-profile knob (NicModel::eager_inline),
-    // clamped by the envelope's fixed store capacity.
-    const std::size_t inline_cap =
-        std::min(net_->model().eager_inline, Envelope::kInlineEagerBytes);
-    if (env.bytes <= inline_cap) {
+    if (env.bytes <= Envelope::kInlineEagerBytes) {
       std::memcpy(env.inline_store.data(), env.payload.data(), env.bytes);
       env.inlined = true;
       if (obs::metrics_enabled()) metrics().eager_inline.add();

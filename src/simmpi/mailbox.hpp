@@ -185,10 +185,12 @@ class Mailbox {
   [[nodiscard]] std::string describe_block_mismatch(int node) const;
 
   /// Unlink every pending receive and rendezvous send `poster` (any task
-  /// when null) queued here and append their requests to `out`, for the
-  /// caller to fail: no later match may touch the buffers of an operation
-  /// the backstop failed. Queued eager sends already completed and stay.
-  void withdraw(const ctx::ExecContext* poster, std::vector<std::shared_ptr<RequestState>>& out);
+  /// when null) queued here, or only `req` when given, and append their
+  /// requests to `out`, for the caller to fail: no later match may touch
+  /// the buffers of an operation the backstop failed. Queued eager sends
+  /// already completed and stay.
+  void withdraw(const ctx::ExecContext* poster, const RequestState* req,
+                std::vector<std::shared_ptr<RequestState>>& out);
 
  private:
   /// Exact-match channel identity: the full matching key of a specific

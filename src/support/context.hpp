@@ -2,8 +2,8 @@
 //
 // Under the fiber scheduler (support/sched.hpp), a rank is a fiber that may
 // migrate between worker threads, so "per-thread" state silently keyed on
-// thread identity (the capi binding, the staging pool's node cache, the log
-// label) would leak across ranks sharing a worker.
+// thread identity (the capi binding, the log label) would leak across ranks
+// sharing a worker.
 // ExecContext is the replacement: one instance per logical task — a fiber
 // when the scheduler runs it, the thread itself otherwise — carrying
 //
@@ -60,7 +60,7 @@ class ExecContext {
   /// The service job this task runs under; null for standalone runs. Set by
   /// the cluster launcher on rank tasks and propagated by spawn_service to
   /// the runtime services a rank starts. Allocation layers below the cluster
-  /// (the staging pool) read it to charge quotas to the right tenant.
+  /// (the staging buffers) read it to charge quotas to the right tenant.
   tenant::JobControl* job{nullptr};
 
   /// This task's instance of T (default-constructed on first access). Only

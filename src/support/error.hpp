@@ -48,7 +48,7 @@ enum class Status : int {
   /// Service admission control refused the job: the pending queue is at
   /// capacity, or the service is shutting down. The job never ran.
   rejected = -1012,
-  /// A per-job quota (staging-pool bytes, mailbox depth, max ranks) was
+  /// A per-job quota (staging bytes, mailbox depth, max ranks) was
   /// exceeded at an allocation point; the allocating operation fails typed
   /// instead of starving co-tenant jobs.
   quota_exceeded = -1013,
@@ -107,7 +107,7 @@ class RejectedError : public Error {
       : Error(what_arg, Status::rejected) {}
 };
 
-/// Raised at an allocation point (staging-pool acquire, mailbox post, rank
+/// Raised at an allocation point (staging-buffer allocation, mailbox post, rank
 /// spawn) when the operation would exceed the owning job's quota.
 class QuotaError : public Error {
  public:

@@ -2,7 +2,7 @@
 //
 // One JobControl exists per service-hosted job (svc::Service owns it for the
 // job's whole lifetime). It is deliberately a *support*-layer type: the
-// staging pool (transfer), the mailbox/comm layer (simmpi) and the cluster
+// staging buffers (transfer), the mailbox/comm layer (simmpi) and the cluster
 // launcher all enforce against it at their allocation points, and none of
 // them may depend on the service layer above. A null JobControl* anywhere
 // means "not a service job" — every hook is skipped and behaviour is exactly
@@ -30,8 +30,8 @@ namespace clmpi::tenant {
 /// Per-job resource limits; 0 = unlimited. Enforced at allocation points
 /// (see JobControl) with typed Status::quota_exceeded failures.
 struct JobQuotas {
-  /// Max staging-pool bytes in flight for the job, at size-class granularity
-  /// (the bytes a transfer actually reserves).
+  /// Max staging bytes in flight for the job: the exact bytes of the host
+  /// bounce buffers its transfers hold.
   std::size_t staging_bytes{0};
   /// Max pending point-to-point operations (posted sends + receives not yet
   /// settled) across all ranks of the job.
@@ -86,9 +86,9 @@ class JobControl {
     }
   }
 
-  // --- staging-pool bytes ---------------------------------------------------
+  // --- staging bytes --------------------------------------------------------
 
-  /// Reserve `bytes` of staging-pool quota; throws QuotaError (and counts the
+  /// Reserve `bytes` of staging quota; throws QuotaError (and counts the
   /// denial) when the reservation would exceed the limit.
   void charge_staging(std::size_t bytes) {
     const std::size_t now =

@@ -14,8 +14,8 @@
 //     only the live jobs that armed a deadline).
 //
 // Isolation story, per job:
-//   * quotas — staging-pool bytes, mailbox depth, max ranks — enforced at
-//     the allocation points (transfer/pool, simmpi comm) against the job's
+//   * quotas — staging bytes, mailbox depth, max ranks — enforced at
+//     the allocation points (transfer/staging, simmpi comm) against the job's
 //     tenant::JobControl; an overrunning job fails itself with QuotaError
 //     and can never starve a co-tenant;
 //   * cancellation/deadline — a cancel flag observed at the

@@ -14,7 +14,7 @@ namespace clmpi::svc {
 namespace {
 
 /// Himeno (the paper's §V-C app): the full clMPI runtime path — kernels,
-/// staged halo transfers (exercising the staging pool and its quota hook),
+/// staged halo transfers (exercising the staging quota),
 /// the dispatcher and queue-worker services. Grid sized down so a job is
 /// milliseconds of wall time; `interior` scales with nranks to satisfy the
 /// A/B-halving divisibility rule.

@@ -24,13 +24,6 @@ struct NicModel {
   vt::LinearCost wire;
   vt::LinearCost loopback;
   std::size_t eager_threshold{64 * 1024};
-  /// Eager payloads at or below this size are copied into the envelope's
-  /// fixed inline store (no heap allocation). Clamped by the store capacity
-  /// (mpi::Envelope::kInlineEagerBytes = 256); profiles can only tune it
-  /// downwards — a larger value warns once at cluster start and the
-  /// effective cutoff is published as the
-  /// "simmpi.mailbox.eager_inline_effective" gauge.
-  std::size_t eager_inline{256};
   /// GPUDirect-RDMA-capable (paper §II: CUDA 5 / Kepler + a compatible
   /// InfiniBand HCA — "such devices are not available at this time"). When
   /// true, the runtime's selector uses direct NIC<->device-memory transfers

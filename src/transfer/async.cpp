@@ -12,7 +12,7 @@
 #include "support/error.hpp"
 #include "support/units.hpp"
 #include "support/sched.hpp"
-#include "transfer/pool.hpp"
+#include "transfer/staging.hpp"
 #include "transfer/wire.hpp"
 
 namespace clmpi::xfer {
@@ -28,8 +28,8 @@ void check_endpoint(const DeviceEndpoint& ep) {
                 "transfer tag outside the user tag space");
 }
 
-/// memcpy with a null-safe empty case (a zero-size transfer's bounce buffer
-/// has no storage behind it).
+/// memcpy with a null-safe empty case (a zero-size region may have no
+/// storage behind it).
 void copy_bytes(std::byte* dst, const std::byte* src, std::size_t n) {
   if (n > 0) std::memcpy(dst, src, n);
 }
@@ -106,10 +106,9 @@ void post(const DeviceEndpoint& ep, const Strategy& s, Direction dir, vt::TimePo
     const std::span<std::byte> region = ep.buf->storage().subspan(ep.offset + b.offset, b.size);
     std::span<std::byte> wire = region;
     vt::TimePoint wire_ready = at;
-    std::shared_ptr<StagingPool::Buffer> bounce;
+    std::shared_ptr<StagingBuffer> bounce;
     if (staged) {
-      bounce = std::make_shared<StagingPool::Buffer>(
-          StagingPool::for_node(ep.comm->node_of(ep.comm->rank())).acquire(b.size));
+      bounce = std::make_shared<StagingBuffer>(b.size);
       wire = bounce->span();
       if (dir == Direction::send) {
         // The copy engine and the NIC each serialize only their own work,

@@ -1,9 +1,9 @@
-// Hot-path regression suite: staging-buffer pool accounting and reuse,
-// eager fast-path boundary sizes, mailbox matching (specific, wildcard,
-// probe, nested-settle order), strategy equality / wire-decomposition
-// agreement, and a determinism regression pinning seed-identical trace
-// hashes. Everything here is wall-clock-only machinery whose virtual-time
-// behaviour must be indistinguishable from a single-queue engine.
+// Hot-path regression suite: eager fast-path boundary sizes, mailbox
+// matching (specific, wildcard, probe, nested-settle order), strategy
+// equality / wire-decomposition agreement, and a determinism regression
+// pinning seed-identical trace hashes. Everything here is wall-clock-only
+// machinery whose virtual-time behaviour must be indistinguishable from a
+// single-queue engine.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -22,99 +22,11 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
-#include "transfer/pool.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
 
 namespace clmpi {
 namespace {
-
-// --- staging pool ------------------------------------------------------------
-
-TEST(StagingPool, AcquireHandsOutRequestedSizeWithinSizeClass) {
-  xfer::StagingPool pool;
-  auto buf = pool.acquire(300);
-  EXPECT_EQ(buf.size(), 300u);
-  EXPECT_EQ(buf.span().size(), 300u);
-  // Accounting is at size-class granularity (300 -> 512).
-  const auto s = pool.stats();
-  EXPECT_EQ(s.acquires, 1u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.bytes_in_use, 512u);
-  EXPECT_EQ(s.high_water_in_use, 512u);
-}
-
-TEST(StagingPool, ZeroByteAcquireIsEmpty) {
-  xfer::StagingPool pool;
-  auto buf = pool.acquire(0);
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(pool.stats().acquires, 0u);
-}
-
-TEST(StagingPool, ReleasedBufferIsReusedAsAHit) {
-  xfer::StagingPool pool;
-  const std::byte* first_ptr = nullptr;
-  {
-    auto buf = pool.acquire(64_KiB);
-    first_ptr = buf.data();
-  }  // returned to the free list
-  EXPECT_EQ(pool.stats().bytes_retained, 64_KiB);
-
-  // Same size class (even a different size within it) reuses the storage.
-  auto again = pool.acquire(40_KiB);
-  const auto s = pool.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.bytes_retained, 0u);
-  EXPECT_EQ(again.data(), first_ptr);
-}
-
-TEST(StagingPool, HighWaterMarksAreMonotone) {
-  xfer::StagingPool pool;
-  {
-    auto a = pool.acquire(1_KiB);
-    auto b = pool.acquire(1_KiB);
-    EXPECT_EQ(pool.stats().bytes_in_use, 2_KiB);
-    EXPECT_EQ(pool.stats().high_water_in_use, 2_KiB);
-  }
-  EXPECT_EQ(pool.stats().bytes_in_use, 0u);
-  EXPECT_EQ(pool.stats().high_water_in_use, 2_KiB);  // monotone
-  EXPECT_EQ(pool.stats().bytes_retained, 2_KiB);
-  EXPECT_EQ(pool.stats().high_water_retained, 2_KiB);
-
-  {
-    auto c = pool.acquire(1_KiB);  // a hit; only one buffer out
-    EXPECT_EQ(pool.stats().high_water_in_use, 2_KiB);
-  }
-}
-
-TEST(StagingPool, MovedFromBufferReleasesNothing) {
-  xfer::StagingPool pool;
-  {
-    auto a = pool.acquire(1_KiB);
-    auto b = std::move(a);
-    EXPECT_EQ(b.size(), 1_KiB);
-    EXPECT_EQ(pool.stats().bytes_in_use, 1_KiB);
-  }  // exactly one release
-  EXPECT_EQ(pool.stats().bytes_in_use, 0u);
-  EXPECT_EQ(pool.stats().bytes_retained, 1_KiB);
-}
-
-TEST(StagingPool, TrimDropsRetainedStorage) {
-  xfer::StagingPool pool;
-  { auto a = pool.acquire(4_KiB); }
-  EXPECT_EQ(pool.stats().bytes_retained, 4_KiB);
-  pool.trim();
-  EXPECT_EQ(pool.stats().bytes_retained, 0u);
-  // A fresh acquire after trim is a miss again.
-  auto b = pool.acquire(4_KiB);
-  EXPECT_EQ(pool.stats().hits, 0u);
-}
-
-TEST(StagingPool, PerNodePoolsAreDistinct) {
-  EXPECT_NE(&xfer::StagingPool::for_node(1001), &xfer::StagingPool::for_node(1002));
-  EXPECT_EQ(&xfer::StagingPool::for_node(1001), &xfer::StagingPool::for_node(1001));
-}
 
 // --- strategy equality -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 // Observability layer tests: metrics registry semantics, Perfetto
 // trace_event export (byte-determinism + format validity), counter ground
-// truth against the fault engine and staging pool, the C-API introspection
+// truth against the fault engine, the C-API introspection
 // surface with its handle-liveness checks, and the virtual-time neutrality
 // oracle (observability on vs off must not move a single virtual result).
 #include <gtest/gtest.h>
@@ -8,13 +8,11 @@
 #include "test_util.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -24,7 +22,6 @@
 #include "obs/trace_export.hpp"
 #include "ocl/platform.hpp"
 #include "support/units.hpp"
-#include "transfer/pool.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
 
@@ -492,40 +489,6 @@ TEST(ObsCounters, MatchFaultEngineGroundTruth) {
   }
 }
 
-TEST(ObsCounters, MatchStagingPoolGroundTruth) {
-  ObsFlagGuard guard;
-  obs::set_metrics_enabled(true);
-  xfer::StagingPool::reset_all_stats();
-  obs::Registry::instance().reset();
-
-  mpi::Cluster::run(opts(2), [](mpi::Rank& rank) {
-    ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
-    ocl::Context ctx(platform.device());
-    rt::Runtime runtime(rank, platform.device());
-    auto queue = ctx.create_queue();
-    ocl::BufferPtr buf = ctx.create_buffer(256_KiB);
-    for (int i = 0; i < 8; ++i) {
-      if (rank.rank() == 0) {
-        runtime.enqueue_send_buffer(*queue, buf, true, 0, 256_KiB, 1, i, rank.world(), {},
-                                    xfer::Strategy::pinned());
-      } else {
-        runtime.enqueue_recv_buffer(*queue, buf, true, 0, 256_KiB, 0, i, rank.world(), {},
-                                    xfer::Strategy::pinned());
-      }
-    }
-  });
-
-  const xfer::StagingPool::Stats stats = xfer::StagingPool::aggregate_stats();
-  ASSERT_GT(stats.acquires, 0u);
-  std::uint64_t v = 0;
-  ASSERT_TRUE(obs::Registry::instance().value("xfer.pool.acquires", v));
-  EXPECT_EQ(v, stats.acquires);
-  ASSERT_TRUE(obs::Registry::instance().value("xfer.pool.hits", v));
-  EXPECT_EQ(v, stats.hits);
-  ASSERT_TRUE(obs::Registry::instance().value("xfer.pool.in_use_bytes.hwm", v));
-  EXPECT_GT(v, 0u);
-}
-
 TEST(ObsCounters, ProducersPopulateTheCatalog) {
   // One traced device workload lights up the mailbox, selection and
   // dispatcher counters; spot-check that the names documented in
@@ -611,35 +574,6 @@ TEST(ObsNeutrality, ObservabilityOnDoesNotPerturbVirtualTime) {
   obs::set_trace_enabled(true);
   const auto on = run_once();
   EXPECT_EQ(off, on);  // counting and tracing are bit-neutral
-}
-
-// --- pool stats consistency --------------------------------------------------
-
-TEST(ObsPool, StatsSnapshotConsistentUnderHammer) {
-  xfer::StagingPool pool;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  workers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        auto a = pool.acquire(4096);
-        auto b = pool.acquire(64_KiB);
-        auto c = pool.acquire(512);
-      }
-    });
-  }
-  for (int i = 0; i < 2000; ++i) {
-    const xfer::StagingPool::Stats s = pool.stats();
-    ASSERT_LE(s.hits, s.acquires);
-    ASSERT_LE(s.bytes_in_use, s.high_water_in_use);
-    ASSERT_LE(s.bytes_retained, s.high_water_retained);
-  }
-  stop.store(true);
-  for (auto& w : workers) w.join();
-  const xfer::StagingPool::Stats final_stats = pool.stats();
-  EXPECT_LE(final_stats.hits, final_stats.acquires);
-  EXPECT_EQ(final_stats.bytes_in_use, 0u);  // everything returned
 }
 
 }  // namespace

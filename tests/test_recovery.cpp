@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -317,6 +318,41 @@ TEST(Deadline, EarlierDeadlineFiresFirst) {
     world.send(buf, 1, /*tag=*/2, rank.clock());
   });
   EXPECT_LT(std::chrono::steady_clock::now() - wall0, kDeadlineWall);
+}
+
+TEST(Deadline, RescuedReceiveIsWithdrawnBeforeItsBufferIsFreed) {
+  // A receive the deadline rescue times out must leave the mailbox with its
+  // timeout: its caller may free the buffer, and a later send on that tag
+  // belongs to the next receive, not to the stale one.
+  mpi::Cluster::run(opts(2), [&](mpi::Rank& rank) {
+    constexpr std::size_t n = 64;
+    mpi::Comm& world = rank.world();
+    std::vector<std::byte> signal(1);
+    if (rank.rank() == 1) {
+      world.recv(signal, 0, /*tag=*/6, rank.clock());
+      std::vector<std::byte> payload(n);
+      for (std::size_t i = 0; i < n; ++i) payload[i] = static_cast<std::byte>(i + 1);
+      world.send(payload, 0, /*tag=*/5, rank.clock());
+      return;
+    }
+    auto stale = std::make_unique<std::byte[]>(n);
+    mpi::Request r = world.irecv(std::span<std::byte>(stale.get(), n), 1, /*tag=*/5,
+                                 rank.clock().now(),
+                                 mpi::P2POptions{.deadline = vt::milliseconds(1.0)});
+    try {
+      r.wait(rank.clock());
+      ADD_FAILURE() << "receive with no sender completed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::timeout) << e.what();
+    }
+    stale.reset();
+    world.send(signal, 1, /*tag=*/6, rank.clock());
+    std::vector<std::byte> fresh(n);
+    world.recv(fresh, 1, /*tag=*/5, rank.clock());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(fresh[i], static_cast<std::byte>(i + 1)) << "byte " << i;
+    }
+  });
 }
 
 TEST(Deadline, WorkBetweenRawYieldsHoldsOffTheRescue) {

@@ -9,9 +9,9 @@
 //     clMPI runtime (queue workers + dispatcher as service fibers) with and
 //     without injected faults, a contended fan-in, 16-rank Himeno, and
 //     512 ranks on the same pools.
-//   * Context migration: rank-scoped state (the capi ThreadBinding, the
-//     staging-pool node cache) must follow a rank's fiber across worker
-//     threads and never leak to another rank time-sharing the same worker.
+//   * Context migration: rank-scoped state (the capi ThreadBinding) must
+//     follow a rank's fiber across worker threads and never leak to another
+//     rank time-sharing the same worker.
 //   * The launcher's contract: Cluster::run from a fiber is rejected, and
 //     the first rank error is rethrown while the secondary ones are counted.
 //   * Single-owner cluster state: a command queue, a mailbox or a blocking
@@ -331,10 +331,9 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
   // All four ranks (and their runtimes' service fibers) time-share the
   // pool's workers, and with more than one worker a strand resumes on
   // whichever worker checks it out next. Any leftover thread_local rank
-  // state — the capi binding, the staging-pool cache —
-  // would be shared across ranks and trip immediately: ThreadBinding
-  // construction requires an empty slot, and MPI_Comm_rank must return the
-  // OWN rank after every scheduling point.
+  // state — the capi binding — would be shared across ranks and trip
+  // immediately: ThreadBinding construction requires an empty slot, and
+  // MPI_Comm_rank must return the OWN rank after every scheduling point.
   constexpr int kRanks = 4;
   for (const int workers : testutil::kGateWorkers) {
     SCOPED_TRACE(std::to_string(workers) + " workers");

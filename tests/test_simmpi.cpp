@@ -9,10 +9,8 @@
 #include <numeric>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/datatype.hpp"
-#include "simmpi/mailbox.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
@@ -269,30 +267,6 @@ TEST(P2P, SelfSendPersistentReplay) {
       });
     }
   }
-}
-
-TEST(P2P, EagerInlineOverCapacityClampsAndReportsGauge) {
-  // A profile asking for a bigger inline-eager cutoff than the envelope's
-  // fixed store silently degraded to heap-copied eager sends; the clamp is
-  // now surfaced as the "simmpi.mailbox.eager_inline_effective" gauge (and a
-  // one-time warning at cluster start). Delivery in the clamped band — above
-  // the store capacity but below the requested cutoff — must stay byte-exact.
-  sys::SystemProfile prof = sys::cichlid();
-  prof.nic.eager_inline = 4 * detail::Envelope::kInlineEagerBytes;
-  Cluster::run(opts(2, prof), [](Rank& rank) {
-    const std::size_t n = 2 * detail::Envelope::kInlineEagerBytes;  // clamped band
-    std::vector<std::byte> buf(n);
-    if (rank.rank() == 0) {
-      fill_pattern(buf, 11);
-      rank.world().send(buf, 1, 3, rank.clock());
-    } else {
-      rank.world().recv(buf, 0, 3, rank.clock());
-      EXPECT_TRUE(check_pattern(buf, 11));
-    }
-  });
-  std::uint64_t v = 0;
-  ASSERT_TRUE(obs::Registry::instance().value("simmpi.mailbox.eager_inline_effective", v));
-  EXPECT_EQ(v, detail::Envelope::kInlineEagerBytes);
 }
 
 TEST(P2P, IprobeSeesUnexpectedMessage) {

@@ -10,11 +10,15 @@
 
 #include "clmpi/capi.h"
 #include "obs/metrics.hpp"
+#include "ocl/context.hpp"
+#include "ocl/platform.hpp"
 #include "simmpi/cluster.hpp"
 #include "support/tenant.hpp"
 #include "svc/service.hpp"
 #include "svc/workloads.hpp"
+#include "systems/profile.hpp"
 #include "test_util.hpp"
+#include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
 
 namespace {
@@ -140,6 +144,38 @@ TEST(JobControl, QuotaExactlyAtLimitIsAdmitted) {
   EXPECT_EQ(ctrl.usage().staging_hwm, 4096u);
   ctrl.credit_staging(4096);
   EXPECT_EQ(ctrl.usage().staging_in_use, 0u);
+}
+
+TEST(JobControl, StagingQuotaChargesExactBytes) {
+  // Bounce buffers charge the bytes a transfer stages, not a rounded-up
+  // size: a pinned 3 KiB send/receive pair fits a 6 KiB quota even when
+  // both ends hold their buffer at once.
+  tenant::JobQuotas quotas;
+  quotas.staging_bytes = 6 * 1024;
+  tenant::JobControl ctrl(1, quotas);
+  constexpr std::size_t kBytes = 3 * 1024;
+  mpi::Cluster::Options o;
+  o.nranks = 2;
+  o.profile = &sys::ricc();
+  o.job = &ctrl;
+  mpi::Cluster::run(o, [](mpi::Rank& rank) {
+    ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    ocl::BufferPtr buf = ctx.create_buffer(kBytes);
+    const xfer::DeviceEndpoint ep{&rank.world(), &platform.device(), buf.get(), 0, kBytes,
+                                  1 - rank.rank(), 3};
+    const vt::TimePoint ready{rank.now_s()};
+    if (rank.rank() == 0) {
+      (void)xfer::send_device(ep, xfer::Strategy::pinned(), ready);
+    } else {
+      (void)xfer::recv_device(ep, xfer::Strategy::pinned(), ready);
+    }
+  });
+  const tenant::JobControl::Usage u = ctrl.usage();
+  EXPECT_EQ(u.staging_in_use, 0u);
+  EXPECT_EQ(u.staging_denials, 0u);
+  EXPECT_GT(u.staging_hwm, 0u);
+  EXPECT_EQ(u.staging_hwm % kBytes, 0u) << "hwm " << u.staging_hwm;
 }
 
 TEST(Service, MailboxQuotaDenialFailsJobTyped) {
