@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "clmpi/runtime.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
@@ -100,6 +101,27 @@ void BM_EagerMessageRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_EagerMessageRoundTrip)->Arg(1000)->Iterations(20)->Unit(benchmark::kMillisecond);
+
+void BM_ClusterLaunch(benchmark::State& state) {
+  // The launch layer alone, as a svc job pays it: one 4-rank cluster in
+  // which each rank builds a device, a context, a runtime (dispatcher fiber)
+  // and one queue (worker fiber), 12 fibers per run.
+  mpi::Cluster::Options opt;
+  opt.nranks = 4;
+  opt.profile = &sys::cichlid();
+  const auto launch = [&opt] {
+    mpi::Cluster::run(opt, [](mpi::Rank& rank) {
+      ocl::Platform platform(rank.profile(), rank.rank(), nullptr);
+      ocl::Context ctx(platform.device());
+      rt::Runtime runtime(rank, platform.device());
+      auto queue = ctx.create_queue();
+      benchmark::DoNotOptimize(queue.get());
+    });
+  };
+  launch();  // the default pool and its stacks exist before timing
+  for (auto _ : state) launch();
+}
+BENCHMARK(BM_ClusterLaunch)->Iterations(2000)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelLaunch(benchmark::State& state) {
   on_one_rank([&state](mpi::Rank& rank) {

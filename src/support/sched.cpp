@@ -26,6 +26,7 @@
 // reports phantom races between tasks that share a worker.
 #if defined(__SANITIZE_ADDRESS__)
 #define CLMPI_FIBER_ASAN 1
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -92,10 +93,7 @@ struct Strand;
 struct Fiber {
   ucontext_t uc{};
   ucontext_t* ret_uc{nullptr};  ///< resuming worker's context, set per resume
-  std::byte* stack_base{nullptr};
-  std::size_t stack_size{0};
-  std::byte* mapping{nullptr};  ///< stack + low guard page
-  std::size_t mapping_size{0};
+  std::byte* stack{nullptr};    ///< lowest byte; the guard page lies below it
   std::function<void()> fn;
   bool finished{false};
   bool started{false};
@@ -127,6 +125,9 @@ struct Strand {
   std::size_t fruitless{0};  ///< resumes without progress since the last one
   /// Ownership, in creation order (the deadlock verdict's order).
   std::vector<std::unique_ptr<Fiber>> fibers;
+  /// The run() caller's signal, notified under Scheduler::Impl::mutex as
+  /// the strand closes.
+  std::condition_variable* closed{nullptr};
 };
 
 thread_local Fiber* t_current = nullptr;
@@ -146,17 +147,25 @@ thread_local void* t_worker_fake = nullptr;
 }  // namespace
 
 struct Scheduler::Impl {
-  std::size_t stack_bytes{0};
+  std::size_t page{0};
+  std::size_t stack_size{0};  ///< page multiple, above one guard page
+
+  /// Stacks of retired fibers, guard page included, reused LIFO: a stack is
+  /// mapped only when every mapped one is in use, so the list never holds
+  /// more than the pool's high-water mark of live fibers.
+  std::mutex stacks_mutex;
+  std::vector<std::byte*> free_stacks;
 
   std::mutex mutex;
-  std::condition_variable work_cv;    ///< parked workers
-  std::condition_variable closed_cv;  ///< run() callers
+  std::condition_variable work_cv;  ///< parked workers
   std::unordered_map<std::uint64_t, std::unique_ptr<Strand>> strands;
   std::deque<Strand*> rotation;  ///< runnable strands nobody holds
   int parked{0};
   bool stopping{false};
   std::vector<std::thread> workers;
 
+  ~Impl();
+  std::byte* take_stack();
   std::unique_ptr<Fiber> make_fiber(std::function<void()> fn, std::string label);
   void spawn_here(std::function<void()> fn, std::string label);
   bool run_quantum(Strand& s);  // true = closed
@@ -262,26 +271,42 @@ void yield() {
   suspend(t_current, /*progress=*/true);
 }
 
+Scheduler::Impl::~Impl() {
+  for (std::byte* stack : free_stacks) munmap(stack - page, page + stack_size);
+}
+
+std::byte* Scheduler::Impl::take_stack() {
+  {
+    std::lock_guard lock(stacks_mutex);
+    if (!free_stacks.empty()) {
+      std::byte* stack = free_stacks.back();
+      free_stacks.pop_back();
+      return stack;
+    }
+  }
+  void* mem = mmap(nullptr, page + stack_size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CLMPI_REQUIRE(mem != MAP_FAILED, "fiber stack allocation failed");
+  mprotect(mem, page, PROT_NONE);  // low guard page: stacks grow down
+  return static_cast<std::byte*>(mem) + page;
+}
+
 std::unique_ptr<Fiber> Scheduler::Impl::make_fiber(std::function<void()> fn,
                                                    std::string label) {
   auto f = std::make_unique<Fiber>();
   f->owner = this;
   f->fn = std::move(fn);
   f->ctx.log_label = std::move(label);
-
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  f->stack_size = (stack_bytes + page - 1) / page * page;
-  f->mapping_size = f->stack_size + page;  // + low guard page (stacks grow down)
-  void* mem = mmap(nullptr, f->mapping_size, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  CLMPI_REQUIRE(mem != MAP_FAILED, "fiber stack allocation failed");
-  f->mapping = static_cast<std::byte*>(mem);
-  mprotect(f->mapping, page, PROT_NONE);
-  f->stack_base = f->mapping + page;
+  f->stack = take_stack();
+#ifdef CLMPI_FIBER_ASAN
+  // A reused stack still carries the redzones of its last fiber's frames
+  // that never returned (the trampoline and its final swap).
+  __asan_unpoison_memory_region(f->stack, stack_size);
+#endif
 
   CLMPI_REQUIRE(getcontext(&f->uc) == 0, "getcontext failed");
-  f->uc.uc_stack.ss_sp = f->stack_base;
-  f->uc.uc_stack.ss_size = f->stack_size;
+  f->uc.uc_stack.ss_sp = f->stack;
+  f->uc.uc_stack.ss_size = stack_size;
   f->uc.uc_link = nullptr;
   makecontext(&f->uc, &trampoline, 0);
 #ifdef CLMPI_FIBER_TSAN
@@ -316,7 +341,7 @@ void Scheduler::Impl::resume(Fiber* f) {
   __tsan_switch_to_fiber(f->tsan_fiber, 0);
 #endif
 #ifdef CLMPI_FIBER_ASAN
-  __sanitizer_start_switch_fiber(&t_worker_fake, f->stack_base, f->stack_size);
+  __sanitizer_start_switch_fiber(&t_worker_fake, f->stack, stack_size);
 #endif
   swapcontext(&t_worker_uc, &f->uc);
 #ifdef CLMPI_FIBER_ASAN
@@ -332,9 +357,10 @@ void Scheduler::Impl::retire(Fiber* f) {
   __tsan_destroy_fiber(f->tsan_fiber);
   f->tsan_fiber = nullptr;
 #endif
-  munmap(f->mapping, f->mapping_size);
-  f->mapping = nullptr;
-  f->stack_base = nullptr;
+  {
+    std::lock_guard lock(stacks_mutex);
+    free_stacks.push_back(std::exchange(f->stack, nullptr));
+  }
   f->ctx.clear_slots();
   // Drop the Fiber record itself: a persistent scheduler hosts thousands of
   // short strands over its life and must not accumulate their corpses.
@@ -396,17 +422,20 @@ void Scheduler::Impl::worker_loop(int index) {
       continue;
     }
     // The last fiber finished: close the strand (destroying its idle task)
-    // and wake whoever waits for it.
+    // and wake the caller that waits for it.
+    std::condition_variable* caller = s->closed;
     strands.erase(s->tag);
-    closed_cv.notify_all();
+    caller->notify_one();
     if (strands.empty() && stopping) work_cv.notify_all();
   }
 }
 
 Scheduler::Scheduler(Options options) : impl_(std::make_unique<Impl>()) {
-  impl_->stack_bytes =
+  const std::size_t stack_bytes =
       std::max<std::size_t>(options.stack_bytes > 0 ? options.stack_bytes : default_stack_bytes(),
                             std::size_t{64} << 10);
+  impl_->page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  impl_->stack_size = (stack_bytes + impl_->page - 1) / impl_->page * impl_->page;
   const int n = std::max(1, options.workers > 0 ? options.workers : default_workers());
   impl_->workers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -425,9 +454,11 @@ Scheduler::~Scheduler() {
 
 void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle) {
   CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
+  std::condition_variable closed;
   auto s = std::make_unique<Strand>();
   s->tag = strand;
   s->idle = std::move(idle);
+  s->closed = &closed;
   for (Task& t : tasks) {
     s->fibers.push_back(impl_->make_fiber(std::move(t.fn), std::move(t.label)));
     s->fibers.back()->strand = s.get();
@@ -438,7 +469,7 @@ void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function
   impl_->rotation.push_back(s.get());
   impl_->strands.emplace(strand, std::move(s));
   if (impl_->parked > 0) impl_->work_cv.notify_one();
-  impl_->closed_cv.wait(lock, [&] { return !impl_->strands.contains(strand); });
+  closed.wait(lock, [&] { return !impl_->strands.contains(strand); });
 }
 
 ServiceHandle::~ServiceHandle() {

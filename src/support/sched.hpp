@@ -143,7 +143,9 @@ class Scheduler {
 
   /// Starts the workers.
   explicit Scheduler(Options options);
-  /// Waits until every strand closed, then joins the workers.
+  /// Waits until every strand closed, joins the workers and unmaps the
+  /// fiber stacks kept for reuse (each is mapped once, with a low guard
+  /// page, and serves one fiber after another).
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;

@@ -175,11 +175,8 @@ void Service::runner_loop(int index) {
       ++active_;
     }
     run_job(rec);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-    }
-    state_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    --active_;
   }
 }
 

@@ -52,12 +52,6 @@ class Resource {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Forget all history; used between bench repetitions.
-  void reset() {
-    busy_.clear();
-    total_busy_ = Duration{};
-  }
-
  private:
   /// Earliest start >= t with a free gap of length `cost`. O(log n) in the
   /// history to find the first interval ending after t, plus one step per

@@ -17,12 +17,18 @@
 //   * Single-owner cluster state: a command queue, a mailbox or a blocking
 //     wait used off its strand fails typed and at once, never by racing or
 //     spinning.
+//   * Fiber stacks: a pool maps each stack once and reuses it, guard page
+//     included, while fibers alive at once keep distinct stacks.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
 
+#include <sys/resource.h>
+
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -477,6 +483,91 @@ TEST(SchedErrors, SecondaryRankErrorsAreCountedNotSwallowed) {
       Error);
   EXPECT_EQ(suppressed_counter() - before, static_cast<std::uint64_t>(kRanks - 1));
   obs::set_metrics_enabled(was_enabled);
+}
+
+// --- fiber stacks -------------------------------------------------------------
+
+/// Write a 2 KiB frame and report where it lies.
+[[gnu::noinline]] void touch_frame(std::uintptr_t& where) {
+  std::array<volatile unsigned char, 2048> frame{};
+  where = reinterpret_cast<std::uintptr_t>(&frame[0]);
+}
+
+/// Recurse `depth` 1 KiB frames deep.
+[[gnu::noinline]] unsigned recurse(unsigned depth) {
+  std::array<volatile unsigned char, 1024> frame{};
+  frame[0] = static_cast<unsigned char>(depth);
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1) + frame[0];
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(SchedStacks, SequentialStrandsReuseStacks) {
+  // A finished fiber's stack serves the next one: a fresh mapping would
+  // fault in at least its top page per fiber. Addresses would not show
+  // reuse, since mmap may hand back the range it just unmapped.
+  constexpr int kStrands = 50;
+  constexpr int kFibers = 3;
+  const auto pool = testutil::make_pool(1);
+  std::uint64_t tag = 0;
+  std::array<std::uintptr_t, kFibers> frames{};
+  int shared_stacks = 0;
+  const auto run_strand = [&] {
+    std::vector<sched::Scheduler::Task> tasks;
+    for (int i = 0; i < kFibers; ++i) {
+      tasks.push_back({[&frames, i] {
+                         touch_frame(frames[static_cast<std::size_t>(i)]);
+                         sched::yield();  // every fiber of the strand is alive
+                         sched::yield();
+                       },
+                       "stack" + std::to_string(i)});
+    }
+    pool->run(++tag, std::move(tasks), [] { return false; });
+    shared_stacks += static_cast<int>(frames[0] == frames[1]) +
+                     static_cast<int>(frames[1] == frames[2]) +
+                     static_cast<int>(frames[0] == frames[2]);
+  };
+  run_strand();  // warm-up: start the worker, map the stacks
+  run_strand();
+  const long before = minor_faults();
+  for (int i = 0; i < kStrands; ++i) run_strand();
+  const long faults = minor_faults() - before;
+  EXPECT_EQ(shared_stacks, 0) << "fibers alive at once shared a stack";
+#ifdef CLMPI_SANITIZE_BUILD
+  // Sanitizer runtimes fault pages in per fiber on their own: ASan's
+  // allocator quarantine never hands a freed Fiber record straight back and
+  // unpoisoning a reused stack rewrites its shadow; TSan maps per-fiber
+  // state. Only a plain build's count shows the stack mappings.
+  (void)faults;
+#else
+  EXPECT_LT(static_cast<double>(faults) / (kStrands * kFibers), 0.25)
+      << faults << " minor faults over " << kStrands * kFibers << " fibers";
+#endif
+}
+
+TEST(SchedStacks, GuardPageSurvivesReuse) {
+#ifdef CLMPI_SANITIZE_BUILD
+  GTEST_SKIP() << "the sanitizer runtime handles the overflow's SIGSEGV itself";
+#else
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        sched::Scheduler pool(sched::Scheduler::Options{.workers = 1, .stack_bytes = 64 << 10});
+        // Maps two stacks, the second usually right below the first; "below"
+        // retires first, so the first stack is the one reused next.
+        pool.run(1, {{[] { sched::yield(); }, "above"}, {[] {}, "below"}},
+                 [] { return false; });
+        // 96 KiB of frames: past the 64 KiB stack, short of the end of the
+        // free stack below it, so only the guard page stops the overrun.
+        pool.run(2, {{[] { (void)recurse(96); }, "deep"}}, [] { return false; });
+      },
+      testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 }  // namespace

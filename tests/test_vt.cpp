@@ -155,14 +155,6 @@ TEST(Resource, JointAcquireFindsCommonGap) {
   EXPECT_DOUBLE_EQ(big.start.s, 5.0);
 }
 
-TEST(Resource, ResetClearsHistory) {
-  Resource r("x");
-  (void)r.acquire(origin(), seconds(2.0));
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.free_time().s, 0.0);
-  EXPECT_DOUBLE_EQ(r.busy_time().s, 0.0);
-}
-
 /// The gap search as it was before it started at a binary search: a scan of
 /// the whole history from the front. Same insert and coalescing rules as
 /// Resource, so both see the same busy list.
