@@ -817,10 +817,6 @@ ScenarioResult service_soak(const Config& cfg) {
                    run + 1);
     }
   }
-  // The soak publishes hundreds of job.<id>.* series; drop them so they do
-  // not bloat this scenario's JSON counters.
-  obs::Registry::instance().reset();
-
   ScenarioResult r;
   r.name = "service_soak";
   r.msgs_per_rep = static_cast<double>(jobs);  // one row per completed job

@@ -19,22 +19,14 @@
 namespace clmpi::capi {
 namespace {
 
-struct Binding {
-  mpi::Rank* rank{nullptr};
-  rt::Runtime* runtime{nullptr};
-};
-
 // Rank-scoped, not thread_local: under the fiber scheduler a rank's body
 // migrates across worker threads mid-call, and the binding must follow the
 // RANK (its execution context), never leak to another rank sharing the
 // worker.
-Binding& binding_slot() { return ctx::current().slot<Binding>(); }
-
-Binding& binding() {
-  Binding& b = binding_slot();
-  CLMPI_REQUIRE(b.rank != nullptr,
-                "no ThreadBinding active on this task; construct one first");
-  return b;
+const ThreadBinding& binding() {
+  const ThreadBinding* b = ctx::current().binding;
+  CLMPI_REQUIRE(b != nullptr, "no ThreadBinding active on this task; construct one first");
+  return *b;
 }
 
 /// Registry of live handles of one kind. Released handles are erased, so a
@@ -115,17 +107,20 @@ void return_event(cl_event* evtret, ocl::EventPtr ev) {
   }
 }
 
-ThreadBinding::ThreadBinding(mpi::Rank& rank, rt::Runtime& runtime) {
-  Binding& b = binding_slot();
-  CLMPI_REQUIRE(b.rank == nullptr, "task already has an active binding");
-  b = Binding{&rank, &runtime};
+ThreadBinding::ThreadBinding(mpi::Rank& rank, rt::Runtime& runtime)
+    : rank_(rank), runtime_(runtime) {
+  const ThreadBinding*& b = ctx::current().binding;
+  CLMPI_REQUIRE(b == nullptr, "task already has an active binding");
+  b = this;
 }
 
-ThreadBinding::~ThreadBinding() { binding_slot() = Binding{}; }
+ThreadBinding::~ThreadBinding() { ctx::current().binding = nullptr; }
 
-MPI_Comm comm_world() { return &binding().rank->world(); }
+MPI_Comm comm_world() { return &binding().rank().world(); }
 
-mpi::Rank& bound_rank() { return *binding().rank; }
+mpi::Rank& bound_rank() { return binding().rank(); }
+
+rt::Runtime& bound_runtime() { return binding().runtime(); }
 
 std::size_t datatype_size(MPI_Datatype dt) {
   switch (dt) {
@@ -144,18 +139,8 @@ namespace {
 
 clmpi::mpi::Rank& rank_ctx() { return clmpi::capi::bound_rank(); }
 
-clmpi::rt::Runtime& runtime_ctx();
-
-}  // namespace
-
-// A second accessor inside the capi namespace keeps the thread-local private.
-namespace clmpi::capi {
-rt::Runtime& bound_runtime();
-rt::Runtime& bound_runtime() { return *binding().runtime; }
-}  // namespace clmpi::capi
-
-namespace {
 clmpi::rt::Runtime& runtime_ctx() { return clmpi::capi::bound_runtime(); }
+
 }  // namespace
 
 // OpenCL core subset ----------------------------------------------------------

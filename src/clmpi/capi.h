@@ -121,7 +121,8 @@ inline constexpr int MPI_ERR_TIMEOUT = 17;
 namespace clmpi::capi {
 
 /// RAII thread binding: construct at the top of a rank's body, before any C
-/// API call on that thread.
+/// API call on that thread. It lives in the rank's execution context
+/// (ctx::ExecContext::binding), so it follows the rank across workers.
 class ThreadBinding {
  public:
   ThreadBinding(mpi::Rank& rank, rt::Runtime& runtime);
@@ -129,6 +130,13 @@ class ThreadBinding {
 
   ThreadBinding(const ThreadBinding&) = delete;
   ThreadBinding& operator=(const ThreadBinding&) = delete;
+
+  [[nodiscard]] mpi::Rank& rank() const noexcept { return rank_; }
+  [[nodiscard]] rt::Runtime& runtime() const noexcept { return runtime_; }
+
+ private:
+  mpi::Rank& rank_;
+  rt::Runtime& runtime_;
 };
 
 /// The bound thread's MPI_COMM_WORLD.
@@ -391,7 +399,7 @@ cl_int clmpiHaloFree(clmpi_halo halo);
 inline constexpr cl_int CLMPI_REJECTED = -1012;
 /// The job exceeded one of its resource quotas and failed itself.
 inline constexpr cl_int CLMPI_QUOTA_EXCEEDED = -1013;
-/// Unknown job id (never submitted, or the service was restarted).
+/// Unknown job id (never submitted, retired, or the service was restarted).
 inline constexpr cl_int CLMPI_INVALID_JOB = -1014;
 /// The job was cancelled (clmpiCancelJob or its deadline).
 inline constexpr cl_int CLMPI_CANCELLED = -1015;
@@ -456,12 +464,15 @@ cl_int clmpiServiceStop(void);
 clmpi_job clmpiSubmitJob(const clmpi_job_desc* desc, cl_int* errcode_ret);
 
 /// Block until the job reaches a terminal state; fill `*result` (optional).
+/// The service keeps the results of its last `max_active + queue_limit`
+/// terminal jobs; an older job is retired and reads CLMPI_INVALID_JOB.
 cl_int clmpiWaitJob(clmpi_job job, clmpi_job_result* result);
 
 /// Request cancellation, honoured at the job's cancellation points.
 /// CL_SUCCESS when delivered to a live job, CLMPI_CANCELLED when the job was
-/// already terminal.
+/// already terminal, CLMPI_INVALID_JOB when it is retired (see clmpiWaitJob).
 cl_int clmpiCancelJob(clmpi_job job);
 
-/// Non-blocking snapshot of the job's counters into `*result`.
+/// Non-blocking snapshot of the job's counters into `*result`;
+/// CLMPI_INVALID_JOB once the job is retired (see clmpiWaitJob).
 cl_int clmpiJobCounters(clmpi_job job, clmpi_job_result* result);

@@ -1,9 +1,6 @@
 #include "simmpi/request.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <new>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "simmpi/progress.hpp"
@@ -13,86 +10,8 @@
 namespace clmpi::mpi {
 
 namespace detail {
-namespace {
 
-/// Fixed-size block pool behind make_request_state. Leaked singleton (the
-/// usual static-destruction guard: completion callbacks may retire a state
-/// arbitrarily late), mutex-guarded free list of raw blocks. allocate_shared
-/// folds the control block and the RequestState into ONE block, so each
-/// request costs a free-list pop/push instead of a malloc/free pair.
-template <std::size_t Size>
-class BlockPool {
- public:
-  static BlockPool& instance() {
-    static auto* pool = new BlockPool();
-    return *pool;
-  }
-
-  void* get() {
-    {
-      std::lock_guard lock(mutex_);
-      if (!blocks_.empty()) {
-        void* b = blocks_.back();
-        blocks_.pop_back();
-        return b;
-      }
-    }
-    return ::operator new(Size);
-  }
-
-  void put(void* b) {
-    {
-      std::lock_guard lock(mutex_);
-      if (blocks_.size() < kMaxRetained) {
-        blocks_.push_back(b);
-        return;
-      }
-    }
-    ::operator delete(b);
-  }
-
- private:
-  /// Retention cap: bounds pool memory at the workload's high-water mark of
-  /// live requests (a few thousand in the densest bench scenario).
-  static constexpr std::size_t kMaxRetained = 8192;
-
-  std::mutex mutex_;
-  std::vector<void*> blocks_;
-};
-
-/// Minimal allocator adapter routing single-object allocations of the
-/// rebound control-block type through the matching BlockPool.
-template <typename T>
-struct PoolAllocator {
-  using value_type = T;
-  PoolAllocator() = default;
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
-
-  T* allocate(std::size_t n) {
-    if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-    return static_cast<T*>(BlockPool<sizeof(T)>::instance().get());
-  }
-
-  void deallocate(T* p, std::size_t n) {
-    if (n != 1) {
-      ::operator delete(p);
-      return;
-    }
-    BlockPool<sizeof(T)>::instance().put(p);
-  }
-
-  template <typename U>
-  bool operator==(const PoolAllocator<U>&) const noexcept {
-    return true;
-  }
-};
-
-}  // namespace
-
-std::shared_ptr<RequestState> make_request_state() {
-  return std::allocate_shared<RequestState>(PoolAllocator<RequestState>{});
-}
+std::shared_ptr<RequestState> make_request_state() { return std::make_shared<RequestState>(); }
 
 }  // namespace detail
 

@@ -100,10 +100,7 @@ namespace detail {
 
 class RequestState;
 
-/// Allocate a fresh RequestState from the process-wide block pool. Every
-/// nonblocking operation creates (and soon retires) one of these, so the
-/// control-block-sized allocations are recycled through a free list instead
-/// of round-tripping the general-purpose allocator on the hot path.
+/// A fresh pending RequestState; every nonblocking operation owns one.
 std::shared_ptr<RequestState> make_request_state();
 
 /// Shared completion state; created pending, completed exactly once.

@@ -10,35 +10,25 @@
 //   * the log label (support/log.cpp tags every line with it),
 //   * the published blocked-site (what blocking primitive the task is parked
 //     in right now) and the deadlock verdict's hook into that wait,
-//   * typed lazily-allocated slots for higher layers (ctx::slot<T>()), so
-//     this lowest-layer header never learns their types.
+//   * the owners higher layers attach (the service job, the C API binding),
+//     forward-declared so this lowest-layer header never learns their types.
 //
 // ctx::current() always returns a context: the scheduler installs the running
 // fiber's around each resume, and a plain thread falls back to a thread_local
 // instance — so call sites need no fiber check.
 #pragma once
 
-#include <cstddef>
 #include <exception>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace clmpi::tenant {
 class JobControl;  // support/tenant.hpp
 }
+namespace clmpi::capi {
+class ThreadBinding;  // clmpi/capi.h
+}
 
 namespace clmpi::ctx {
-
-namespace detail {
-/// Process-wide slot id for T; assigned on first use, stable afterwards.
-std::size_t next_slot_id() noexcept;
-template <typename T>
-std::size_t slot_id() noexcept {
-  static const std::size_t id = next_slot_id();
-  return id;
-}
-}  // namespace detail
 
 class ExecContext {
  public:
@@ -63,21 +53,9 @@ class ExecContext {
   /// (the staging buffers) read it to charge quotas to the right tenant.
   tenant::JobControl* job{nullptr};
 
-  /// This task's instance of T (default-constructed on first access). Only
-  /// the owning task may touch its slots; no synchronization is performed.
-  template <typename T>
-  T& slot() {
-    const std::size_t id = detail::slot_id<T>();
-    if (id >= slots_.size()) slots_.resize(id + 1);
-    if (!slots_[id]) slots_[id] = std::make_shared<T>();
-    return *static_cast<T*>(slots_[id].get());
-  }
-
-  /// Drop every slot (scheduler retires a finished fiber's state early).
-  void clear_slots() noexcept { slots_.clear(); }
-
- private:
-  std::vector<std::shared_ptr<void>> slots_;
+  /// The C API binding active on this task (set and cleared by
+  /// capi::ThreadBinding); null when the task made none.
+  const capi::ThreadBinding* binding{nullptr};
 };
 
 /// The calling task's context: the scheduler-installed fiber context when a

@@ -361,7 +361,6 @@ void Scheduler::Impl::retire(Fiber* f) {
     std::lock_guard lock(stacks_mutex);
     free_stacks.push_back(std::exchange(f->stack, nullptr));
   }
-  f->ctx.clear_slots();
   // Drop the Fiber record itself: a persistent scheduler hosts thousands of
   // short strands over its life and must not accumulate their corpses.
   std::erase_if(f->strand->fibers, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });

@@ -62,11 +62,6 @@ class JobControl {
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] const JobQuotas& quotas() const noexcept { return quotas_; }
 
-  /// "job.<id>." — the metric/trace namespace prefix of this job.
-  [[nodiscard]] std::string metric_prefix() const {
-    return "job." + std::to_string(id_) + ".";
-  }
-
   // --- cancellation ---------------------------------------------------------
 
   /// Request cancellation. Idempotent; returns true on the first call (the

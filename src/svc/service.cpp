@@ -4,7 +4,6 @@
 #include <exception>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "simmpi/cluster.hpp"
 #include "support/log.hpp"
 #include "svc/workloads.hpp"
@@ -19,9 +18,9 @@ bool terminal(JobState s) noexcept {
   return s == JobState::succeeded || s == JobState::failed || s == JobState::cancelled;
 }
 
-/// Job ids are unique per PROCESS, not per Service: the "job.<id>." metric
-/// namespace lives in the process-global registry, and two services (or one
-/// restarted) must never write into each other's series.
+/// Job ids are unique per PROCESS, not per Service: a handle kept from a
+/// stopped service (the C API restarts its global one) must read as unknown,
+/// never as some job of the next service.
 std::atomic<std::uint64_t> g_next_job_id{1};
 
 }  // namespace
@@ -118,7 +117,7 @@ std::shared_ptr<Service::JobRecord> Service::find(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
-    throw Error("unknown job id " + std::to_string(id), Status::invalid_job);
+    throw Error("unknown or retired job id " + std::to_string(id), Status::invalid_job);
   }
   return it->second;
 }
@@ -257,22 +256,14 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
     rec->result.trace_hash = tracer.hash();
     rec->result.usage = rec->control.usage();
     rec->result.run_wall_s = std::chrono::duration<double>(end - start).count();
+    // A waiter that already found a retired record keeps it alive.
+    finished_.push_back(rec->id);
+    if (finished_.size() > opts_.queue_limit + opts_.max_active) {
+      jobs_.erase(finished_.front());
+      finished_.pop_front();
+    }
   }
-  publish_metrics(*rec);
   state_cv_.notify_all();
-}
-
-void Service::publish_metrics(const JobRecord& rec) {
-  const std::string prefix = rec.control.metric_prefix();
-  const tenant::JobControl::Usage u = rec.result.usage;
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter(prefix + "messages").add(u.messages);
-  reg.counter(prefix + "quota.denials").add(u.staging_denials + u.mailbox_denials);
-  reg.gauge(prefix + "staging.bytes").record(u.staging_hwm);
-  reg.gauge(prefix + "mailbox.depth").record(u.mailbox_hwm);
-  reg.gauge(prefix + "makespan.us")
-      .record(static_cast<std::uint64_t>(rec.result.makespan_s * 1e6));
-  reg.gauge(prefix + "state").record(static_cast<std::uint64_t>(rec.result.state));
 }
 
 }  // namespace clmpi::svc

@@ -24,8 +24,7 @@
 //     timeout rescue protocol);
 //   * observability — each job runs with its OWN vt::Tracer, so its trace
 //     hash is computable in isolation (the soak bench's cross-tenancy
-//     determinism oracle), and its counters are published under the
-//     "job.<id>." namespace in the obs registry at completion.
+//     determinism oracle), and its counters stay in its JobResult.
 #pragma once
 
 #include <chrono>
@@ -120,18 +119,21 @@ class Service {
   std::uint64_t submit(JobSpec spec);
 
   /// Block until the job reaches a terminal state; returns its result.
-  /// Throws Error(Status::invalid_job) for an unknown id.
+  /// Throws Error(Status::invalid_job) for an unknown or retired id: the
+  /// service keeps the results of its last queue_limit + max_active
+  /// terminal jobs and retires older ones.
   JobResult wait(std::uint64_t id);
 
   /// Request cancellation. Returns true when the cancel was delivered to a
   /// queued or running job (the job will report
   /// JobState::cancelled unless completion won the race), false when the
-  /// job already reached a terminal state. Throws on unknown id.
+  /// job already reached a terminal state. Throws on an unknown or retired
+  /// id.
   bool cancel(std::uint64_t id);
 
   /// Non-blocking snapshot of the job's result-so-far (state, usage
   /// counters; terminal fields final only once state is terminal). Throws
-  /// on unknown id.
+  /// on an unknown or retired id.
   JobResult counters(std::uint64_t id);
 
   /// Jobs admitted over the service lifetime / currently queued / currently
@@ -161,7 +163,6 @@ class Service {
   void runner_loop(int index);
   void monitor_loop();
   void run_job(const std::shared_ptr<JobRecord>& rec);
-  void publish_metrics(const JobRecord& rec);
   std::shared_ptr<JobRecord> find(std::uint64_t id);
 
   Options opts_;
@@ -177,6 +178,9 @@ class Service {
   std::size_t active_{0};
   std::deque<std::shared_ptr<JobRecord>> queue_;
   std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs_;
+  /// Ids of the terminal jobs still in jobs_, oldest first; past
+  /// queue_limit + max_active of them the oldest is retired.
+  std::deque<std::uint64_t> finished_;
   /// The deadline-armed jobs the monitor has not yet cancelled and that are
   /// not terminal: all it visits per pass, however many jobs have finished.
   std::vector<std::shared_ptr<JobRecord>> armed_;

@@ -338,7 +338,7 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
   // pool's workers, and with more than one worker a strand resumes on
   // whichever worker checks it out next. Any leftover thread_local rank
   // state — the capi binding — would be shared across ranks and trip
-  // immediately: ThreadBinding construction requires an empty slot, and
+  // immediately: ThreadBinding construction requires an unbound task, and
   // MPI_Comm_rank must return the OWN rank after every scheduling point.
   constexpr int kRanks = 4;
   for (const int workers : testutil::kGateWorkers) {

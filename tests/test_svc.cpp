@@ -314,7 +314,6 @@ TEST(Service, DeadlineCancelsOverdueJob) {
 }
 
 TEST(Service, PerJobCounterNamespacesAreIsolated) {
-  obs::Registry& reg = obs::Registry::instance();
   svc::Service service(small_service(2));
   const std::uint64_t a = service.submit(halo_spec(3));
   const std::uint64_t b = service.submit(halo_spec(6));
@@ -324,15 +323,65 @@ TEST(Service, PerJobCounterNamespacesAreIsolated) {
   ASSERT_EQ(rb.state, svc::JobState::succeeded) << rb.error;
   ASSERT_GT(rb.usage.messages, ra.usage.messages);
 
-  const std::string pa = "job." + std::to_string(a) + ".";
-  const std::string pb = "job." + std::to_string(b) + ".";
-  std::uint64_t va = 0;
-  std::uint64_t vb = 0;
-  ASSERT_TRUE(reg.value(pa + "messages", va));
-  ASSERT_TRUE(reg.value(pb + "messages", vb));
-  EXPECT_EQ(va, ra.usage.messages);
-  EXPECT_EQ(vb, rb.usage.messages);
-  EXPECT_NE(va, vb) << "tenants must not share a metric namespace";
+  // Each job's counters live in its own record: counters() reads back, per
+  // id, exactly what that job's wait() returned.
+  const auto expect_same_usage = [](const svc::JobResult& got, const svc::JobResult& want) {
+    EXPECT_EQ(got.state, want.state);
+    EXPECT_EQ(got.makespan_s, want.makespan_s);
+    EXPECT_EQ(got.usage.messages, want.usage.messages);
+    EXPECT_EQ(got.usage.staging_hwm, want.usage.staging_hwm);
+    EXPECT_EQ(got.usage.staging_denials, want.usage.staging_denials);
+    EXPECT_EQ(got.usage.mailbox_hwm, want.usage.mailbox_hwm);
+    EXPECT_EQ(got.usage.mailbox_denials, want.usage.mailbox_denials);
+  };
+  const svc::JobResult ca = service.counters(a);
+  const svc::JobResult cb = service.counters(b);
+  expect_same_usage(ca, ra);
+  expect_same_usage(cb, rb);
+  EXPECT_NE(ca.usage.messages, cb.usage.messages) << "tenants must not share counters";
+}
+
+TEST(Service, JobResultsStayOutOfTheRegistry) {
+  // A job's results belong to its JobResult; the process-wide registry,
+  // whose entries are never freed, must not grow a series per job.
+  svc::Service service(small_service(1));
+  const std::uint64_t id = service.submit(halo_spec());
+  const svc::JobResult r = service.wait(id);
+  ASSERT_EQ(r.state, svc::JobState::succeeded) << r.error;
+  const std::string prefix = "job." + std::to_string(id) + ".";
+  for (const obs::Sample& s : obs::Registry::instance().snapshot()) {
+    EXPECT_NE(s.name.rfind(prefix, 0), 0u) << "per-job series " << s.name;
+  }
+}
+
+TEST(Service, RetiresOldestTerminalRecords) {
+  // queue_limit + max_active = 3: the service keeps the last three
+  // terminal results and retires older ones.
+  svc::Service::Options opts = small_service(1);
+  opts.queue_limit = 2;
+  svc::Service service(opts);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(service.submit(halo_spec(2)));
+    const svc::JobResult r = service.wait(ids.back());
+    ASSERT_EQ(r.state, svc::JobState::succeeded) << r.error;
+  }
+  const auto expect_retired = [](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a retired job id must throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::invalid_job);
+      EXPECT_NE(std::string(e.what()).find("retired"), std::string::npos) << e.what();
+    }
+  };
+  expect_retired([&] { (void)service.counters(ids[0]); });
+  expect_retired([&] { (void)service.wait(ids[0]); });
+  expect_retired([&] { (void)service.cancel(ids[0]); });
+  expect_retired([&] { (void)service.counters(ids[1]); });
+  for (std::size_t i = 2; i < ids.size(); ++i) {
+    EXPECT_EQ(service.counters(ids[i]).state, svc::JobState::succeeded) << "job " << ids[i];
+  }
 }
 
 TEST(Service, WaitUnknownJobThrowsTyped) {
