@@ -14,6 +14,7 @@
 #include "ocl/queue.hpp"
 #include "simmpi/cluster.hpp"
 #include "support/rng.hpp"
+#include "support/sched.hpp"
 #include "vt/resource.hpp"
 
 namespace {
@@ -122,6 +123,19 @@ void BM_ClusterLaunch(benchmark::State& state) {
   for (auto _ : state) launch();
 }
 BENCHMARK(BM_ClusterLaunch)->Iterations(2000)->Unit(benchmark::kMicrosecond);
+
+void BM_FiberSwitch(benchmark::State& state) {
+  // One resume and one suspend per iteration: the only fiber of a strand on
+  // a one-worker pool yields, and the worker resumes it again. The loop runs
+  // on the fiber, so the time is wall time, not the caller's CPU time.
+  sched::Scheduler pool(sched::Scheduler::Options{.workers = 1});
+  pool.run(1, {{[&state] {
+                  for (auto _ : state) sched::yield();
+                },
+                "switch"}},
+           [] { return false; });
+}
+BENCHMARK(BM_FiberSwitch)->Iterations(1000000)->UseRealTime();
 
 void BM_KernelLaunch(benchmark::State& state) {
   on_one_rank([&state](mpi::Rank& rank) {

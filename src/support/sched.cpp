@@ -2,7 +2,6 @@
 
 #include <cxxabi.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +12,7 @@
 #include <deque>
 #include <iostream>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -33,6 +33,15 @@
 #define CLMPI_FIBER_TSAN 1
 #include <sanitizer/tsan_interface.h>
 #endif
+
+extern "C" {
+/// Pushes the callee-saved registers and the FP control state, stores the
+/// stack pointer in *from and resumes the stack `to` (fiber_switch.S).
+void clmpi_fiber_switch(void** from, void* to) noexcept;
+/// A new fiber's first return target: passes the Fiber* from the first
+/// frame to trampoline.
+void clmpi_fiber_entry() noexcept;
+}
 
 namespace clmpi::sched {
 
@@ -91,12 +100,11 @@ void swap_eh_state(EhState& saved) noexcept {
 struct Strand;
 
 struct Fiber {
-  ucontext_t uc{};
-  ucontext_t* ret_uc{nullptr};  ///< resuming worker's context, set per resume
-  std::byte* stack{nullptr};    ///< lowest byte; the guard page lies below it
+  void* sp{nullptr};           ///< saved stack pointer while not running
+  void** ret_sp{nullptr};      ///< resuming worker's saved stack pointer, set per resume
+  std::byte* stack{nullptr};   ///< lowest byte; the guard page lies below it
   std::function<void()> fn;
   bool finished{false};
-  bool started{false};
   Strand* strand{nullptr};
   ctx::ExecContext ctx;
   EhState eh{};
@@ -135,11 +143,7 @@ thread_local Fiber* t_current = nullptr;
 /// and its tag (what current_strand() reports).
 thread_local Strand* t_strand = nullptr;
 thread_local std::uint64_t t_strand_tag = 0;
-thread_local ucontext_t t_worker_uc;
-/// Handoff slot for the trampoline's argument: written by the worker right
-/// before the FIRST switch into a fiber, read at trampoline entry on the
-/// same OS thread before anything can intervene.
-thread_local Fiber* t_trampoline_arg = nullptr;
+thread_local void* t_worker_sp = nullptr;
 #ifdef CLMPI_FIBER_ASAN
 thread_local void* t_worker_fake = nullptr;
 #endif
@@ -176,8 +180,7 @@ struct Scheduler::Impl {
 
 namespace {
 
-[[noreturn]] void trampoline() {
-  Fiber* f = t_trampoline_arg;
+[[noreturn]] void trampoline(Fiber* f) {
 #ifdef CLMPI_FIBER_ASAN
   // First entry: complete the switch that brought us here and learn the
   // resuming worker's stack (where yields will return to).
@@ -201,9 +204,49 @@ namespace {
   // nullptr fake-stack save: this fiber never runs again.
   __sanitizer_start_switch_fiber(nullptr, f->ret_stack_bottom, f->ret_stack_size);
 #endif
-  swapcontext(&f->uc, f->ret_uc);
+  clmpi_fiber_switch(&f->sp, *f->ret_sp);
   std::abort();  // unreachable: a finished fiber is never resumed
 }
+
+/// What clmpi_fiber_switch pops on a fiber's first resume, lowest address
+/// first: zeroed callee-saved registers, the creating thread's FP control
+/// state, and clmpi_fiber_entry as the return address.
+#if defined(__x86_64__)
+struct FirstFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad{0};
+  void* r15_r13[3]{};
+  Fiber* r12;                          ///< clmpi_fiber_entry's argument for trampoline
+  void* rbx_rbp[2]{};
+  void (*entry)() noexcept;            ///< the switch returns here,
+  void (*trampoline)(Fiber*);          ///< the entry stub here,
+  void* trampoline_ret{nullptr};       ///< and unwinds stop here
+};
+static_assert(sizeof(FirstFrame) == 80, "the switch's 56-byte frame and three return slots");
+FirstFrame first_frame(Fiber* f) {
+  FirstFrame frame{.mxcsr = __builtin_ia32_stmxcsr(), .x87_cw = 0, .r12 = f,
+                   .entry = &clmpi_fiber_entry, .trampoline = &trampoline};
+  asm volatile("fnstcw %0" : "=m"(frame.x87_cw));
+  return frame;
+}
+#elif defined(__aarch64__)
+struct FirstFrame {
+  Fiber* x19;                          ///< clmpi_fiber_entry's argument for trampoline,
+  void (*x20)(Fiber*);                 ///< which it branches to with a null lr
+  void* x21_x29[9]{};                  ///< a null x29 ends frame-pointer walks
+  void (*x30)() noexcept;              ///< the switch returns here
+  double d8_d15[8]{};
+  std::uint64_t fpcr;
+  std::uint64_t pad{0};
+};
+static_assert(sizeof(FirstFrame) == 176, "the switch's 176-byte frame");
+FirstFrame first_frame(Fiber* f) {
+  FirstFrame frame{.x19 = f, .x20 = &trampoline, .x30 = &clmpi_fiber_entry, .fpcr = 0};
+  asm volatile("mrs %0, fpcr" : "=r"(frame.fpcr));
+  return frame;
+}
+#endif
 
 }  // namespace
 
@@ -223,7 +266,7 @@ void suspend(Fiber* f, bool progress) {
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_start_switch_fiber(&f->fake_stack, f->ret_stack_bottom, f->ret_stack_size);
 #endif
-  swapcontext(&f->uc, f->ret_uc);
+  clmpi_fiber_switch(&f->sp, *f->ret_sp);
   // Resumed — possibly on a different worker thread (strand migration).
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f->fake_stack, &f->ret_stack_bottom, &f->ret_stack_size);
@@ -298,17 +341,7 @@ std::unique_ptr<Fiber> Scheduler::Impl::make_fiber(std::function<void()> fn,
   f->fn = std::move(fn);
   f->ctx.log_label = std::move(label);
   f->stack = take_stack();
-#ifdef CLMPI_FIBER_ASAN
-  // A reused stack still carries the redzones of its last fiber's frames
-  // that never returned (the trampoline and its final swap).
-  __asan_unpoison_memory_region(f->stack, stack_size);
-#endif
-
-  CLMPI_REQUIRE(getcontext(&f->uc) == 0, "getcontext failed");
-  f->uc.uc_stack.ss_sp = f->stack;
-  f->uc.uc_stack.ss_size = stack_size;
-  f->uc.uc_link = nullptr;
-  makecontext(&f->uc, &trampoline, 0);
+  f->sp = new (f->stack + stack_size - sizeof(FirstFrame)) FirstFrame(first_frame(f.get()));
 #ifdef CLMPI_FIBER_TSAN
   f->tsan_fiber = __tsan_create_fiber(0);
   __tsan_set_fiber_name(f->tsan_fiber, f->ctx.log_label.c_str());
@@ -328,11 +361,7 @@ void Scheduler::Impl::spawn_here(std::function<void()> fn, std::string label) {
 }
 
 void Scheduler::Impl::resume(Fiber* f) {
-  f->ret_uc = &t_worker_uc;
-  if (!f->started) {
-    f->started = true;
-    t_trampoline_arg = f;
-  }
+  f->ret_sp = &t_worker_sp;
   t_current = f;
   ctx::set_current(&f->ctx);
   swap_eh_state(f->eh);  // install the fiber's exception state ...
@@ -343,7 +372,7 @@ void Scheduler::Impl::resume(Fiber* f) {
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_start_switch_fiber(&t_worker_fake, f->stack, stack_size);
 #endif
-  swapcontext(&t_worker_uc, &f->uc);
+  clmpi_fiber_switch(&t_worker_sp, f->sp);
 #ifdef CLMPI_FIBER_ASAN
   __sanitizer_finish_switch_fiber(t_worker_fake, nullptr, nullptr);
 #endif
@@ -356,6 +385,13 @@ void Scheduler::Impl::retire(Fiber* f) {
 #ifdef CLMPI_FIBER_TSAN
   __tsan_destroy_fiber(f->tsan_fiber);
   f->tsan_fiber = nullptr;
+#endif
+#ifdef CLMPI_FIBER_ASAN
+  // The frames that never returned, the trampoline's and its final switch's,
+  // are the only ones that can leave redzones behind: they lie between the
+  // last saved stack pointer and the top.
+  auto* const sp = static_cast<std::byte*>(f->sp);
+  __asan_unpoison_memory_region(sp, static_cast<std::size_t>(f->stack + stack_size - sp));
 #endif
   {
     std::lock_guard lock(stacks_mutex);

@@ -1,11 +1,12 @@
 // Cooperative rank scheduler: stackful fibers over a small worker pool.
 //
-// Every simulated cluster runs its rank bodies as resumable ucontext fibers,
-// multiplexed over a pool of worker OS threads. Every blocking point in the
-// runtime — Request waits, collective rendezvous, window fences, mailbox
-// probes, event waits, the dispatcher's and the queue workers' idle waits —
-// goes through sched::wait / sched::yield, which suspends the FIBER instead
-// of parking the OS thread.
+// Every simulated cluster runs its rank bodies as resumable fibers, each on
+// its own stack and switched by a short assembly routine that makes no
+// system call (fiber_switch.S), multiplexed over a pool of worker OS
+// threads. Every blocking point in the runtime — Request waits, collective
+// rendezvous, window fences, mailbox probes, event waits, the dispatcher's
+// and the queue workers' idle waits — goes through sched::wait /
+// sched::yield, which suspends the FIBER instead of parking the OS thread.
 //
 // Strands: every fiber carries a strand tag (one per cluster run). A strand
 // is a serial execution context: a worker checks a strand out, resumes its

@@ -19,6 +19,8 @@
 //     spinning.
 //   * Fiber stacks: a pool maps each stack once and reuses it, guard page
 //     included, while fibers alive at once keep distinct stacks.
+//   * The context switch: floating-point control state (the rounding mode)
+//     belongs to a fiber, never to the worker that happens to resume it.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -27,6 +29,7 @@
 
 #include <array>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
 #include <csignal>
 #include <cstddef>
@@ -540,9 +543,9 @@ TEST(SchedStacks, SequentialStrandsReuseStacks) {
   EXPECT_EQ(shared_stacks, 0) << "fibers alive at once shared a stack";
 #ifdef CLMPI_SANITIZE_BUILD
   // Sanitizer runtimes fault pages in per fiber on their own: ASan's
-  // allocator quarantine never hands a freed Fiber record straight back and
-  // unpoisoning a reused stack rewrites its shadow; TSan maps per-fiber
-  // state. Only a plain build's count shows the stack mappings.
+  // allocator quarantine never hands a freed Fiber record straight back;
+  // TSan maps per-fiber state. Only a plain build's count shows the stack
+  // mappings.
   (void)faults;
 #else
   EXPECT_LT(static_cast<double>(faults) / (kStrands * kFibers), 0.25)
@@ -568,6 +571,89 @@ TEST(SchedStacks, GuardPageSurvivesReuse) {
       },
       testing::KilledBySignal(SIGSEGV), "");
 #endif
+}
+
+TEST(SchedSwitch, FloatingPointControlStaysWithTheFiber) {
+  // fegetround() reads the x87 control word on x86-64 and a division obeys
+  // MXCSR, so both halves of the FP control state are checked (FPCR on
+  // AArch64). Two fibers of one strand in different modes yield to each
+  // other across four workers; the idle task samples the mode of whichever
+  // worker holds the strand, at checkpoints while both fibers are suspended
+  // and again on a probe strand after the first one closed.
+  constexpr int kYields = 1000;
+  constexpr int kCheckpoints = 4;
+  constexpr int kProbes = 16;
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest = one / three;
+
+  struct Mode {
+    int round;
+    double third{0};
+    int mismatches{0};
+    int child_round{-1};
+    double child_third{0};
+  };
+  std::array<Mode, 2> modes{{{FE_UPWARD}, {FE_TOWARDZERO}}};
+  int checkpoint = 0;
+  int worker_samples = 0;
+  int worker_mismatches = 0;
+  const auto sample_worker = [&] {
+    ++worker_samples;
+    if (std::fegetround() != FE_TONEAREST || one / three != nearest) ++worker_mismatches;
+  };
+  const auto pool = testutil::make_pool(4);
+
+  std::vector<sched::Scheduler::Task> tasks;
+  for (Mode& m : modes) {
+    tasks.push_back({[&, mode = &m] {
+                       std::fesetround(mode->round);
+                       mode->third = one / three;
+                       const auto check = [&] {
+                         if (std::fegetround() != mode->round || one / three != mode->third) {
+                           ++mode->mismatches;
+                         }
+                       };
+                       for (int i = 1; i <= kYields; ++i) {
+                         sched::yield();
+                         check();
+                         if (i % (kYields / kCheckpoints) != 0) continue;
+                         const int target = i / (kYields / kCheckpoints);
+                         sched::wait([&] { return checkpoint >= target; }, "test.checkpoint");
+                         check();
+                       }
+                       sched::ServiceHandle child = sched::spawn_service("child", [&] {
+                         mode->child_round = std::fegetround();
+                         mode->child_third = one / three;
+                       });
+                       child.join();
+                     },
+                     "fp" + std::to_string(m.round)});
+  }
+  pool->run(1, std::move(tasks), [&] {
+    sample_worker();
+    ++checkpoint;
+    return true;
+  });
+
+  int probes = 0;
+  pool->run(2, {{[&] { sched::wait([&] { return probes >= kProbes; }, "test.probe"); }, "probe"}},
+            [&] {
+              sample_worker();
+              ++probes;
+              return true;
+            });
+
+  EXPECT_GT(modes[0].third, modes[1].third) << "the two modes must round 1/3 differently";
+  for (const Mode& m : modes) {
+    EXPECT_EQ(m.mismatches, 0) << "mode " << m.round << " changed across a switch";
+    EXPECT_EQ(m.child_round, m.round) << "a spawned fiber must start in its creator's mode";
+    EXPECT_EQ(m.child_third, m.third);
+  }
+  EXPECT_EQ(worker_samples, kCheckpoints + kProbes);
+  EXPECT_EQ(worker_mismatches, 0) << "a worker ran in a fiber's rounding mode";
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 }  // namespace
