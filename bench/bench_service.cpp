@@ -2,7 +2,7 @@
 // gate for svc::Service.
 //
 // One Service instance (shared persistent fiber pool, bounded admission
-// queue, a few runner threads) receives a burst of short mixed jobs —
+// queue, up to max_active jobs at once) receives a burst of short mixed jobs —
 // Himeno pressure-solver runs, persistent-request halo rings, and seeded
 // chaos p2p mixes — all submitted up front so they contend for the pool the
 // whole run. The identical job set is replayed against a fresh Service
@@ -10,7 +10,7 @@
 //
 //   * zero cross-job nondeterminism: every job's OWN trace hash (its
 //     private vt::Tracer digest) must be identical across runs even though
-//     the co-tenant mix, runner interleaving and wall-clock timing differ;
+//     the co-tenant mix, job interleaving and wall-clock timing differ;
 //   * zero failures/rejections: the queue is sized for the burst, quotas
 //     are unlimited, so every job must succeed;
 //

@@ -39,6 +39,7 @@
 // scenario so the whole run finishes in a few seconds (the `bench-smoke`
 // CTest label runs this configuration).
 #include <sched.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -755,7 +756,11 @@ double latency_percentile(std::vector<double> v, double p) {
 /// job's private trace hash is bit-identical across runs (zero cross-job
 /// nondeterminism) and recording the p99 submit-to-terminal latency of the
 /// final (warm) run. trace_hash is the FNV fold of the per-job hashes —
-/// zeroed on divergence so the JSON gate trips.
+/// zeroed on divergence so the JSON gate trips. voluntary_csw and
+/// involuntary_csw are the process's context switches over the final run,
+/// from the Service's construction to its destruction (getrusage deltas):
+/// informational only, they depend on the host and its load, so nothing
+/// gates on them.
 ScenarioResult service_soak(const Config& cfg) {
   const int jobs = cfg.smoke ? 48 : 240;
   std::vector<svc::JobSpec> specs;
@@ -789,26 +794,32 @@ ScenarioResult service_soak(const Config& cfg) {
   std::vector<double> walls;
   std::vector<double> latencies;
   std::vector<std::uint64_t> base_hashes;
+  rusage before{};
+  rusage after{};
   for (int run = 0; run < kRuns; ++run) {
     svc::Service::Options so;
     so.queue_limit = specs.size() + 8;
     so.max_active = 4;
-    svc::Service service(so);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::uint64_t> ids;
-    ids.reserve(specs.size());
-    for (const svc::JobSpec& spec : specs) ids.push_back(service.submit(spec));
     std::vector<std::uint64_t> hashes;
-    hashes.reserve(ids.size());
+    hashes.reserve(specs.size());
     latencies.clear();
-    for (std::uint64_t id : ids) {
-      const svc::JobResult res = service.wait(id);
-      hashes.push_back(res.trace_hash);
-      latencies.push_back(res.queue_delay_s + res.run_wall_s);
-      if (res.state != svc::JobState::succeeded) ++failures;
+    getrusage(RUSAGE_SELF, &before);
+    {
+      svc::Service service(so);
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::uint64_t> ids;
+      ids.reserve(specs.size());
+      for (const svc::JobSpec& spec : specs) ids.push_back(service.submit(spec));
+      for (std::uint64_t id : ids) {
+        const svc::JobResult res = service.wait(id);
+        hashes.push_back(res.trace_hash);
+        latencies.push_back(res.queue_delay_s + res.run_wall_s);
+        if (res.state != svc::JobState::succeeded) ++failures;
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      walls.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    walls.push_back(std::chrono::duration<double>(t1 - t0).count());
+    getrusage(RUSAGE_SELF, &after);
     if (run == 0) {
       base_hashes = std::move(hashes);
     } else if (hashes != base_hashes) {
@@ -833,6 +844,10 @@ ScenarioResult service_soak(const Config& cfg) {
   r.trace_hash = (stable && failures == 0) ? fold : 0;
   r.p99_job_latency_s = latency_percentile(latencies, 0.99);
   r.metrics.push_back({"service_soak.jobs", static_cast<std::uint64_t>(jobs)});
+  r.metrics.push_back({"service_soak.voluntary_csw",
+                       static_cast<std::uint64_t>(after.ru_nvcsw - before.ru_nvcsw)});
+  r.metrics.push_back({"service_soak.involuntary_csw",
+                       static_cast<std::uint64_t>(after.ru_nivcsw - before.ru_nivcsw)});
   r.metrics.push_back({"service_soak.hash_stable", stable ? std::uint64_t{1} : 0});
   r.metrics.push_back({"service_soak.failures", failures});
   return r;

@@ -448,9 +448,9 @@ struct clmpi_job_result {
   double run_wall_s;       ///< wall seconds of the run itself
 };
 
-/// Start the process-global service. `max_active` runner threads (0 = 2),
-/// admission queue bounded at `queue_limit` (0 = 64). CL_INVALID_OPERATION
-/// when already started.
+/// Start the process-global service: `max_active` jobs run at once (0 = 2;
+/// not a thread count), admission queue bounded at `queue_limit` (0 = 64).
+/// CL_INVALID_OPERATION when already started.
 cl_int clmpiServiceStart(cl_uint max_active, cl_uint queue_limit);
 
 /// Drain every admitted job to a terminal state, then shut the service

@@ -33,7 +33,9 @@ Kernel::Kernel(std::string name, KernelBody body, KernelCost cost)
 }
 
 void Kernel::grow_to(std::size_t index) {
-  if (index >= args_.size()) args_.resize(index + 1, KernelArg{std::int64_t{0}});
+  // Unset arguments read as int64 0 (a variant fill value for resize() trips
+  // GCC's -Wmaybe-uninitialized).
+  while (args_.size() <= index) args_.emplace_back(std::int64_t{0});
 }
 
 void Kernel::set_arg(std::size_t index, BufferPtr buf) {

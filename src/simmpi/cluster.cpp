@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -149,70 +150,19 @@ std::uint64_t next_strand_tag() {
   return ++next;
 }
 
-}  // namespace
-
-Rank::Rank(detail::ClusterCore* core, int id, int nranks)
-    : core_(core), id_(id), clock_(), world_(core, /*context=*/0, iota_group(nranks), id) {}
-
-const sys::SystemProfile& Rank::profile() const { return *core_->profile; }
-
-vt::Tracer* Rank::tracer() const { return core_->tracer; }
-
-void Rank::compute(vt::Duration d, const std::string& label) {
-  // Cancellation point: compute loops are where a rank can go longest
-  // without touching the comm layer's posts.
-  if (core_->job != nullptr) core_->job->check_cancelled("compute");
-  const vt::TimePoint start = clock_.now();
-  clock_.advance(d);
-  if (core_->tracer != nullptr) {
-    core_->tracer->record("host" + std::to_string(id_), label, vt::SpanKind::compute, start,
-                          clock_.now());
-  }
-}
-
-RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
-  CLMPI_REQUIRE(options.nranks > 0, "cluster needs at least one rank");
-  CLMPI_REQUIRE(options.profile != nullptr, "cluster needs a system profile");
-  // The caller blocks until the run's strand closes; a fiber doing so would
-  // stall the strand it runs on.
-  CLMPI_REQUIRE(!sched::on_fiber(), "Cluster::run called from a scheduler fiber");
-  // Rank-count quota: checked before anything is allocated, so an oversized
-  // job fails typed without having touched shared state.
-  if (options.job != nullptr) options.job->check_ranks(options.nranks);
-
-  std::uint64_t run_seq = 0;
-  {
-    std::lock_guard lock(g_trace_export_mutex);
-    run_seq = ++g_trace_export_seq;
-  }
-
+/// One started run. The rank fibers and the idle task point into it; the
+/// strand's close callback owns it and tears it down before reporting.
+struct ClusterRun {
+  Cluster::Options options;
+  std::function<void(Rank&)> body;
+  std::uint64_t run_seq{0};
   detail::ClusterCore core;
-  core.profile = options.profile;
-  core.tracer = options.tracer;
-  core.job = options.job;
-  // CLMPI_TRACE: when the caller did not attach a tracer, attach an
-  // internally owned one so clmpiDumpTrace (and the optional auto-export
-  // below) see the run. Tracing is passive — it never advances a clock — so
-  // the virtual schedule is identical either way.
   vt::Tracer env_tracer;
-  if (core.tracer == nullptr && obs::trace_enabled()) core.tracer = &env_tracer;
-  if (options.faults.enabled()) {
-    core.faults = std::make_unique<FaultEngine>(options.faults);
-  }
-  core.network = std::make_unique<Network>(options.profile->nic, options.nranks,
-                                           core.tracer, core.faults.get(),
-                                           &options.profile->shmem);
-  for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(core, *core.network, n);
-
-  core.ranks.resize(static_cast<std::size_t>(options.nranks));
-
   RunResult result;
-  result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
-
   std::exception_ptr first_error;
-  int suppressed = 0;
+  int suppressed{0};
 
-  const auto rank_main = [&](int r) {
+  void rank_main(int r) {
     detail::ClusterCore::RankState& state = core.ranks[static_cast<std::size_t>(r)];
     ctx::ExecContext& task = ctx::current();
     state.task = &task;
@@ -249,52 +199,130 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       if (options.job != nullptr) options.job->request_cancel();
     }
     state = {};
-  };
+  }
+
+  void close() {
+    // The strand closed, so every fiber — ranks, queue workers, dispatchers,
+    // collective progression — finished; the handles only need releasing.
+    // From here on this worker owns the core.
+    core.closed = true;
+    for (auto& s : core.aux_services) s.join();
+    // One final cancel rescue, so a cancelled job's pending operations settle
+    // (returning their mailbox quota) before `core` is torn down.
+    core.fail_pending_as_cancelled();
+    if (core.faults) result.faults = core.faults->counters();
+    // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
+    // JSON. Last run wins when a process runs several clusters — decided by
+    // run START order and serialized (see g_trace_export_mutex above).
+    if (core.tracer == &env_tracer && !obs::trace_export_path().empty()) {
+      std::lock_guard lock(g_trace_export_mutex);
+      if (run_seq > g_trace_exported_seq) {
+        g_trace_exported_seq = run_seq;
+        obs::write_trace_file(env_tracer, obs::trace_export_path());
+      }
+    }
+    if (first_error && suppressed > 0) {
+      CLMPI_WARN("cluster: suppressed " << suppressed
+                                        << " secondary rank error(s); rethrowing the first");
+    }
+    for (double e : result.rank_end_s) result.makespan_s = std::max(result.makespan_s, e);
+  }
+};
+
+}  // namespace
+
+Rank::Rank(detail::ClusterCore* core, int id, int nranks)
+    : core_(core), id_(id), clock_(), world_(core, /*context=*/0, iota_group(nranks), id) {}
+
+const sys::SystemProfile& Rank::profile() const { return *core_->profile; }
+
+vt::Tracer* Rank::tracer() const { return core_->tracer; }
+
+void Rank::compute(vt::Duration d, const std::string& label) {
+  // Cancellation point: compute loops are where a rank can go longest
+  // without touching the comm layer's posts.
+  if (core_->job != nullptr) core_->job->check_cancelled("compute");
+  const vt::TimePoint start = clock_.now();
+  clock_.advance(d);
+  if (core_->tracer != nullptr) {
+    core_->tracer->record("host" + std::to_string(id_), label, vt::SpanKind::compute, start,
+                          clock_.now());
+  }
+}
+
+void Cluster::start(const Options& options, std::function<void(Rank&)> body, Done done) {
+  CLMPI_REQUIRE(options.nranks > 0, "cluster needs at least one rank");
+  CLMPI_REQUIRE(options.profile != nullptr, "cluster needs a system profile");
+  // Rank-count quota: checked before anything is allocated, so an oversized
+  // job fails typed without having touched shared state.
+  if (options.job != nullptr) options.job->check_ranks(options.nranks);
+
+  auto run = std::make_shared<ClusterRun>();
+  run->options = options;
+  run->body = std::move(body);
+  {
+    std::lock_guard lock(g_trace_export_mutex);
+    run->run_seq = ++g_trace_export_seq;
+  }
+
+  detail::ClusterCore& core = run->core;
+  core.profile = options.profile;
+  core.tracer = options.tracer;
+  core.job = options.job;
+  // CLMPI_TRACE: when the caller did not attach a tracer, attach an
+  // internally owned one so clmpiDumpTrace (and the optional auto-export
+  // in close()) see the run. Tracing is passive — it never advances a
+  // clock — so the virtual schedule is identical either way.
+  if (core.tracer == nullptr && obs::trace_enabled()) core.tracer = &run->env_tracer;
+  if (options.faults.enabled()) {
+    core.faults = std::make_unique<FaultEngine>(options.faults);
+  }
+  core.network = std::make_unique<Network>(options.profile->nic, options.nranks,
+                                           core.tracer, core.faults.get(),
+                                           &options.profile->shmem);
+  for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(core, *core.network, n);
+
+  core.ranks.resize(static_cast<std::size_t>(options.nranks));
+  run->result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
 
   // The run is one strand: its rank fibers, and every service fiber they
   // spawn, execute serially in a schedule that depends on nothing but the
   // program. The strand's idle task is the cluster's liveness backstop.
   sched::Scheduler& pool = options.scheduler != nullptr ? *options.scheduler : default_pool();
-  const std::uint64_t strand = next_strand_tag();
-  core.strand = strand;
+  core.strand = next_strand_tag();
   const std::string prefix =
       options.job_tag != 0 ? "job" + std::to_string(options.job_tag) + ".rank" : "rank";
   std::vector<sched::Scheduler::Task> tasks;
   tasks.reserve(static_cast<std::size_t>(options.nranks));
   for (int r = 0; r < options.nranks; ++r) {
-    tasks.push_back({[&rank_main, r] { rank_main(r); }, prefix + std::to_string(r)});
+    tasks.push_back({[run = run.get(), r] { run->rank_main(r); }, prefix + std::to_string(r)});
   }
-  pool.run(strand, std::move(tasks), [&core] { return core.backstop(); });
+  pool.start(core.strand, std::move(tasks), [&core] { return core.backstop(); },
+             [run = std::move(run), done = std::move(done)]() mutable {
+               try {
+                 run->close();
+               } catch (...) {
+                 if (!run->first_error) run->first_error = std::current_exception();
+               }
+               std::exception_ptr error = std::move(run->first_error);
+               RunResult result = error ? RunResult{} : std::move(run->result);
+               run.reset();  // the whole run goes before `done` may free its job
+               done(std::move(result), std::move(error));
+             });
+}
 
-  // The strand closed, so every fiber — ranks, queue workers, dispatchers,
-  // collective progression — finished; the handles only need releasing.
-  // From here on the caller owns the core.
-  core.closed = true;
-  for (auto& s : core.aux_services) s.join();
-  // One final cancel rescue, so a cancelled job's pending operations settle
-  // (returning their mailbox quota) before `core` is torn down.
-  core.fail_pending_as_cancelled();
-  if (core.faults) result.faults = core.faults->counters();
-  // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
-  // JSON. Last run wins when a process runs several clusters — decided by
-  // run START order and serialized (see g_trace_export_mutex above).
-  if (core.tracer == &env_tracer && !obs::trace_export_path().empty()) {
-    std::lock_guard lock(g_trace_export_mutex);
-    if (run_seq > g_trace_exported_seq) {
-      g_trace_exported_seq = run_seq;
-      obs::write_trace_file(env_tracer, obs::trace_export_path());
-    }
-  }
-  if (first_error) {
-    if (suppressed > 0) {
-      CLMPI_WARN("cluster: suppressed " << suppressed
-                                        << " secondary rank error(s); rethrowing the first");
-    }
-    std::rethrow_exception(first_error);
-  }
-
-  result.makespan_s = 0.0;
-  for (double e : result.rank_end_s) result.makespan_s = std::max(result.makespan_s, e);
+RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
+  // The caller blocks until the run's strand closes; a fiber doing so would
+  // stall the strand it runs on.
+  CLMPI_REQUIRE(!sched::on_fiber(), "Cluster::run called from a scheduler fiber");
+  // Both move into the promise: the worker keeps no reference to the error,
+  // whose last release, here, must not race the caller's use of it.
+  std::promise<std::pair<RunResult, std::exception_ptr>> outcome;
+  start(options, body, [&outcome](RunResult result, std::exception_ptr error) {
+    outcome.set_value({std::move(result), std::move(error)});
+  });
+  auto [result, error] = outcome.get_future().get();
+  if (error) std::rethrow_exception(error);
   return result;
 }
 

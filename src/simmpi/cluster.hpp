@@ -3,12 +3,14 @@
 // Cluster::run executes the supplied body once per MPI rank (one rank per
 // node, as in the paper's evaluation), each as a fiber of one serial strand
 // on a fiber worker pool (support/sched.hpp), and reports per-rank virtual
-// end times. A communication deadlock (which blocks ranks exactly as it would
-// block real MPI processes) ends in a typed DeadlockError at a fixed virtual
-// time instead of a hang: see ClusterCore::fail_deadlocked.
+// end times; Cluster::start is the same run without the wait. A
+// communication deadlock (which blocks ranks exactly as it would block real
+// MPI processes) ends in a typed DeadlockError at a fixed virtual time
+// instead of a hang: see ClusterCore::fail_deadlocked.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -98,9 +100,18 @@ class Cluster {
     tenant::JobControl* job{nullptr};
   };
 
-  /// Run `body` on every rank; blocks until all ranks return. The first
-  /// exception thrown by any rank is re-thrown here after every rank ended.
-  /// Must not be called from a scheduler fiber (a rank body).
+  /// The result of a started run, or the first exception a rank threw.
+  using Done = std::function<void(RunResult, std::exception_ptr)>;
+
+  /// Start `body` on every rank and return; bad options and the rank quota
+  /// throw here. `done` runs once, on the pool worker that closed the run's
+  /// strand, after the teardown: it may free what `options` points to and
+  /// start the next run, but must not throw or block on the pool.
+  static void start(const Options& options, std::function<void(Rank&)> body, Done done);
+
+  /// start() and block until all ranks returned. The first exception thrown
+  /// by any rank is re-thrown here after every rank ended. Must not be
+  /// called from a scheduler fiber (a rank body).
   static RunResult run(const Options& options, const std::function<void(Rank&)>& body);
 };
 

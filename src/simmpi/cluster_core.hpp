@@ -5,7 +5,7 @@
 // the same time, so nothing below is locked; the mailboxes, command queues
 // and runtimes check at their entry points that the caller runs on
 // `strand`. The only exception is the teardown after the strand closed,
-// which runs on the caller with `closed` set.
+// which runs with `closed` set on the worker that closed it, off any strand.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ struct ClusterCore {
   int next_context{1};
 
   /// The run's strand tag, set before the strand opens; `closed` is set once
-  /// it closed (every fiber finished) and the caller tears the run down.
+  /// it closed (every fiber finished) and its worker tears the run down.
   std::uint64_t strand{0};
   bool closed{false};
 
@@ -79,7 +79,7 @@ struct ClusterCore {
   std::unordered_map<std::uint64_t, std::shared_ptr<WindowShared>> windows;
 
   /// Auxiliary runtime services (non-blocking collective progression),
-  /// fibers on the run's strand. Registered here so Cluster::run joins them
+  /// fibers on the run's strand. Registered here so the teardown joins them
   /// before tearing the cluster down — a progression task must never
   /// outlive the mailboxes.
   std::vector<sched::ServiceHandle> aux_services;
@@ -87,7 +87,7 @@ struct ClusterCore {
   void register_aux_service(sched::ServiceHandle s) { aux_services.push_back(std::move(s)); }
 
   /// Per rank, for the deadlock verdict: its fiber's context and its clock,
-  /// both null once the body returned. Sized by Cluster::run.
+  /// both null once the body returned. Sized by Cluster::start.
   struct RankState {
     const ctx::ExecContext* task{nullptr};
     const vt::Clock* clock{nullptr};

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <iostream>
 #include <mutex>
 #include <new>
@@ -133,9 +134,8 @@ struct Strand {
   std::size_t fruitless{0};  ///< resumes without progress since the last one
   /// Ownership, in creation order (the deadlock verdict's order).
   std::vector<std::unique_ptr<Fiber>> fibers;
-  /// The run() caller's signal, notified under Scheduler::Impl::mutex as
-  /// the strand closes.
-  std::condition_variable* closed{nullptr};
+  /// Called by the worker that closes the strand, after the strand is gone.
+  std::function<void()> on_close;
 };
 
 thread_local Fiber* t_current = nullptr;
@@ -457,11 +457,14 @@ void Scheduler::Impl::worker_loop(int index) {
       continue;
     }
     // The last fiber finished: close the strand (destroying its idle task)
-    // and wake the caller that waits for it.
-    std::condition_variable* caller = s->closed;
+    // and run its close callback without the pool mutex: it may start more.
+    std::function<void()> on_close = std::move(s->on_close);
     strands.erase(s->tag);
-    caller->notify_one();
     if (strands.empty() && stopping) work_cv.notify_all();
+    lock.unlock();
+    on_close();
+    on_close = nullptr;
+    lock.lock();
   }
 }
 
@@ -487,24 +490,29 @@ Scheduler::~Scheduler() {
   for (auto& w : impl_->workers) w.join();
 }
 
-void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle) {
+void Scheduler::start(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle,
+                      std::function<void()> on_close) {
   CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
-  std::condition_variable closed;
   auto s = std::make_unique<Strand>();
   s->tag = strand;
   s->idle = std::move(idle);
-  s->closed = &closed;
+  s->on_close = std::move(on_close);
   for (Task& t : tasks) {
     s->fibers.push_back(impl_->make_fiber(std::move(t.fn), std::move(t.label)));
     s->fibers.back()->strand = s.get();
     s->ready.push_back(s->fibers.back().get());
   }
-  std::unique_lock lock(impl_->mutex);
+  std::lock_guard lock(impl_->mutex);
   CLMPI_REQUIRE(!impl_->strands.contains(strand), "strand tag already in use");
   impl_->rotation.push_back(s.get());
   impl_->strands.emplace(strand, std::move(s));
   if (impl_->parked > 0) impl_->work_cv.notify_one();
-  closed.wait(lock, [&] { return !impl_->strands.contains(strand); });
+}
+
+void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle) {
+  std::promise<void> closed;
+  start(strand, std::move(tasks), std::move(idle), [&closed] { closed.set_value(); });
+  closed.get_future().wait();
 }
 
 ServiceHandle::~ServiceHandle() {

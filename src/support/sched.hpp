@@ -113,7 +113,7 @@ class ServiceHandle {
  private:
   friend ServiceHandle spawn_service(std::string label, std::function<void()> fn);
   /// Set by the service fiber as it finishes; read on the same strand, or
-  /// by the Cluster::run caller after the strand closed.
+  /// by the strand's close callback.
   std::shared_ptr<bool> done_;
 };
 
@@ -144,9 +144,9 @@ class Scheduler {
 
   /// Starts the workers.
   explicit Scheduler(Options options);
-  /// Waits until every strand closed, joins the workers and unmaps the
-  /// fiber stacks kept for reuse (each is mapped once, with a low guard
-  /// page, and serves one fiber after another).
+  /// Waits until every strand closed and its close callback returned, joins
+  /// the workers and unmaps the fiber stacks kept for reuse (each is mapped
+  /// once, with a low guard page, and serves one fiber after another).
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -158,13 +158,18 @@ class Scheduler {
     std::string label;
   };
 
-  /// Run strand `strand` — `tasks` queued in order before any of them runs —
-  /// and block until it closed: every fiber of it finished, and no worker
-  /// holds it any more. `idle` is its idle task: run by the worker holding
-  /// the strand, serialized with its fibers, after a full pass in which the
+  /// Start strand `strand` — `tasks` queued in order before any of them runs
+  /// — and return. `idle` is its idle task: run by the worker holding the
+  /// strand, serialized with its fibers, after a full pass in which the
   /// strand made no progress; it returns whether it resolved anything. If
   /// not, the strand is deadlocked: the worker prints its fibers and blocked
-  /// sites and aborts. The strand must not exist yet.
+  /// sites and aborts. The worker that closes the strand calls `on_close`
+  /// off any strand, without the pool mutex; it must not throw or block on
+  /// this pool, but may start strands. The strand must not exist yet.
+  void start(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle,
+             std::function<void()> on_close);
+
+  /// start() plus a wait until the strand closed and its close ran.
   void run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
 
   struct Impl;

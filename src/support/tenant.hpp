@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -50,11 +51,19 @@ inline void raise_hwm(std::atomic<std::size_t>& hwm, std::size_t v) noexcept {
 }  // namespace detail
 
 /// Shared control block of one service job. The service sets `cancelled`
-/// (explicit cancel or deadline); the runtime charges usage and observes the
-/// flag at its cancellation points.
+/// (explicit cancel) and the wall-clock deadline; the runtime charges usage
+/// and observes both at its cancellation points.
 class JobControl {
  public:
-  JobControl(std::uint64_t job_id, JobQuotas q) : id_(job_id), quotas_(q) {}
+  using Clock = std::chrono::steady_clock;
+
+  /// `deadline_s`: wall seconds from now until the job is overdue; 0 = none.
+  JobControl(std::uint64_t job_id, JobQuotas q, double deadline_s = 0.0)
+      : id_(job_id),
+        quotas_(q),
+        deadline_(deadline_s > 0.0 ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                                         std::chrono::duration<double>(deadline_s))
+                                   : Clock::time_point::max()) {}
 
   JobControl(const JobControl&) = delete;
   JobControl& operator=(const JobControl&) = delete;
@@ -68,9 +77,14 @@ class JobControl {
   /// one that flipped the flag).
   bool request_cancel() noexcept { return !cancelled_.exchange(true, std::memory_order_relaxed); }
 
+  /// Cancelled, or past the deadline (the clock is read only if one is set).
   [[nodiscard]] bool cancel_requested() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
+    return cancelled_.load(std::memory_order_relaxed) ||
+           (has_deadline() && Clock::now() >= deadline_);
   }
+
+  [[nodiscard]] bool has_deadline() const noexcept { return deadline_ != Clock::time_point::max(); }
+  [[nodiscard]] Clock::time_point deadline() const noexcept { return deadline_; }
 
   /// Cancellation point: throw CancelledError when cancellation was
   /// requested. `where` names the point for the error message.
@@ -154,6 +168,7 @@ class JobControl {
  private:
   std::uint64_t id_;
   JobQuotas quotas_;
+  Clock::time_point deadline_;
   std::atomic<bool> cancelled_{false};
   std::atomic<std::size_t> staging_in_use_{0};
   std::atomic<std::size_t> staging_hwm_{0};

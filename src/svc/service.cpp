@@ -1,5 +1,6 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <utility>
@@ -58,28 +59,20 @@ Service::Service(Options options)
       pool_(sched::Scheduler::Options{.workers = options.workers}) {
   if (opts_.queue_limit == 0) opts_.queue_limit = 1;
   if (opts_.max_active == 0) opts_.max_active = 1;
-  runners_.reserve(opts_.max_active);
-  for (std::size_t i = 0; i < opts_.max_active; ++i) {
-    runners_.emplace_back([this, i] { runner_loop(static_cast<int>(i)); });
-  }
-  monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 Service::~Service() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  monitor_cv_.notify_all();
-  for (std::thread& t : runners_) t.join();
-  if (monitor_.joinable()) monitor_.join();
-  // pool_ (a member) is destroyed after this body and joins its workers;
-  // every job's strand already closed because the runners drained.
+  std::unique_lock<std::mutex> lock(mutex_);
+  stopping_ = true;
+  // Queued jobs keep active_ above zero: a finishing job hands its slot on.
+  state_cv_.wait(lock, [this] { return active_ == 0; });
+  // pool_ (a member) is destroyed after this body and joins its workers,
+  // which may still be returning from the last job's completion.
 }
 
 std::uint64_t Service::submit(JobSpec spec) {
-  std::shared_ptr<JobRecord> rec;
+  std::uint64_t id = 0;
+  std::shared_ptr<JobRecord> next;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -92,25 +85,22 @@ std::uint64_t Service::submit(JobSpec spec) {
                           " jobs waiting (limit " + std::to_string(opts_.queue_limit) +
                           ")");
     }
-    const std::uint64_t id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
-    rec = std::make_shared<JobRecord>(id, std::move(spec));
+    id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
+    auto rec = std::make_shared<JobRecord>(id, std::move(spec));
     // Reject an impossible ask at the door instead of queueing a job that
     // can only ever fail at launch.
     rec->control.check_ranks(rec->spec.nranks);
-    rec->submitted = std::chrono::steady_clock::now();
-    if (rec->spec.deadline_s > 0.0) {
-      rec->deadline = rec->submitted + std::chrono::duration_cast<
-                                           std::chrono::steady_clock::duration>(
-                                           std::chrono::duration<double>(
-                                               rec->spec.deadline_s));
-      armed_.push_back(rec);
-    }
     ++submitted_;
     jobs_.emplace(id, rec);
-    queue_.push_back(rec);
+    queue_.push_back(std::move(rec));
+    // Below max_active nothing else is queued: the job starts right here.
+    if (active_ < opts_.max_active) {
+      ++active_;
+      next = next_locked();
+    }
   }
-  cv_.notify_one();
-  return rec->id;
+  launch(std::move(next));
+  return id;
 }
 
 std::shared_ptr<Service::JobRecord> Service::find(std::uint64_t id) {
@@ -125,24 +115,28 @@ std::shared_ptr<Service::JobRecord> Service::find(std::uint64_t id) {
 JobResult Service::wait(std::uint64_t id) {
   std::shared_ptr<JobRecord> rec = find(id);
   std::unique_lock<std::mutex> lock(mutex_);
+  if (rec->control.has_deadline()) {
+    state_cv_.wait_until(lock, rec->control.deadline(),
+                         [&] { return rec->result.state != JobState::queued; });
+    drop_if_cancelled_locked(*rec);
+  }
   state_cv_.wait(lock, [&] { return terminal(rec->result.state); });
   return rec->result;
 }
 
 bool Service::cancel(std::uint64_t id) {
   std::shared_ptr<JobRecord> rec = find(id);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (terminal(rec->result.state)) return false;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (terminal(rec->result.state)) return false;
   rec->control.request_cancel();
-  cv_.notify_all();  // a queued job's runner finalizes it promptly
+  drop_if_cancelled_locked(*rec);
   return true;
 }
 
 JobResult Service::counters(std::uint64_t id) {
   std::shared_ptr<JobRecord> rec = find(id);
   std::lock_guard<std::mutex> lock(mutex_);
+  drop_if_cancelled_locked(*rec);
   JobResult out = rec->result;
   if (!terminal(out.state)) out.usage = rec->control.usage();
   return out;
@@ -158,110 +152,99 @@ Service::Stats Service::stats() const {
   return s;
 }
 
-void Service::runner_loop(int index) {
-  (void)index;
-  for (;;) {
-    std::shared_ptr<JobRecord> rec;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
-      if (queue_.empty()) {
-        if (stopping_) return;  // drained
-        continue;
-      }
-      rec = queue_.front();
-      queue_.pop_front();
-      ++active_;
-    }
-    run_job(rec);
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_;
-  }
-}
-
-void Service::monitor_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    const auto now = std::chrono::steady_clock::now();
-    // A job leaves the list once terminal or once its deadline fired (the
-    // cancel flag stays set), so a pass costs the live armed jobs only.
-    std::erase_if(armed_, [now](const std::shared_ptr<JobRecord>& rec) {
-      if (terminal(rec->result.state)) return true;
-      if (now < rec->deadline) return false;
-      rec->control.request_cancel();
-      return true;
-    });
-    monitor_cv_.wait_for(lock, std::chrono::milliseconds(5));
-  }
-}
-
-void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
-  const auto start = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rec->started = start;
-    rec->result.queue_delay_s =
-        std::chrono::duration<double>(start - rec->submitted).count();
-    rec->result.state = JobState::running;
-  }
-
-  JobState state = JobState::succeeded;
-  Status status = Status::success;
-  std::string error;
-  double makespan = 0.0;
-  // The job's own trace namespace; only its hash outlives the run.
-  vt::Tracer tracer;
-
-  // A cancel (explicit, or a deadline that fired while queued) that landed
-  // before launch finalizes without ever spinning up a cluster.
-  if (rec->control.cancel_requested()) {
-    state = JobState::cancelled;
-    status = Status::cancelled;
-    error = "job " + std::to_string(rec->id) + " cancelled before start";
-  } else {
+void Service::launch(std::shared_ptr<JobRecord> rec) {
+  while (rec != nullptr) {
+    // The job's own trace namespace; only its hash outlives the run.
+    auto tracer = std::make_shared<vt::Tracer>();
     try {
       mpi::Cluster::Options copt;
       copt.nranks = rec->spec.nranks;
       copt.profile = &sys::profile_by_name(rec->spec.profile);
-      copt.tracer = &tracer;
+      copt.tracer = tracer.get();
       copt.scheduler = &pool_;
       copt.job_tag = rec->id;
       copt.job = &rec->control;
-      const mpi::RunResult rr = mpi::Cluster::run(copt, make_workload(rec->spec));
-      makespan = rr.makespan_s;
-    } catch (const CancelledError& e) {
-      state = JobState::cancelled;
-      status = Status::cancelled;
-      error = e.what();
+      // The pool worker that closes the job's strand finishes the job and
+      // starts the one that inherits its slot.
+      mpi::Cluster::start(copt, make_workload(rec->spec),
+                          [this, rec, tracer](mpi::RunResult run, std::exception_ptr error) {
+                            launch(finish(*rec, *tracer, run.makespan_s, error));
+                          });
+      return;
+    } catch (...) {
+      rec = finish(*rec, *tracer, 0.0, std::current_exception());
+    }
+  }
+}
+
+std::shared_ptr<Service::JobRecord> Service::finish(JobRecord& rec, const vt::Tracer& tracer,
+                                                    double makespan_s,
+                                                    const std::exception_ptr& error) {
+  const auto end = Clock::now();
+  JobState state = JobState::succeeded;
+  Status status = Status::success;
+  std::string what;
+  // Completion beats a cancel flag that raced the final wait: a run that
+  // returned cleanly reports success even if cancel() landed at the wire.
+  if (error) {
+    try {
+      std::rethrow_exception(error);
     } catch (const Error& e) {
       state = (e.status() == Status::cancelled) ? JobState::cancelled : JobState::failed;
       status = e.status();
-      error = e.what();
+      what = e.what();
     } catch (const std::exception& e) {
       state = JobState::failed;
       status = Status::invalid_operation;
-      error = e.what();
+      what = e.what();
     }
   }
-  // Completion beats a cancel flag that raced the final wait: a run that
-  // returned cleanly reports success even if cancel() landed at the wire.
+  const std::uint64_t trace_hash = tracer.hash();
 
-  const auto end = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rec->result.state = state;
-    rec->result.status = status;
-    rec->result.error = std::move(error);
-    rec->result.makespan_s = makespan;
-    rec->result.trace_hash = tracer.hash();
-    rec->result.usage = rec->control.usage();
-    rec->result.run_wall_s = std::chrono::duration<double>(end - start).count();
-    // A waiter that already found a retired record keeps it alive.
-    finished_.push_back(rec->id);
-    if (finished_.size() > opts_.queue_limit + opts_.max_active) {
-      jobs_.erase(finished_.front());
-      finished_.pop_front();
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  rec.result.state = state;
+  rec.result.status = status;
+  rec.result.error = std::move(what);
+  rec.result.makespan_s = makespan_s;
+  rec.result.trace_hash = trace_hash;
+  rec.result.run_wall_s = std::chrono::duration<double>(end - rec.started).count();
+  publish_locked(rec);
+  return next_locked();
+}
+
+std::shared_ptr<Service::JobRecord> Service::next_locked() {
+  while (!queue_.empty()) {
+    std::shared_ptr<JobRecord> rec = queue_.front();
+    drop_if_cancelled_locked(*rec);
+    if (rec->result.state != JobState::queued) continue;  // dropped from the queue
+    queue_.pop_front();
+    rec->started = Clock::now();
+    rec->result.queue_delay_s =
+        std::chrono::duration<double>(rec->started - rec->submitted).count();
+    rec->result.state = JobState::running;
+    return rec;
+  }
+  --active_;
+  return nullptr;
+}
+
+void Service::drop_if_cancelled_locked(JobRecord& rec) {
+  if (rec.result.state != JobState::queued || !rec.control.cancel_requested()) return;
+  std::erase_if(queue_, [&rec](const std::shared_ptr<JobRecord>& q) { return q.get() == &rec; });
+  rec.result.state = JobState::cancelled;
+  rec.result.status = Status::cancelled;
+  rec.result.error = "job " + std::to_string(rec.id) + " cancelled before start";
+  rec.result.queue_delay_s = std::chrono::duration<double>(Clock::now() - rec.submitted).count();
+  publish_locked(rec);
+}
+
+void Service::publish_locked(JobRecord& rec) {
+  rec.result.usage = rec.control.usage();
+  // A waiter that already found a retired record keeps it alive.
+  finished_.push_back(rec.id);
+  if (finished_.size() > opts_.queue_limit + opts_.max_active) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
   }
   state_cv_.notify_all();
 }

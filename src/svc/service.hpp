@@ -8,10 +8,10 @@
 //     every job's rank fibers share, each job one serial strand in the
 //     pool's round robin (so a job's schedule ignores its co-tenants),
 //   * a bounded admission queue with typed rejection (Status::rejected),
-//   * a small set of runner threads (`max_active`) that dequeue jobs and
-//     drive Cluster::run in service mode (external scheduler + JobControl),
-//   * a wall-clock deadline monitor that cancels overdue jobs (it visits
-//     only the live jobs that armed a deadline).
+//   * up to `max_active` jobs running at once, each a Cluster::start in
+//     service mode (external scheduler + JobControl): submit() starts a job
+//     when a slot is free, and the pool worker that finishes a job starts
+//     the next queued one. The pool's workers are its only threads.
 //
 // Isolation story, per job:
 //   * quotas — staging bytes, mailbox depth, max ranks — enforced at
@@ -31,16 +31,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/sched.hpp"
 #include "support/tenant.hpp"
+#include "vt/tracer.hpp"
 
 namespace clmpi::svc {
 
@@ -55,8 +56,8 @@ enum class JobKind {
 const char* to_string(JobKind k) noexcept;
 
 enum class JobState {
-  queued,     ///< admitted, waiting for a runner
-  running,    ///< a runner is driving its cluster
+  queued,     ///< admitted, waiting for a free slot of max_active
+  running,    ///< its cluster runs on the pool
   succeeded,  ///< cluster run returned normally
   failed,     ///< cluster run threw (quota, fault, programming error)
   cancelled,  ///< explicit cancel or deadline fired before completion
@@ -73,8 +74,8 @@ struct JobSpec {
   std::uint64_t seed{1};        ///< workload variation (chaos mix, sizes)
   tenant::JobQuotas quotas{};   ///< 0 = unlimited
   /// Wall-clock job deadline measured from SUBMISSION, seconds; 0 = none.
-  /// An overdue job is cancelled (queued: immediately; running: via the
-  /// cancel protocol of JobControl).
+  /// An overdue job is cancelled (queued: as wait() or counters() reads it,
+  /// or as it is dequeued; running: at its next cancellation point).
   double deadline_s{0.0};
 };
 
@@ -100,13 +101,14 @@ class Service {
     /// Admission control: max jobs waiting in the queue (running jobs do
     /// not count). Submits beyond it fail with RejectedError.
     std::size_t queue_limit{64};
-    /// Runner threads = max jobs whose clusters run concurrently.
+    /// Max jobs whose clusters run at once; further jobs queue. Not a
+    /// thread count: every cluster runs on the pool's workers.
     std::size_t max_active{4};
   };
 
   explicit Service(Options options);
-  /// Drains: every admitted job still runs to a terminal state, then the
-  /// runners, the deadline monitor and the shared pool shut down.
+  /// Drains: waits until every admitted job reached a terminal state, then
+  /// the shared pool shuts down.
   ~Service();
 
   Service(const Service&) = delete;
@@ -125,7 +127,7 @@ class Service {
   JobResult wait(std::uint64_t id);
 
   /// Request cancellation. Returns true when the cancel was delivered to a
-  /// queued or running job (the job will report
+  /// queued job (cancelled at once) or a running one (which will report
   /// JobState::cancelled unless completion won the race), false when the
   /// job already reached a terminal state. Throws on an unknown or retired
   /// id.
@@ -147,31 +149,43 @@ class Service {
   [[nodiscard]] Stats stats() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct JobRecord {
     std::uint64_t id{0};
     JobSpec spec;
     tenant::JobControl control;
     JobResult result;
-    std::chrono::steady_clock::time_point submitted{};
-    std::chrono::steady_clock::time_point started{};
-    std::chrono::steady_clock::time_point deadline{};  ///< when spec.deadline_s > 0
+    Clock::time_point submitted{Clock::now()};
+    Clock::time_point started{};
 
     JobRecord(std::uint64_t job_id, JobSpec s)
-        : id(job_id), spec(std::move(s)), control(job_id, spec.quotas) {}
+        : id(job_id), spec(std::move(s)), control(job_id, spec.quotas, spec.deadline_s) {}
   };
 
-  void runner_loop(int index);
-  void monitor_loop();
-  void run_job(const std::shared_ptr<JobRecord>& rec);
+  /// Start `rec`, which holds a slot of max_active, and each job that
+  /// inherits the slot because its predecessor could not start.
+  void launch(std::shared_ptr<JobRecord> rec);
+  /// Publish the ended run of `rec`; returns the queued job that inherits
+  /// its slot, or null once the slot is released, after which the caller
+  /// must not touch the service: its destructor may already run.
+  std::shared_ptr<JobRecord> finish(JobRecord& rec, const vt::Tracer& tracer, double makespan_s,
+                                    const std::exception_ptr& error);
+  /// Under mutex_: pop the next queued job that may run and mark it running
+  /// in the caller's slot; release the slot (returning null) if none is left.
+  std::shared_ptr<JobRecord> next_locked();
+  /// Under mutex_: finish `rec` cancelled if it is still queued but
+  /// cancelled or past its deadline.
+  void drop_if_cancelled_locked(JobRecord& rec);
+  /// Under mutex_: record the terminal result and retire the oldest one.
+  void publish_locked(JobRecord& rec);
   std::shared_ptr<JobRecord> find(std::uint64_t id);
 
   Options opts_;
   sched::Scheduler pool_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;          ///< runner wakeups (queue + shutdown)
-  std::condition_variable monitor_cv_;  ///< deadline-monitor pacing
-  std::condition_variable state_cv_;    ///< job state transitions (wait())
+  std::condition_variable state_cv_;  ///< job state transitions (wait(), ~Service)
   bool stopping_{false};
   std::uint64_t submitted_{0};
   std::uint64_t rejected_{0};
@@ -181,12 +195,6 @@ class Service {
   /// Ids of the terminal jobs still in jobs_, oldest first; past
   /// queue_limit + max_active of them the oldest is retired.
   std::deque<std::uint64_t> finished_;
-  /// The deadline-armed jobs the monitor has not yet cancelled and that are
-  /// not terminal: all it visits per pass, however many jobs have finished.
-  std::vector<std::shared_ptr<JobRecord>> armed_;
-
-  std::vector<std::thread> runners_;
-  std::thread monitor_;
 };
 
 }  // namespace clmpi::svc

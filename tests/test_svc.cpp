@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <string>
 #include <vector>
@@ -311,6 +312,86 @@ TEST(Service, DeadlineCancelsOverdueJob) {
   const svc::JobResult r = service.wait(service.submit(spec));
   EXPECT_EQ(r.state, svc::JobState::cancelled) << r.error;
   EXPECT_EQ(r.status, Status::cancelled);
+}
+
+TEST(Service, QueuedJobPastDeadlineIsCancelledWhileQueued) {
+  // One slot, held by a long job: the second job never leaves the queue, so
+  // its deadline must end it there, read by wait(), while the first still
+  // runs. Nothing but the waiting client watches the clock.
+  svc::Service service(small_service(1));
+  svc::JobSpec slow;
+  slow.kind = svc::JobKind::chaos;
+  slow.nranks = 2;
+  slow.iterations = 200000;
+  const std::uint64_t running = service.submit(slow);
+  svc::JobSpec late = halo_spec();
+  late.deadline_s = 0.02;
+  const auto submitted = std::chrono::steady_clock::now();
+  const std::uint64_t queued = service.submit(late);
+  const svc::JobResult r = service.wait(queued);
+  const double lateness_ms =
+      1e3 * (std::chrono::duration<double>(std::chrono::steady_clock::now() - submitted).count() -
+             late.deadline_s);
+  EXPECT_EQ(r.state, svc::JobState::cancelled) << r.error;
+  EXPECT_EQ(r.status, Status::cancelled);
+  EXPECT_EQ(service.counters(running).state, svc::JobState::running);
+  RecordProperty("lateness_ms", std::to_string(lateness_ms));
+  EXPECT_TRUE(service.cancel(running));
+  EXPECT_EQ(service.wait(running).state, svc::JobState::cancelled);
+}
+
+TEST(Service, OneWorkerRunsManyActiveJobs) {
+  // Four clusters share one worker, and that worker starts each queued job
+  // as it finishes the last: a launch that blocked the worker would hang
+  // here. Every job must still trace like its standalone run.
+  svc::Service::Options opts;
+  opts.workers = 1;
+  opts.max_active = 4;
+  svc::Service service(opts);
+  std::vector<svc::JobSpec> specs;
+  for (int i = 0; i < 16; ++i) {
+    svc::JobSpec spec;
+    spec.kind = static_cast<svc::JobKind>(i % 3);
+    spec.nranks = 2 + 2 * (i % 2);
+    spec.iterations = 2 + i % 3;
+    spec.seed = 31 + static_cast<std::uint64_t>(i);
+    specs.push_back(spec);
+  }
+  std::vector<std::uint64_t> ids;
+  for (const svc::JobSpec& spec : specs) ids.push_back(service.submit(spec));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const svc::JobResult r = service.wait(ids[i]);
+    ASSERT_EQ(r.state, svc::JobState::succeeded) << "job " << i << ": " << r.error;
+    vt::Tracer standalone;
+    mpi::Cluster::Options copt;
+    copt.nranks = specs[i].nranks;
+    copt.profile = &sys::profile_by_name(specs[i].profile);
+    copt.tracer = &standalone;
+    mpi::Cluster::run(copt, svc::make_workload(specs[i]));
+    EXPECT_EQ(r.trace_hash, standalone.hash()) << "job " << i;
+  }
+}
+
+TEST(Service, OwnsNoThreadsBeyondItsWorkers) {
+  // Jobs run on the pool's workers and are started by the submitter or by
+  // the worker that finished the previous one; the service adds no thread.
+  const auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  // TSan starts its helper thread with the process's first pthread_create;
+  // get that out of the way before counting.
+  std::thread([] {}).join();
+  const std::size_t before = threads();
+  svc::Service service(svc::Service::Options{.workers = 2, .max_active = 4});
+  EXPECT_EQ(threads(), before + 2);
+  const svc::JobResult r = service.wait(service.submit(halo_spec()));
+  EXPECT_EQ(r.state, svc::JobState::succeeded) << r.error;
+  EXPECT_EQ(threads(), before + 2);
 }
 
 TEST(Service, PerJobCounterNamespacesAreIsolated) {
