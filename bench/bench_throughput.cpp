@@ -322,8 +322,7 @@ ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
     }
     auto remaining = std::make_shared<std::atomic<std::size_t>>(reqs.size());
     for (auto& req : reqs) {
-      req.on_settle([remaining](vt::TimePoint, const mpi::MsgStatus&,
-                                const std::exception_ptr&) {
+      req.on_settle([remaining](vt::TimePoint, const std::exception_ptr&) {
         remaining->fetch_sub(1, std::memory_order_acq_rel);
       });
     }

@@ -22,37 +22,22 @@ namespace clmpi::rt {
 
 namespace {
 
-/// Build a request that completes when all of `subs` have, at the latest of
-/// their completion times. This is how MPI_CL_MEM operations present a
-/// pipelined wire decomposition as a single MPI_Request to the caller.
-mpi::Request aggregate_requests(std::vector<mpi::Request> subs, const mpi::MsgStatus& st) {
-  CLMPI_REQUIRE(!subs.empty(), "aggregate of zero requests");
+/// One request over `subs`, settled through a vt::Join once every
+/// sub-request has: at the latest of their times, failed with the first
+/// failure. This is how MPI_CL_MEM operations present a pipelined wire
+/// decomposition as a single MPI_Request; since it waits for every block,
+/// failed or not, callers may free the cl_mem once it settles.
+mpi::Request join_requests(std::vector<mpi::Request> subs, const mpi::MsgStatus& st) {
   auto state = mpi::detail::make_request_state();
-
-  struct Progress {
-    std::size_t remaining;
-    vt::TimePoint latest;
-    std::exception_ptr error;  ///< first sub-request failure
-  };
-  auto progress = std::make_shared<Progress>();
-  progress->remaining = subs.size();
-
-  for (mpi::Request& sub : subs) {
-    auto sub_state = sub.state();
-    sub.on_complete(
-        [state, progress, st, sub_state](vt::TimePoint when, const mpi::MsgStatus&) {
-          progress->latest = vt::max(progress->latest, when);
-          if (!progress->error) progress->error = sub_state->error();
-          // The aggregate settles only after EVERY sub-request does, failed
-          // or not — callers may free the cl_mem once the aggregate fires.
-          if (--progress->remaining != 0) return;
-          if (progress->error) {
-            state->fail(progress->latest, progress->error);
-          } else {
-            state->complete(progress->latest, st);
-          }
-        });
-  }
+  const vt::Join arrive(subs.size(),
+                        [state, st](vt::TimePoint when, const std::exception_ptr& err) {
+                          if (err) {
+                            state->fail(when, err);
+                          } else {
+                            state->complete(when, st);
+                          }
+                        });
+  for (mpi::Request& sub : subs) sub.on_settle(arrive);
   return mpi::Request(std::move(state));
 }
 
@@ -172,20 +157,21 @@ void Runtime::dispatcher_loop() {
           ready = vt::max(ready, w->completion_time());
         }
         if (err) {
-          job.fail(ready, std::move(err));
+          job.event->settle(ready, std::move(err));
           continue;
         }
-        job.post(ready);
+        job.event->mark_submitted(ready);
+        job.event->mark_running(ready);
+        job.post(ready, job.event);
       } catch (...) {
-        job.fail(ready, std::current_exception());
+        job.event->settle(ready, std::current_exception());
       }
     }
   }
 }
 
 ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
-                              ocl::WaitList waits,
-                              std::function<void(vt::TimePoint, const ocl::EventPtr&)> post) {
+                              ocl::WaitList waits, bool blocking, Post post) {
   CLMPI_REQUIRE(sched::current_strand() == rank_->core()->strand,
                 "clMPI runtime used from outside its rank's cluster strand");
   CLMPI_REQUIRE(&queue.device() == device_, "queue is not bound to the communicator device");
@@ -198,14 +184,8 @@ ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
   Job job;
   job.waits.assign(waits.begin(), waits.end());
   job.enqueue_time = rank_->clock().now();
-  job.post = [post = std::move(post), ev](vt::TimePoint ready) {
-    ev->mark_submitted(ready);
-    ev->mark_running(ready);
-    post(ready, ev);
-  };
-  job.fail = [ev](vt::TimePoint when, std::exception_ptr error) {
-    ev->mark_failed(when, std::move(error));
-  };
+  job.event = ev;
+  job.post = std::move(post);
   CLMPI_REQUIRE(!shutdown_, "enqueue on a shut-down clMPI runtime");
   jobs_.push_back(std::move(job));
   issued_.push_back(ev);
@@ -216,25 +196,10 @@ ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
     submitted.add();
     queue_depth.record(depth);
   }
+  if (blocking) {
+    ocl::traced_wait(ev, rank_->clock(), rank_->tracer(), rank_->rank(), "wait " + ev->label());
+  }
   return ev;
-}
-
-void Runtime::traced_wait(const ocl::EventPtr& ev, std::string what) {
-  vt::Clock& clock = rank_->clock();
-  vt::Tracer* tracer = rank_->tracer();
-  if (tracer == nullptr) {
-    ev->wait(clock);
-    return;
-  }
-  // Failed waits rethrow without recording a span; both outcomes are
-  // deterministic functions of the virtual schedule.
-  const vt::TimePoint t0 = clock.now();
-  ev->wait(clock);
-  const vt::TimePoint t1 = clock.now();
-  if (t1.s > t0.s) {
-    tracer->record("host" + std::to_string(rank_->rank()), std::move(what),
-                   vt::SpanKind::wait, t0, t1);
-  }
 }
 
 xfer::Strategy Runtime::policy(std::size_t size) const {
@@ -273,22 +238,15 @@ ocl::EventPtr Runtime::enqueue_send_buffer(ocl::CommandQueue& queue,
   const xfer::DeviceEndpoint ep{&comm,  device_, buf.get(), offset,
                                 size,   dst,     tag,       default_deadline()};
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueSendBuffer -> " + std::to_string(dst), waits,
+  return submit(
+      queue, "clEnqueueSendBuffer -> " + std::to_string(dst), waits, blocking,
       // `buf` captured to keep the memory object alive until completion.
       [ep, strategy, buf](vt::TimePoint ready, const ocl::EventPtr& event) {
-        xfer::send_device_async(
-            ep, strategy, ready, [event, buf](vt::TimePoint end, std::exception_ptr err) {
-              auto& uev = static_cast<ocl::UserEvent&>(*event);
-              if (err) {
-                uev.mark_failed(end, std::move(err));
-              } else {
-                uev.set_complete(end);
-              }
-            });
+        xfer::send_device_async(ep, strategy, ready,
+                               [event, buf](vt::TimePoint end, const std::exception_ptr& err) {
+                                 event->settle(end, err);
+                               });
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::enqueue_recv_buffer(ocl::CommandQueue& queue,
@@ -302,21 +260,14 @@ ocl::EventPtr Runtime::enqueue_recv_buffer(ocl::CommandQueue& queue,
   const xfer::DeviceEndpoint ep{&comm,  device_, buf.get(), offset,
                                 size,   src,     tag,       default_deadline()};
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueRecvBuffer <- " + std::to_string(src), waits,
+  return submit(
+      queue, "clEnqueueRecvBuffer <- " + std::to_string(src), waits, blocking,
       [ep, strategy, buf](vt::TimePoint ready, const ocl::EventPtr& event) {
-        xfer::recv_device_async(
-            ep, strategy, ready, [event, buf](vt::TimePoint end, std::exception_ptr err) {
-              auto& uev = static_cast<ocl::UserEvent&>(*event);
-              if (err) {
-                uev.mark_failed(end, std::move(err));
-              } else {
-                uev.set_complete(end);
-              }
-            });
+        xfer::recv_device_async(ep, strategy, ready,
+                               [event, buf](vt::TimePoint end, const std::exception_ptr& err) {
+                                 event->settle(end, err);
+                               });
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 mpi::Win Runtime::create_window(const ocl::BufferPtr& buf, std::size_t offset,
@@ -330,12 +281,10 @@ mpi::Win Runtime::create_window(const ocl::BufferPtr& buf, std::size_t offset,
   // hooks charge this device's pinned path, so an RMA access costs the same
   // PCIe legs as the equivalent staged two-sided transfer.
   mpi::StageHook ingress = [dev](vt::TimePoint ready, std::size_t bytes) {
-    const auto setup = dev->copy_engine().acquire(ready, dev->profile().pcie.pin_setup);
-    return dev->charge_dma(setup.end, bytes, /*to_device=*/true, /*pinned_host=*/true);
+    return dev->charge_pinned_dma(ready, bytes, /*to_device=*/true);
   };
   mpi::StageHook egress = [dev](vt::TimePoint ready, std::size_t bytes) {
-    const auto setup = dev->copy_engine().acquire(ready, dev->profile().pcie.pin_setup);
-    return dev->charge_dma(setup.end, bytes, /*to_device=*/false, /*pinned_host=*/true);
+    return dev->charge_pinned_dma(ready, bytes, /*to_device=*/false);
   };
   return mpi::create_window(comm, buf->storage().subspan(offset, size), rank_->clock(),
                             std::move(ingress), std::move(egress));
@@ -358,26 +307,21 @@ ocl::EventPtr Runtime::enqueue_put_buffer(ocl::CommandQueue& queue, const ocl::B
   const mpi::RmaOptions opts{rma_path_for(resolved), default_deadline()};
   auto* dev = device_;
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueuePutBuffer -> " + std::to_string(target), waits,
+  return submit(
+      queue, "clEnqueuePutBuffer -> " + std::to_string(target), waits, blocking,
       // `buf` kept alive until the payload is staged out; the window captures
       // the payload by value, so nothing references the buffer afterwards.
       [dev, buf, offset, size, target, target_offset, win,
        opts](vt::TimePoint ready, const ocl::EventPtr& event) mutable {
-        auto& prof = dev->profile();
-        const auto setup = dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-        const auto d2h =
-            dev->charge_dma(setup.end, size, /*to_device=*/false, /*pinned_host=*/true);
+        const auto d2h = dev->charge_pinned_dma(ready, size, /*to_device=*/false);
         std::vector<std::byte> payload(size);
         if (size > 0) std::memcpy(payload.data(), buf->storage().data() + offset, size);
         win.put(std::move(payload), target, target_offset, d2h.end, opts);
         // Local completion: the origin buffer is staged out and reusable.
         // The remote landing — and any transport fault — surfaces at the
         // window fence, on both endpoints.
-        static_cast<ocl::UserEvent&>(*event).set_complete(d2h.end);
+        event->settle(d2h.end);
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::enqueue_get_buffer(ocl::CommandQueue& queue, const ocl::BufferPtr& buf,
@@ -404,30 +348,22 @@ ocl::EventPtr Runtime::enqueue_get_buffer(ocl::CommandQueue& queue, const ocl::B
   auto* dev = device_;
 
   return submit(
-      queue, "clEnqueueGetBuffer <- " + std::to_string(target), waits,
+      queue, "clEnqueueGetBuffer <- " + std::to_string(target), waits, /*blocking=*/false,
       // `buf` captured into the sink and completion: the destination buffer
       // stays alive until the fence lands the data.
       [dev, buf, offset, size, target, target_offset, win,
        opts](vt::TimePoint ready, const ocl::EventPtr& event) mutable {
         mpi::RmaSink sink = [dev, buf, offset](vt::TimePoint wire_end,
                                                std::span<const std::byte> data) {
-          const auto setup =
-              dev->copy_engine().acquire(wire_end, dev->profile().pcie.pin_setup);
-          const auto h2d = dev->charge_dma(setup.end, data.size(), /*to_device=*/true,
-                                           /*pinned_host=*/true);
+          const auto h2d = dev->charge_pinned_dma(wire_end, data.size(), /*to_device=*/true);
           if (!data.empty()) {
             std::memcpy(buf->storage().data() + offset, data.data(), data.size());
           }
           return h2d.end;
         };
         win.get(std::move(sink), size, target, target_offset, ready, opts,
-                [event, buf](vt::TimePoint end, std::exception_ptr err) {
-                  auto& uev = static_cast<ocl::UserEvent&>(*event);
-                  if (err) {
-                    uev.mark_failed(end, std::move(err));
-                  } else {
-                    uev.set_complete(end);
-                  }
+                [event, buf](vt::TimePoint end, const std::exception_ptr& err) {
+                  event->settle(end, err);
                 });
       });
 }
@@ -437,19 +373,16 @@ ocl::EventPtr Runtime::enqueue_window_fence(ocl::CommandQueue& queue, mpi::Win w
   if (!win.valid()) {
     throw Error("invalid RMA window handle", Status::invalid_window);
   }
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueWindowFence", waits,
+  return submit(
+      queue, "clEnqueueWindowFence", waits, blocking,
       // The fence blocks the dispatcher until every rank of the window has
       // fenced — the MPI collective contract, lifted to the command queue.
       // Queue order guarantees every access enqueued before the fence was
       // registered first. Transport faults rethrow here (typed) and poison
       // the fence event via the job's failure path.
       [win](vt::TimePoint ready, const ocl::EventPtr& event) mutable {
-        const vt::TimePoint end = win.fence(ready);
-        static_cast<ocl::UserEvent&>(*event).set_complete(end);
+        event->settle(win.fence(ready));
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::enqueue_bcast_buffer(ocl::CommandQueue& queue,
@@ -463,44 +396,30 @@ ocl::EventPtr Runtime::enqueue_bcast_buffer(ocl::CommandQueue& queue,
   const bool is_root = comm.rank() == root;
   mpi::Comm* comm_ptr = &comm;
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueBcastBuffer root=" + std::to_string(root), waits,
+  return submit(
+      queue, "clEnqueueBcastBuffer root=" + std::to_string(root), waits, blocking,
       [dev, buf, offset, size, root, is_root, comm_ptr](vt::TimePoint ready,
                                                         const ocl::EventPtr& event) {
-        auto& prof = dev->profile();
         auto bounce = std::make_shared<xfer::StagingBuffer>(size);
         vt::TimePoint wire_ready = ready;
         if (is_root) {
           // Stage the payload down through the pinned path first.
-          const auto setup = dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-          const auto d2h =
-              dev->charge_dma(setup.end, size, /*to_device=*/false, /*pinned_host=*/true);
+          wire_ready = dev->charge_pinned_dma(ready, size, /*to_device=*/false).end;
           std::memcpy(bounce->data(), buf->storage().data() + offset, size);
-          wire_ready = d2h.end;
         }
         vt::Clock wire_clock(wire_ready);
         mpi::Request req = comm_ptr->ibcast(bounce->span(), root, wire_clock);
-        auto req_state = req.state();
-        req.on_complete([dev, buf, offset, size, is_root, bounce, req_state,
-                         event](vt::TimePoint when, const mpi::MsgStatus&) {
-          if (std::exception_ptr err = req_state->error()) {
-            static_cast<ocl::UserEvent&>(*event).mark_failed(when, std::move(err));
+        req.on_settle([dev, buf, offset, size, is_root, bounce, event](
+                          vt::TimePoint when, const std::exception_ptr& err) {
+          if (err || is_root) {
+            event->settle(when, err);
             return;
           }
-          if (is_root) {
-            static_cast<ocl::UserEvent&>(*event).set_complete(when);
-            return;
-          }
-          const auto setup =
-              dev->copy_engine().acquire(when, dev->profile().pcie.pin_setup);
-          const auto h2d =
-              dev->charge_dma(setup.end, size, /*to_device=*/true, /*pinned_host=*/true);
+          const auto h2d = dev->charge_pinned_dma(when, size, /*to_device=*/true);
           std::memcpy(buf->storage().data() + offset, bounce->data(), size);
-          static_cast<ocl::UserEvent&>(*event).set_complete(h2d.end);
+          event->settle(h2d.end);
         });
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::enqueue_write_file(ocl::CommandQueue& queue,
@@ -513,15 +432,13 @@ ocl::EventPtr Runtime::enqueue_write_file(ocl::CommandQueue& queue,
   auto* dev = device_;
   auto* disk = &disk_;
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueWriteFile " + path, waits,
+  return submit(
+      queue, "clEnqueueWriteFile " + path, waits, blocking,
       [dev, disk, buf, offset, size, path = std::move(path)](vt::TimePoint ready,
                                                              const ocl::EventPtr& event) {
         auto& prof = dev->profile();
         // Stage down through the pinned path, then stream to storage.
-        const auto setup = dev->copy_engine().acquire(ready, prof.pcie.pin_setup);
-        const auto d2h =
-            dev->charge_dma(setup.end, size, /*to_device=*/false, /*pinned_host=*/true);
+        const auto d2h = dev->charge_pinned_dma(ready, size, /*to_device=*/false);
         const auto io = disk->acquire(d2h.end, prof.storage.of(size));
 
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -530,10 +447,8 @@ ocl::EventPtr Runtime::enqueue_write_file(ocl::CommandQueue& queue,
                   static_cast<std::streamsize>(size));
         CLMPI_REQUIRE(out.good(), "short write to file: " + path);
         out.close();
-        static_cast<ocl::UserEvent&>(*event).set_complete(io.end);
+        event->settle(io.end);
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::enqueue_read_file(ocl::CommandQueue& queue, const ocl::BufferPtr& buf,
@@ -545,8 +460,8 @@ ocl::EventPtr Runtime::enqueue_read_file(ocl::CommandQueue& queue, const ocl::Bu
   auto* dev = device_;
   auto* disk = &disk_;
 
-  ocl::EventPtr ev = submit(
-      queue, "clEnqueueReadFile " + path, waits,
+  return submit(
+      queue, "clEnqueueReadFile " + path, waits, blocking,
       [dev, disk, buf, offset, size, path = std::move(path)](vt::TimePoint ready,
                                                              const ocl::EventPtr& event) {
         auto& prof = dev->profile();
@@ -559,27 +474,16 @@ ocl::EventPtr Runtime::enqueue_read_file(ocl::CommandQueue& queue, const ocl::Bu
         CLMPI_REQUIRE(static_cast<std::size_t>(in.gcount()) == size,
                       "short read from file: " + path);
 
-        const auto setup = dev->copy_engine().acquire(io.end, prof.pcie.pin_setup);
-        const auto h2d =
-            dev->charge_dma(setup.end, size, /*to_device=*/true, /*pinned_host=*/true);
-        static_cast<ocl::UserEvent&>(*event).set_complete(h2d.end);
+        event->settle(dev->charge_pinned_dma(io.end, size, /*to_device=*/true).end);
       });
-  if (blocking) traced_wait(ev, "wait " + ev->label());
-  return ev;
 }
 
 ocl::EventPtr Runtime::event_from_request(mpi::Request req) {
   CLMPI_REQUIRE(req.valid(), "event from a null request");
   auto event = std::make_shared<ocl::UserEvent>("mpi-request");
   event->mark_queued(rank_->clock().now());
-  auto state = req.state();
-  req.on_complete([event, state](vt::TimePoint when, const mpi::MsgStatus&) {
-    if (std::exception_ptr err = state->error()) {
-      event->mark_failed(when, std::move(err));
-    } else {
-      event->set_complete(when);
-    }
-  });
+  req.on_settle(
+      [event](vt::TimePoint when, const std::exception_ptr& err) { event->settle(when, err); });
   return event;
 }
 
@@ -595,7 +499,7 @@ mpi::Request Runtime::isend_cl_mem(std::span<const std::byte> data, int dst, int
   for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
     subs.push_back(comm.isend(data.subspan(b.offset, b.size), dst, b.tag, ready, b.opts));
   }
-  return aggregate_requests(std::move(subs), mpi::MsgStatus{dst, tag, data.size()});
+  return join_requests(std::move(subs), mpi::MsgStatus{dst, tag, data.size()});
 }
 
 mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
@@ -610,7 +514,7 @@ mpi::Request Runtime::irecv_cl_mem(std::span<std::byte> data, int src, int tag,
   for (const auto& b : xfer::detail::wire_blocks(data.size(), tag, strategy, deadline)) {
     subs.push_back(comm.irecv(data.subspan(b.offset, b.size), src, b.tag, ready, b.opts));
   }
-  return aggregate_requests(std::move(subs), mpi::MsgStatus{src, tag, data.size()});
+  return join_requests(std::move(subs), mpi::MsgStatus{src, tag, data.size()});
 }
 
 /// What init time froze: the per-block comm-level persistent handles plus
@@ -676,7 +580,7 @@ mpi::Request Runtime::start(const PersistentRequest& req) {
   std::vector<mpi::Request> live;
   live.reserve(impl.subs.size());
   for (mpi::PersistentRequest& sub : impl.subs) live.push_back(sub.start(ready));
-  return aggregate_requests(std::move(live), impl.st);
+  return join_requests(std::move(live), impl.st);
 }
 
 void Runtime::send_cl_mem(std::span<const std::byte> data, int dst, int tag,

@@ -233,20 +233,22 @@ class Runtime {
   void finish(vt::Clock& clock);
 
  private:
+  /// Posts a released command; settles its event, now or from a callback.
+  using Post = std::function<void(vt::TimePoint ready, const ocl::EventPtr& event)>;
   struct Job {
     std::vector<ocl::EventPtr> waits;
     vt::TimePoint enqueue_time;
-    std::function<void(vt::TimePoint ready)> post;
-    /// Poison the command's event when release or posting fails.
-    std::function<void(vt::TimePoint, std::exception_ptr)> fail;
+    /// Settled with the failure when release or posting fails.
+    ocl::EventPtr event;
+    Post post;
   };
 
+  /// Queue a command for the dispatcher and return its event; a blocking
+  /// command then waits for it, recorded as a wait span on the rank's host
+  /// lane when a tracer is attached.
   ocl::EventPtr submit(ocl::CommandQueue& queue, std::string label, ocl::WaitList waits,
-                       std::function<void(vt::TimePoint, const ocl::EventPtr&)> post);
+                       bool blocking, Post post);
   void dispatcher_loop();
-  /// Blocking wait on a command's event, recorded as a wait span on the
-  /// rank's host lane when a tracer is attached.
-  void traced_wait(const ocl::EventPtr& ev, std::string what);
 
   mpi::Rank* rank_;
   ocl::Device* device_;

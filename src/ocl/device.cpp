@@ -26,6 +26,12 @@ vt::Resource::Span Device::charge_dma(vt::TimePoint ready, std::size_t bytes, bo
   return span;
 }
 
+vt::Resource::Span Device::charge_pinned_dma(vt::TimePoint ready, std::size_t bytes,
+                                             bool to_device) {
+  const auto setup = copy_.acquire(ready, profile_->pcie.pin_setup);
+  return charge_dma(setup.end, bytes, to_device, /*pinned_host=*/true);
+}
+
 vt::Resource::Span Device::charge_kernel(vt::TimePoint ready, vt::Duration cost,
                                          const std::string& label) {
   const auto span = compute_.acquire(ready, cost);

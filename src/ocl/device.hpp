@@ -36,6 +36,11 @@ class Device {
   vt::Resource::Span charge_dma(vt::TimePoint ready, std::size_t bytes, bool to_device,
                                 bool pinned_host);
 
+  /// Charge a DMA staged through a freshly pinned host buffer: the pin
+  /// setup on the copy engine, then a pinned charge_dma after it. Returns the
+  /// DMA's span.
+  vt::Resource::Span charge_pinned_dma(vt::TimePoint ready, std::size_t bytes, bool to_device);
+
   /// Charge a kernel launch of duration `cost` on the compute engine.
   vt::Resource::Span charge_kernel(vt::TimePoint ready, vt::Duration cost,
                                    const std::string& label);

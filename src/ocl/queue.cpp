@@ -11,25 +11,6 @@ namespace clmpi::ocl {
 namespace {
 /// Host CPU cost of one enqueue call (driver overhead).
 constexpr vt::Duration kEnqueueOverhead = vt::microseconds(2.0);
-
-/// Blocking host-side wait, recorded as a wait span on the host lane (the
-/// time the calling thread spent stalled on the device, Figure 4's idle
-/// segments). Failed waits rethrow without recording: the failure time is
-/// deterministic, so the trace stays seed-stable either way.
-void traced_wait(Device& dev, const EventPtr& ev, vt::Clock& clock, std::string what) {
-  vt::Tracer* tracer = dev.tracer();
-  if (tracer == nullptr) {
-    ev->wait(clock);
-    return;
-  }
-  const vt::TimePoint t0 = clock.now();
-  ev->wait(clock);
-  const vt::TimePoint t1 = clock.now();
-  if (t1.s > t0.s) {
-    tracer->record("host" + std::to_string(dev.node()), std::move(what), vt::SpanKind::wait,
-                   t0, t1);
-  }
-}
 }  // namespace
 
 CommandQueue::CommandQueue(Context& ctx, Device& dev, std::string label, QueueOrder order)
@@ -99,13 +80,13 @@ void CommandQueue::worker_loop() {
       // Count before completing the event: finish() observers must see the
       // command as executed once its event fires.
       ++executed_;
-      cmd.event->mark_complete(span.end);
+      cmd.event->settle(span.end);
     } catch (...) {
       // A failed command (or failed dependency) poisons this command's
       // event; waiters rethrow. The queue itself keeps running.
       prev_end_ = ready;
       ++executed_;
-      cmd.event->mark_failed(ready, std::current_exception());
+      cmd.event->settle(ready, std::current_exception());
     }
   }
 }
@@ -124,7 +105,9 @@ EventPtr CommandQueue::enqueue_read_buffer(const BufferPtr& buf, bool blocking,
         std::memcpy(dst, buf->storage().data() + offset, size);
         return span;
       });
-  if (blocking) traced_wait(*device_, ev, clock, "wait read " + buf->label());
+  if (blocking) {
+    traced_wait(ev, clock, device_->tracer(), device_->node(), "wait read " + buf->label());
+  }
   return ev;
 }
 
@@ -142,7 +125,9 @@ EventPtr CommandQueue::enqueue_write_buffer(const BufferPtr& buf, bool blocking,
         std::memcpy(buf->storage().data() + offset, src, size);
         return span;
       });
-  if (blocking) traced_wait(*device_, ev, clock, "wait write " + buf->label());
+  if (blocking) {
+    traced_wait(ev, clock, device_->tracer(), device_->node(), "wait write " + buf->label());
+  }
   return ev;
 }
 
@@ -176,7 +161,9 @@ CommandQueue::Mapping CommandQueue::enqueue_map_buffer(const BufferPtr& buf, boo
                        const auto cost = dev->profile().pcie.map_setup;
                        return dev->copy_engine().acquire(ready, cost);
                      });
-  if (blocking) traced_wait(*device_, ev, clock, "wait map " + buf->label());
+  if (blocking) {
+    traced_wait(ev, clock, device_->tracer(), device_->node(), "wait map " + buf->label());
+  }
   return {ptr, ev};
 }
 
@@ -229,7 +216,7 @@ void CommandQueue::finish(vt::Clock& clock) {
   // A barrier covers both orderings: on an in-order queue it drains by
   // queue position; on an out-of-order queue it waits everything enqueued.
   EventPtr barrier = enqueue_barrier({}, clock);
-  traced_wait(*device_, barrier, clock, "clFinish " + label_);
+  traced_wait(barrier, clock, device_->tracer(), device_->node(), "clFinish " + label_);
 }
 
 }  // namespace clmpi::ocl

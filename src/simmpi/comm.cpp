@@ -58,9 +58,7 @@ void tenant_admit_p2p(detail::ClusterCore* core,
     job->check_cancelled(where);
     job->charge_mailbox();
     state->on_settle(
-        [job](vt::TimePoint, const MsgStatus&, const std::exception_ptr&) noexcept {
-          job->credit_mailbox();
-        });
+        [job](vt::TimePoint, const std::exception_ptr&) noexcept { job->credit_mailbox(); });
   }
   if (armed) core->register_pending(state);
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "simmpi/cluster_core.hpp"
@@ -127,32 +129,63 @@ std::size_t Mailbox::ChannelHash::operator()(const ChannelKey& k) const noexcept
   return static_cast<std::size_t>(h);
 }
 
-std::string Mailbox::describe_block_mismatch(int node) const {
+namespace {
+
+/// Pipeline blocks k = first..last of one channel, still pending on one
+/// side while block 0 is not: the other side matched blocks 0..first-1 and
+/// has no more.
+struct OrphanBlocks {
+  int src_rank;
+  int base;  ///< subtag of block 0
+  int first;
+  int last;
+  std::size_t decomp;  ///< the pending side's wire decomposition
+};
+
+/// The first orphan run among `queues` (unexpected sends or posted
+/// receives, keyed by exact channel) whose head `involved` accepts.
+template <typename Queues, typename Involved>
+std::optional<OrphanBlocks> find_orphan_blocks(const Queues& queues, Involved&& involved) {
   constexpr int kFirst = pipeline_subtag(0, 0);
-  for (const auto& [key, fifo] : unexpected_) {
-    if (fifo.empty() || key.tag < kFirst) continue;
-    if (node_ != node && fifo.front().src_node != node) continue;
+  for (const auto& [key, fifo] : queues) {
+    if (fifo.empty() || key.tag < kFirst || !involved(fifo.front())) continue;
     const int base = key.tag - (key.tag - kFirst) % 64;
-    const auto queued = [&](int k) {
+    const auto pending = [&](int k) {
       if (k >= 64) return false;
-      const auto it = unexpected_.find(ChannelKey{key.src_rank, base + k, key.context});
-      return it != unexpected_.end() && !it->second.empty();
+      const auto it = queues.find(typename Queues::key_type{key.src_rank, base + k, key.context});
+      return it != queues.end() && !it->second.empty();
     };
-    // Blocks queued while block 0 is not: the receiver matched blocks
-    // 0..first-1 and has no more, the sender's run to `last`.
-    if (queued(0)) continue;
+    if (pending(0)) continue;
     int first = key.tag - base;
     int last = first;
-    while (queued(first - 1)) --first;
-    while (queued(last + 1)) ++last;
-    return "pipelined block-count mismatch on tag " + std::to_string((base - kFirst) / 64) +
-           " from rank " + std::to_string(key.src_rank) + " to rank " + std::to_string(node_) +
-           ": the sender's wire decomposition is " + std::to_string(last + 1) + " " +
-           describe_decomp(fifo.front().wire_decomp) + ", the receiver's has " +
-           std::to_string(first) + " block(s); blocks " + std::to_string(first) + ".." +
-           std::to_string(last) + " can never match";
+    while (pending(first - 1)) --first;
+    while (pending(last + 1)) ++last;
+    return OrphanBlocks{key.src_rank, base, first, last, fifo.front().wire_decomp};
   }
-  return {};
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string Mailbox::describe_block_mismatch(int node) const {
+  // Sends left unexpected: the receiver posted fewer blocks. Receives left
+  // posted: the sender sent fewer blocks.
+  const char* longer = "sender";
+  const char* shorter = "receiver";
+  std::optional<OrphanBlocks> run = find_orphan_blocks(
+      unexpected_, [&](const Envelope& env) { return node_ == node || env.src_node == node; });
+  if (!run) {
+    std::swap(longer, shorter);
+    run = find_orphan_blocks(posted_, [&](const PostedRecv&) { return node_ == node; });
+  }
+  if (!run) return {};
+  return "pipelined block-count mismatch on tag " +
+         std::to_string((run->base - pipeline_subtag(0, 0)) / 64) + " from rank " +
+         std::to_string(run->src_rank) + " to rank " + std::to_string(node_) + ": the " +
+         longer + "'s wire decomposition is " + std::to_string(run->last + 1) + " " +
+         describe_decomp(run->decomp) + ", the " + shorter + "'s has " +
+         std::to_string(run->first) + " block(s); blocks " + std::to_string(run->first) +
+         ".." + std::to_string(run->last) + " can never match";
 }
 
 void Mailbox::withdraw(const ctx::ExecContext* poster, const RequestState* req,

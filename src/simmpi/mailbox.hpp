@@ -180,8 +180,10 @@ class Mailbox {
   std::pair<MsgStatus, vt::TimePoint> probe(int src_rank, int tag, int context);
 
   /// Deadlock diagnosis: a pipelined send queued here, from or to `node`,
-  /// whose receiver split it into fewer blocks, so its later blocks can
-  /// never match. Names both wire decompositions; empty when there is none.
+  /// whose receiver split it into fewer blocks, or a pipelined receive
+  /// posted here, on `node`, whose sender split it into fewer blocks, so
+  /// the later blocks can never match. Names both wire decompositions; empty
+  /// when there is none.
   [[nodiscard]] std::string describe_block_mismatch(int node) const;
 
   /// Unlink every pending receive and rendezvous send `poster` (any task

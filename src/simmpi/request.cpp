@@ -25,22 +25,12 @@ bool Request::test(vt::Clock& clock) {
 }
 
 void Request::wait(vt::Clock& clock) {
-  if (!state_) return;
-  try {
-    clock.sync_to(state_->block_until_done());
-  } catch (...) {
-    // A failed operation still resolved at a definite virtual time: move the
-    // waiter's clock there before rethrowing so nothing the waiter does next
-    // can be scheduled before the failure it just observed. (A wait refused
-    // off a strand leaves the operation pending.)
-    if (state_->done()) clock.sync_to(state_->completion_time());
-    throw;
-  }
+  if (state_) state_->wait(clock);
 }
 
 vt::TimePoint Request::wait() {
   if (!state_) return {};
-  return state_->block_until_done();
+  return state_->wait();
 }
 
 MsgStatus Request::status() const {
@@ -57,13 +47,7 @@ std::exception_ptr Request::error() const {
   return state_ != nullptr ? state_->error() : nullptr;
 }
 
-void Request::on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn) {
-  CLMPI_REQUIRE(state_ != nullptr, "on_complete() on a null request");
-  state_->on_complete(std::move(fn));
-}
-
-void Request::on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
-                                           const std::exception_ptr&)> fn) {
+void Request::on_settle(vt::Completion::Callback fn) {
   CLMPI_REQUIRE(state_ != nullptr, "on_settle() on a null request");
   state_->on_settle(std::move(fn));
 }
@@ -122,9 +106,9 @@ std::exception_ptr RequestState::make_timeout_error() const {
 
 void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error) {
   // A real resolution after the deadline rescue (or a cancel) is ignored:
-  // the operation's outcome was already fixed.
-  if (done_ && timed_out_) return;
-  CLMPI_REQUIRE(!done_, "request completed twice");
+  // the operation's outcome was already fixed. (A second real resolution
+  // throws from the core.)
+  if (core_.done() && timed_out_) return;
   if (deadline_armed_ && when > deadline_) {
     // Deterministic clamp: the operation resolved past its deadline, so the
     // observable outcome is a timeout AT the deadline — the same outcome the
@@ -138,14 +122,8 @@ void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr e
 }
 
 void RequestState::resolve(vt::TimePoint when, const MsgStatus& st, std::exception_ptr error) {
-  done_ = true;
-  completion_ = when;
   status_ = st;
-  error_ = std::move(error);
-  const std::exception_ptr err = error_;
-  auto to_run = std::move(callbacks_);
-  callbacks_.clear();
-  for (auto& fn : to_run) fn(when, st, err);
+  core_.settle(when, std::move(error));
 }
 
 void RequestState::complete(vt::TimePoint when, const MsgStatus& st) {
@@ -157,7 +135,7 @@ void RequestState::fail(vt::TimePoint when, std::exception_ptr error) {
 }
 
 void RequestState::arm_deadline(vt::TimePoint deadline) {
-  CLMPI_REQUIRE(!done_, "arm_deadline on a completed request");
+  CLMPI_REQUIRE(!core_.done(), "arm_deadline on a completed request");
   deadline_armed_ = true;
   deadline_ = deadline;
 }
@@ -174,7 +152,7 @@ bool RequestState::rescue_timeout() {
 }
 
 bool RequestState::cancel_now(std::exception_ptr error) {
-  if (done_) return false;
+  if (core_.done()) return false;
   // Fix the outcome here: a real resolution after the cancel is ignored by
   // settle() (same protocol as the deadline rescue).
   timed_out_ = true;
@@ -182,44 +160,32 @@ bool RequestState::cancel_now(std::exception_ptr error) {
   return true;
 }
 
-std::exception_ptr RequestState::error() const { return error_; }
+void RequestState::count_blocking_wait() const {
+  if (!core_.done() && obs::metrics_enabled()) progress_metrics().blocking_waits.add();
+}
 
-vt::TimePoint RequestState::block_until_done() {
-  if (!done_) {
-    if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
-    // Poll-yield: the waiting fiber stays in its strand's rotation and
-    // re-polls per resume, so peer ranks (and the service fibers completing
-    // this request) keep running. A deadline that nothing will meet is
-    // rescued by the cluster's backstop once the strand goes idle.
-    sched::wait([this] { return done_; }, "mpi.request.wait");
-  }
-  if (error_) std::rethrow_exception(error_);
-  return completion_;
+// Poll-yield: the waiting fiber stays in its strand's rotation and re-polls
+// per resume, so peer ranks (and the service fibers completing this request)
+// keep running. A deadline that nothing will meet is rescued by the
+// cluster's backstop once the strand goes idle.
+vt::TimePoint RequestState::wait() {
+  count_blocking_wait();
+  return core_.wait("mpi.request.wait");
+}
+
+void RequestState::wait(vt::Clock& clock) {
+  count_blocking_wait();
+  core_.wait(clock, "mpi.request.wait");
 }
 
 MsgStatus RequestState::status() const {
-  CLMPI_REQUIRE(done_, "status of an incomplete request");
+  CLMPI_REQUIRE(core_.done(), "status of an incomplete request");
   return status_;
 }
 
-vt::TimePoint RequestState::completion_time() const {
-  CLMPI_REQUIRE(done_, "completion_time of an incomplete request");
-  return completion_;
-}
-
-void RequestState::on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn) {
-  on_settle([fn = std::move(fn)](vt::TimePoint when, const MsgStatus& st,
-                                 const std::exception_ptr&) { fn(when, st); });
-}
-
-void RequestState::on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
-                                                const std::exception_ptr&)> fn) {
-  if (done_) {
-    fn(completion_, status_, error_);
-    return;
-  }
-  callbacks_.push_back(std::move(fn));
-  if (obs::metrics_enabled()) progress_metrics().continuations.add();
+void RequestState::on_settle(vt::Completion::Callback fn) {
+  if (!core_.done() && obs::metrics_enabled()) progress_metrics().continuations.add();
+  core_.on_settle(std::move(fn));
 }
 
 }  // namespace detail

@@ -1,22 +1,23 @@
 // Non-blocking operation handles, the analogue of MPI_Request.
 //
-// A Request is a shared handle to the completion state of one Isend/Irecv.
-// Completion carries a *virtual* timestamp; waiting synchronizes the waiting
-// rank's virtual clock forward to it. The state belongs to its cluster's
-// strand and holds no lock. Completion callbacks are the hook
-// clMPI uses to implement clCreateEventFromMPIRequest without polling.
+// A Request is a shared handle to the completion state of one Isend/Irecv:
+// a vt::Completion (the object an ocl::Event is built on too) plus the
+// matched-message status and the deadline protocol. Completion carries a
+// *virtual* timestamp; waiting synchronizes the waiting rank's virtual clock
+// forward to it. The state belongs to its cluster's strand and holds no
+// lock. Settle callbacks are the hook clMPI uses to implement
+// clCreateEventFromMPIRequest without polling.
 #pragma once
 
 #include <exception>
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "vt/clock.hpp"
+#include "vt/completion.hpp"
 #include "vt/time.hpp"
 
 namespace clmpi::mpi {
@@ -60,20 +61,14 @@ class Request {
   [[nodiscard]] vt::TimePoint completion_time() const;
 
   /// The operation's failure, if any (nullptr while pending or on success).
-  /// Lets completion callbacks observe faults without rethrowing.
   [[nodiscard]] std::exception_ptr error() const;
 
-  /// Invoke `fn(completion_time, status)` when the request completes (or
-  /// immediately if it already has). Callbacks run on the completing fiber.
-  void on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn);
-
-  /// Full-information continuation: `fn(when, status, error)` fires exactly
-  /// once when the request settles — successfully (error == nullptr) or not.
-  /// This is the progress engine's chaining primitive; every blocking wait
-  /// is a thin shim over it. Callbacks run on the settling fiber and must
-  /// not block on other ranks' progress.
-  void on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
-                                    const std::exception_ptr&)> fn);
+  /// Continuation: `fn(when, error)` fires exactly once when the request
+  /// settles — successfully (error == nullptr) or not — or at once if it
+  /// already has; status() is readable from inside it. This is the progress
+  /// engine's chaining primitive. Callbacks run on the settling fiber and
+  /// must not block on other ranks' progress.
+  void on_settle(vt::Completion::Callback fn);
 
   /// Internal: runtime-side access to the shared state.
   [[nodiscard]] const std::shared_ptr<detail::RequestState>& state() const noexcept {
@@ -104,6 +99,9 @@ class RequestState;
 std::shared_ptr<RequestState> make_request_state();
 
 /// Shared completion state; created pending, completed exactly once.
+/// Waits and settle callbacks are the vt::Completion's; on top of it this
+/// keeps the matched status and the deadline clamp, rescue and cancel, and
+/// counts progress.blocking_waits and progress.continuations.
 class RequestState {
  public:
   void complete(vt::TimePoint when, const MsgStatus& st);
@@ -141,42 +139,40 @@ class RequestState {
   /// cancelled jobs make no determinism claims about their timeline.
   bool cancel_now(std::exception_ptr error);
 
-  [[nodiscard]] bool done() const noexcept { return done_; }
-  /// Blocks until complete; rethrows the operation's exception on failure.
-  /// Poll-yields the calling fiber; off a strand a pending request throws
-  /// PreconditionError (nothing there could complete it). Counts
-  /// progress.blocking_waits on entry when the request is still pending.
-  vt::TimePoint block_until_done();
+  [[nodiscard]] bool done() const noexcept { return core_.done(); }
+  /// Blocks until complete, returning the completion time; rethrows the
+  /// operation's exception on failure. Poll-yields the calling fiber; off a
+  /// strand a pending request throws PreconditionError (nothing there could
+  /// complete it). Counts progress.blocking_waits on entry when the request
+  /// is still pending.
+  vt::TimePoint wait();
+  /// wait(), then synchronize `clock` to the completion (or failure) time.
+  void wait(vt::Clock& clock);
   /// The carried failure, if any (nullptr while pending or on success).
-  [[nodiscard]] std::exception_ptr error() const;
+  [[nodiscard]] std::exception_ptr error() const { return core_.error(); }
   [[nodiscard]] MsgStatus status() const;
-  [[nodiscard]] vt::TimePoint completion_time() const;
-  void on_complete(std::function<void(vt::TimePoint, const MsgStatus&)> fn);
-  void on_settle(std::function<void(vt::TimePoint, const MsgStatus&,
-                                    const std::exception_ptr&)> fn);
+  [[nodiscard]] vt::TimePoint completion_time() const { return core_.when(); }
+  /// Counts progress.continuations when the request is still pending.
+  void on_settle(vt::Completion::Callback fn);
 
  private:
   /// Completion path of complete/fail: applies the deadline clamp.
   void settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error);
-  /// Record the outcome and fire the callbacks; shared by settle and the
+  /// Record the status and settle the core; shared by settle and the
   /// rescue/cancel paths.
   void resolve(vt::TimePoint when, const MsgStatus& st, std::exception_ptr error);
+  void count_blocking_wait() const;
 
   [[nodiscard]] std::exception_ptr make_timeout_error() const;
 
-  bool done_{false};
+  vt::Completion core_;
   bool deadline_armed_{false};
   /// True when the request resolved as a deadline timeout (or a cancel); a
   /// late real completion after the rescue is then ignored (the operation's
   /// outcome was already fixed at the deadline).
   bool timed_out_{false};
   vt::TimePoint deadline_{};
-  vt::TimePoint completion_{};
   MsgStatus status_{};
-  std::exception_ptr error_;
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      callbacks_;
 };
 
 }  // namespace detail

@@ -77,6 +77,25 @@ struct WindowShared {
 
   void apply_epoch();
   vt::TimePoint apply_one(const PendingOp& op);
+
+  /// One fence or free round: `rank` arrives at `ready`. The last rank to
+  /// arrive runs `close` (enter_max then holds the latest arrival) and
+  /// releases the others, which wait at `site`.
+  template <typename Close>
+  void round(int rank, vt::TimePoint ready, const char* site, Close&& close) {
+    in_rendezvous[static_cast<std::size_t>(rank)] = 1;
+    enter_max = vt::max(enter_max, ready);
+    const std::uint64_t my_gen = generation;
+    if (++arrived == nranks) {
+      close();
+      arrived = 0;
+      enter_max = {};
+      std::fill(in_rendezvous.begin(), in_rendezvous.end(), 0);
+      ++generation;
+    } else {
+      sched::wait([&] { return generation != my_gen; }, site);
+    }
+  }
 };
 
 /// Apply every access of the closing epoch. Called by the last rank to
@@ -299,18 +318,7 @@ vt::TimePoint Win::fence(vt::TimePoint ready) {
   CLMPI_REQUIRE(shared_ != nullptr, "fence on an empty window handle");
   auto sh = shared_;
   if (sh->freed) throw Error("fence on a freed window", Status::invalid_window);
-  sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
-  sh->enter_max = vt::max(sh->enter_max, ready);
-  const std::uint64_t my_gen = sh->generation;
-  if (++sh->arrived == sh->nranks) {
-    sh->apply_epoch();
-    sh->arrived = 0;
-    sh->enter_max = {};
-    std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
-    ++sh->generation;
-  } else {
-    sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.fence");
-  }
+  sh->round(rank_, ready, "mpi.win.fence", [&] { sh->apply_epoch(); });
   // Read before this fiber yields again: the next round's apply cannot run
   // until this rank re-arrives, so round_end / rank_fault are this round's.
   const vt::TimePoint end = sh->round_end;
@@ -337,10 +345,7 @@ void Win::free(vt::Clock& clock) {
   auto sh = shared_;
   shared_.reset();
   if (sh->freed) throw Error("double free of a window", Status::invalid_window);
-  sh->in_rendezvous[static_cast<std::size_t>(rank_)] = 1;
-  sh->enter_max = vt::max(sh->enter_max, clock.now());
-  const std::uint64_t my_gen = sh->generation;
-  if (++sh->arrived == sh->nranks) {
+  sh->round(rank_, clock.now(), "mpi.win.free", [&] {
     // Freeing with accesses still pending is an epoch-protocol violation:
     // fail them (typed, never silently dropped) instead of applying.
     std::fill(sh->rank_fault.begin(), sh->rank_fault.end(), 0);
@@ -355,13 +360,7 @@ void Win::free(vt::Clock& clock) {
     sh->pending.clear();
     sh->round_end = sh->enter_max;
     sh->freed = true;
-    sh->arrived = 0;
-    sh->enter_max = {};
-    std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
-    ++sh->generation;
-  } else {
-    sched::wait([&] { return sh->generation != my_gen; }, "mpi.win.free");
-  }
+  });
   const vt::TimePoint end = sh->round_end;
   const bool had_pending = sh->rank_fault[static_cast<std::size_t>(rank_)] == 3;
   clock.sync_to(end);

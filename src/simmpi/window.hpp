@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "vt/clock.hpp"
+#include "vt/completion.hpp"
 #include "vt/resource.hpp"
 #include "vt/time.hpp"
 
@@ -80,7 +81,7 @@ using RmaSink = std::function<vt::TimePoint(vt::TimePoint wire_end,
 /// completion time; `error` is null on success, or carries the typed failure
 /// (MessageDroppedError / TimeoutError / Error with Status::rma_epoch when
 /// the window was freed underneath the access).
-using RmaCompletion = std::function<void(vt::TimePoint end, std::exception_ptr error)>;
+using RmaCompletion = vt::Completion::Callback;
 
 /// Per-rank handle to a window (copyable, shared-state). Obtain from
 /// create_window; all ranks of the communicator must participate in every

@@ -11,7 +11,6 @@
 #include "simmpi/datatype.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
-#include "support/sched.hpp"
 #include "transfer/staging.hpp"
 #include "transfer/wire.hpp"
 
@@ -33,25 +32,6 @@ void check_endpoint(const DeviceEndpoint& ep) {
 void copy_bytes(std::byte* dst, const std::byte* src, std::size_t n) {
   if (n > 0) std::memcpy(dst, src, n);
 }
-
-/// Shared countdown for multi-request transfers: fires `done` with the
-/// latest completion time once `remaining` hits zero, carrying the first
-/// sub-request failure (if any). Waiting for every sub-request — even after
-/// one fails — keeps bounce buffers alive until no envelope references them.
-struct Countdown {
-  Countdown(std::size_t n, DoneFn fn) : remaining(n), done(std::move(fn)) {}
-
-  void arrive(vt::TimePoint when, std::exception_ptr err) {
-    latest = vt::max(latest, when);
-    if (err && !error) error = std::move(err);
-    if (--remaining == 0) done(latest, error);
-  }
-
-  std::size_t remaining;
-  vt::TimePoint latest;
-  std::exception_ptr error;
-  DoneFn done;
-};
 
 /// The stage before a strategy's first wire message: the pinned bounce
 /// ring's setup on the copy engine (pinned, pipelined), the host mapping of
@@ -93,7 +73,7 @@ void post(const DeviceEndpoint& ep, const Strategy& s, Direction dir, vt::TimePo
   if (stage == Setup::charge && s.kind == StrategyKind::mapped) {
     // Unmapping is latency after the last wire message, like the map.
     done = [unmap = dev->profile().pcie.map_setup, inner = std::move(done)](
-               vt::TimePoint t, std::exception_ptr err) { inner(t + unmap, std::move(err)); };
+               vt::TimePoint t, const std::exception_ptr& err) { inner(t + unmap, err); };
   }
   // Pinned and pipelined stage every block through a page-locked bounce
   // buffer (pinned is the one-block case); mapped and gpudirect hand device
@@ -101,7 +81,7 @@ void post(const DeviceEndpoint& ep, const Strategy& s, Direction dir, vt::TimePo
   const bool staged = s.kind == StrategyKind::pinned || s.kind == StrategyKind::pipelined;
   const std::vector<detail::WireBlock> blocks =
       detail::wire_blocks(ep.size, ep.tag, s, ep.deadline);
-  auto countdown = std::make_shared<Countdown>(blocks.size(), std::move(done));
+  const vt::Join arrive(blocks.size(), std::move(done));
   for (detail::WireBlock b : blocks) {
     const std::span<std::byte> region = ep.buf->storage().subspan(ep.offset + b.offset, b.size);
     std::span<std::byte> wire = region;
@@ -126,35 +106,28 @@ void post(const DeviceEndpoint& ep, const Strategy& s, Direction dir, vt::TimePo
     // The callback holds `bounce` until its envelope settles. A received
     // block is staged up as it arrives; nothing arrived on failure.
     const bool land = staged && dir == Direction::recv;
-    req.on_settle([dev, region, bounce, land, countdown](vt::TimePoint t, const mpi::MsgStatus&,
-                                                         const std::exception_ptr& err) {
+    req.on_settle([dev, region, bounce, land, arrive](vt::TimePoint t,
+                                                      const std::exception_ptr& err) {
       if (land && !err) {
         t = dev->charge_dma(t, region.size(), /*to_device=*/true, /*pinned_host=*/true).end;
         copy_bytes(region.data(), bounce->data(), region.size());
       }
-      countdown->arrive(t, err);
+      arrive(t, err);
     });
   }
 }
 
 /// A blocking form is the posted operation plus a wait: park the calling
-/// fiber until `post_fn`'s completion fires, then return its time or rethrow
-/// its failure. The outcome is shared with the callback, so a wait that
-/// unwinds leaves the callback nothing dead to write to.
+/// fiber until `post_fn`'s completion settles, then return its time or
+/// rethrow its failure. The completion is shared with the callback, so a
+/// wait that unwinds leaves the callback nothing dead to settle.
 template <typename PostFn>
 vt::TimePoint post_and_wait(PostFn&& post_fn) {
-  struct Outcome {
-    bool done{false};
-    vt::TimePoint when;
-    std::exception_ptr error;
-  };
-  auto out = std::make_shared<Outcome>();
-  post_fn(DoneFn([out](vt::TimePoint when, std::exception_ptr error) {
-    *out = Outcome{true, when, std::move(error)};
+  auto out = std::make_shared<vt::Completion>();
+  post_fn(DoneFn([out](vt::TimePoint when, const std::exception_ptr& error) {
+    out->settle(when, error);
   }));
-  sched::wait([&out] { return out->done; }, "xfer.wait");
-  if (out->error) std::rethrow_exception(out->error);
-  return out->when;
+  return out->wait("xfer.wait");
 }
 
 /// Host endpoints have no staging; they share only the wire decomposition.
@@ -163,7 +136,7 @@ vt::TimePoint host_transfer(mpi::Comm& comm, std::span<Byte> data, int peer, int
                             const Strategy& strategy, vt::TimePoint ready) {
   return post_and_wait([&](DoneFn done) {
     const std::vector<detail::WireBlock> blocks = detail::wire_blocks(data.size(), tag, strategy);
-    auto countdown = std::make_shared<Countdown>(blocks.size(), std::move(done));
+    const vt::Join arrive(blocks.size(), std::move(done));
     for (const detail::WireBlock& b : blocks) {
       const std::span<Byte> part = data.subspan(b.offset, b.size);
       mpi::Request req;
@@ -172,8 +145,7 @@ vt::TimePoint host_transfer(mpi::Comm& comm, std::span<Byte> data, int peer, int
       } else {
         req = comm.irecv(part, peer, b.tag, ready, b.opts);
       }
-      req.on_settle([countdown](vt::TimePoint t, const mpi::MsgStatus&,
-                                const std::exception_ptr& err) { countdown->arrive(t, err); });
+      req.on_settle(arrive);
     }
   });
 }
@@ -227,10 +199,7 @@ vt::TimePoint exchange_device(const DeviceEndpoint& send_ep, const DeviceEndpoin
   vt::TimePoint at = setup(dev, s, ready);
   if (s.kind == StrategyKind::mapped) at = setup(dev, s, at);
   const vt::TimePoint done = post_and_wait([&](DoneFn both) {
-    auto countdown = std::make_shared<Countdown>(2, std::move(both));
-    auto arrive = [countdown](vt::TimePoint t, std::exception_ptr err) {
-      countdown->arrive(t, std::move(err));
-    };
+    const vt::Join arrive(2, std::move(both));
     // Pipelined posts every inbound block before streaming the outbound ones.
     const bool recv_first = s.kind == StrategyKind::pipelined;
     if (recv_first) post(recv_ep, s, Direction::recv, at, Setup::charged, arrive);

@@ -15,10 +15,8 @@
 // hand-optimized code blocks its host thread; that is the point).
 #pragma once
 
-#include <exception>
-#include <functional>
-
 #include "transfer/strategy.hpp"
+#include "vt/completion.hpp"
 
 namespace clmpi::xfer {
 
@@ -28,7 +26,7 @@ namespace clmpi::xfer {
 /// the completion time is the virtual time the failure was detected. Multi-
 /// request transfers still fire `done` only after ALL sub-requests settle, so
 /// bounce buffers never outlive in-flight envelopes.
-using DoneFn = std::function<void(vt::TimePoint, std::exception_ptr)>;
+using DoneFn = vt::Completion::Callback;
 
 /// Post the send/receive of a device buffer region; returns immediately.
 /// `done` fires, on the fiber that settles the last wire block, when the

@@ -318,6 +318,37 @@ TEST(Deadlock, PipelineBlockCountMismatchNamesBothDecompositions) {
   EXPECT_NE(v.message.find("receiver's has 2 block(s)"), std::string::npos) << v.message;
 }
 
+TEST(Deadlock, PipelineReceiverPostsMoreBlocksNamesBothDecompositions) {
+  // The mirror case: 1 MiB sent in 512 KiB blocks, received in 256 KiB
+  // blocks. The two sent blocks match (and fail) the receiver's blocks 0..1;
+  // its receives 2..3 stay posted and can never match.
+  const Verdict v =
+      expect_verdict(Status::invalid_operation, 2, [](mpi::Rank& rank, Verdict& out) {
+        ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+        ocl::Context ctx(platform.device());
+        constexpr std::size_t kSize = std::size_t{1} << 20;
+        ocl::BufferPtr buf = ctx.create_buffer(kSize);
+        const xfer::DeviceEndpoint ep{&rank.world(), &platform.device(), buf.get(), 0, kSize,
+                                      1 - rank.rank(), 4};
+        if (rank.rank() == 0) {
+          EXPECT_THROW(
+              (void)xfer::send_device(ep, xfer::Strategy::pipelined(512 << 10), rank.clock().now()),
+              PreconditionError);
+        } else {
+          observe(rank, out, [&] {
+            (void)xfer::recv_device(ep, xfer::Strategy::pipelined(256 << 10), rank.clock().now());
+          });
+        }
+      });
+  EXPECT_NE(v.message.find("block-count mismatch on tag 4 from rank 0 to rank 1"),
+            std::string::npos)
+      << v.message;
+  EXPECT_NE(v.message.find("receiver's wire decomposition is 4 pipelined blocks of 262144 B"),
+            std::string::npos)
+      << v.message;
+  EXPECT_NE(v.message.find("sender's has 2 block(s)"), std::string::npos) << v.message;
+}
+
 std::uint64_t suppressed_counter() {
   std::uint64_t v = 0;
   (void)obs::Registry::instance().value("cluster.suppressed_errors", v);

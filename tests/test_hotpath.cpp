@@ -192,7 +192,7 @@ TEST(Mailbox, NestedSettleFiresAfterTheCurrentBatch) {
     mpi::detail::Mailbox& box = rank.core()->mailboxes[0];
     std::vector<std::string> order;
     const auto record = [&order](std::string name) {
-      return [&order, name](vt::TimePoint, const mpi::MsgStatus&, const std::exception_ptr&) {
+      return [&order, name](vt::TimePoint, const std::exception_ptr&) {
         order.push_back(name);
       };
     };
@@ -223,7 +223,7 @@ TEST(Mailbox, NestedSettleFiresAfterTheCurrentBatch) {
     auto send2 = mpi::detail::make_request_state();
     send2->on_settle(record("send2"));
     auto send1 = mpi::detail::make_request_state();
-    send1->on_settle([&](vt::TimePoint, const mpi::MsgStatus&, const std::exception_ptr&) {
+    send1->on_settle([&](vt::TimePoint, const std::exception_ptr&) {
       order.push_back("send1");
       post_send(2, out2, send2);  // matches recv2 from inside send 1's settle
     });

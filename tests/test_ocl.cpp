@@ -180,7 +180,7 @@ TEST(Event, CallbacksFireOnCompletion) {
     Fixture f;
     auto ev = f.ctx.create_user_event();
     int fired = 0;
-    ev->on_complete([&fired](vt::TimePoint t) {
+    ev->on_settle([&fired](vt::TimePoint t, const std::exception_ptr&) {
       fired = 1;
       EXPECT_DOUBLE_EQ(t.s, 2.0);
     });
@@ -189,7 +189,7 @@ TEST(Event, CallbacksFireOnCompletion) {
     EXPECT_EQ(fired, 1);
     // Late registration fires immediately.
     int late = 0;
-    ev->on_complete([&late](vt::TimePoint) { late = 1; });
+    ev->on_settle([&late](vt::TimePoint, const std::exception_ptr&) { late = 1; });
     EXPECT_EQ(late, 1);
   });
 }

@@ -292,9 +292,8 @@ TEST(ProgressContinuations, SettleWithoutBlockingWait) {
       mpi::Request r = world.irecv(buf, 0, 1, rank.clock());
       std::atomic<bool> fired{false};
       vt::TimePoint done_at{};
-      r.on_settle([&](vt::TimePoint when, const mpi::MsgStatus& st,
-                      const std::exception_ptr& err) {
-        EXPECT_EQ(st.bytes, buf.size());
+      r.on_settle([&](vt::TimePoint when, const std::exception_ptr& err) {
+        EXPECT_EQ(r.status().bytes, buf.size());
         EXPECT_FALSE(err);
         done_at = when;
         fired.store(true, std::memory_order_release);

@@ -312,7 +312,7 @@ TEST(P2P, RequestCallbackFires) {
     std::vector<std::byte> buf(64);
     if (rank.rank() == 0) {
       Request r = rank.world().isend(buf, 1, 0, rank.clock());
-      r.on_complete([&fired](vt::TimePoint, const MsgStatus&) { ++fired; });
+      r.on_settle([&fired](vt::TimePoint, const std::exception_ptr&) { ++fired; });
       r.wait(rank.clock());
     } else {
       rank.world().recv(buf, 0, 0, rank.clock());
