@@ -16,8 +16,10 @@
 //
 // and records wall throughput plus job-latency percentiles (p50/p99 of
 // submit-to-terminal wall seconds) in the BENCH_throughput.json schema
-// (default BENCH_service.json, override with --out PATH). Exit status is
-// nonzero on any gate violation so CI can run it directly.
+// (default BENCH_service.json, override with --out PATH), followed by every
+// job's trace hash and virtual makespan from the first run, so two builds'
+// outputs can be compared job by job. Exit status is nonzero on any gate
+// violation so CI can run it directly.
 //
 // `--smoke` shrinks the burst for the `bench-smoke` CTest gate; the full
 // configuration drives >= 200 jobs as the acceptance soak.
@@ -76,6 +78,7 @@ std::vector<svc::JobSpec> make_burst(const Config& cfg) {
 
 struct RunOutcome {
   std::vector<std::uint64_t> hashes;     ///< per burst slot
+  std::vector<double> makespans_s;       ///< per burst slot, virtual
   std::vector<double> latencies_s;       ///< submit-to-terminal wall seconds
   std::uint64_t failed{0};
   std::uint64_t rejected{0};
@@ -85,6 +88,7 @@ struct RunOutcome {
 RunOutcome run_burst(const std::vector<svc::JobSpec>& specs) {
   RunOutcome out;
   out.hashes.resize(specs.size(), 0);
+  out.makespans_s.resize(specs.size(), 0.0);
   out.latencies_s.resize(specs.size(), 0.0);
 
   svc::Service::Options opts;
@@ -107,6 +111,7 @@ RunOutcome run_burst(const std::vector<svc::JobSpec>& specs) {
     if (ids[i] == 0) continue;
     const svc::JobResult r = service.wait(ids[i]);
     out.hashes[i] = r.trace_hash;
+    out.makespans_s[i] = r.makespan_s;
     out.latencies_s[i] = r.queue_delay_s + r.run_wall_s;
     if (r.state != svc::JobState::succeeded) {
       ++out.failed;
@@ -130,8 +135,8 @@ double percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-void write_json(const Config& cfg, const std::vector<RunOutcome>& runs,
-                bool hash_stable) {
+void write_json(const Config& cfg, const std::vector<svc::JobSpec>& specs,
+                const std::vector<RunOutcome>& runs, bool hash_stable) {
   std::ofstream out(cfg.out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", cfg.out_path.c_str());
@@ -157,7 +162,19 @@ void write_json(const Config& cfg, const std::vector<RunOutcome>& runs,
                                  : 0.0)
       << ", \"p50_job_latency_s\": " << percentile(final_run.latencies_s, 0.50)
       << ", \"p99_job_latency_s\": " << percentile(final_run.latencies_s, 0.99)
-      << "}\n  ]\n}\n";
+      << "}\n  ],\n  \"jobs\": [\n";
+  const RunOutcome& first_run = runs.front();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    char job[160];
+    std::snprintf(job, sizeof(job),
+                  "    {\"slot\": %zu, \"kind\": \"%s\", \"trace_hash\": \"0x%016llx\", "
+                  "\"makespan_s\": %.17g}%s\n",
+                  i, to_string(specs[i].kind),
+                  static_cast<unsigned long long>(first_run.hashes[i]),
+                  first_run.makespans_s[i], i + 1 < specs.size() ? "," : "");
+    out << job;
+  }
+  out << "  ]\n}\n";
   std::printf("wrote %s\n", cfg.out_path.c_str());
 }
 
@@ -213,7 +230,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(cfg, runs, hash_stable);
+  write_json(cfg, specs, runs, hash_stable);
   if (!hash_stable) {
     std::fprintf(stderr, "FAIL: per-job trace hashes diverged across runs\n");
     return 1;

@@ -26,11 +26,15 @@
 //                    jacobi2d points straddle the cxlpod one-sided threshold
 //   chaos_replay     7 fault classes x 3 strategies, one seeded scenario each
 //   rank_scaling     p2p ring + reduced Himeno at 100/500/1000 ranks (16/64 in
-//                    smoke); one row per rank count with RSS and worker-count
-//                    determinism gates
+//                    smoke); one row per rank count with RSS, fiber resumes
+//                    and worker-count determinism gates
 //   service_soak     multi-tenant svc::Service burst of 240 short mixed jobs
 //                    (48 in smoke) x3 runs; gates per-job trace-hash
 //                    stability and records p99 job latency
+//
+// Every row but progress_starved, chaos_replay and service_soak counts the
+// fiber resumes and skipped visits of its traced run (sched.fiber_resumes,
+// sched.fiber_skips).
 //
 // Output: a `# host {...}` metadata line (the same keys as perfbench's,
 // minus its source digest) and a human-readable table on stdout, and a JSON
@@ -104,6 +108,13 @@ std::vector<obs::Sample> drain_metrics() {
     if (s.value != 0) kept.push_back(std::move(s));
   }
   return kept;
+}
+
+/// A run's fiber resumes and the visits that skipped a parked fiber
+/// (sched::StrandStats), as row counters.
+void add_fiber_counts(ScenarioResult& r, const mpi::RunResult& run) {
+  r.metrics.push_back({"sched.fiber_resumes", run.fiber_resumes});
+  r.metrics.push_back({"sched.fiber_skips", run.fiber_skips});
 }
 
 double msgs_per_sec(const ScenarioResult& r) {
@@ -185,6 +196,7 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
   r.name = std::move(name);
   r.msgs_per_rep = messages;
 
+  mpi::RunResult traced;
   {
     vt::Tracer tracer;
     mpi::Cluster::Options o;
@@ -192,10 +204,10 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     o.profile = &profile;
     o.tracer = &tracer;
     o.faults = faults;
-    const mpi::RunResult res = mpi::Cluster::run(o, body);
+    traced = mpi::Cluster::run(o, body);
     r.trace_hash = tracer.hash();
-    r.virtual_makespan_s = res.makespan_s;
-    r.counters = res.faults;
+    r.virtual_makespan_s = traced.makespan_s;
+    r.counters = traced.faults;
   }
 
   obs::Registry::instance().reset();
@@ -207,6 +219,7 @@ ScenarioResult run_scenario(const Config& cfg, std::string name, int nranks,
     mpi::Cluster::run(o, body);
   });
   r.metrics = drain_metrics();
+  add_fiber_counts(r, traced);
   return r;
 }
 
@@ -629,29 +642,34 @@ std::uint64_t vm_rss_kb() {
 /// gate can name the first differing span.
 struct Traced {
   std::shared_ptr<vt::Tracer> tracer = std::make_shared<vt::Tracer>();
-  double makespan_s{0.0};
+  mpi::RunResult run;
 };
 
 /// Worker counts the rank-scaling gates compare.
 constexpr int kGateWorkers[] = {1, 4, 16};
 
 /// Exit(1), like progress_starved's gate, unless every run in `runs` (one
-/// per worker count in kGateWorkers) matches the first, naming the first
-/// differing span.
+/// per worker count in kGateWorkers) matches the first in trace hash,
+/// makespan and fiber resumes, naming the first differing span.
 void gate_worker_counts(const char* what, int nranks, const std::vector<Traced>& runs) {
+  const mpi::RunResult& first = runs[0].run;
   for (std::size_t i = 1; i < runs.size(); ++i) {
+    const mpi::RunResult& run = runs[i].run;
     if (runs[i].tracer->hash() == runs[0].tracer->hash() &&
-        runs[i].makespan_s == runs[0].makespan_s) {
+        run.makespan_s == first.makespan_s && run.fiber_resumes == first.fiber_resumes) {
       continue;
     }
     const auto d = vt::Tracer::first_divergence(*runs[0].tracer, *runs[i].tracer);
     std::fprintf(stderr,
                  "rank_scaling: %d-rank %s differs between %d and %d workers "
-                 "(0x%016llx vs 0x%016llx, makespan %.17g vs %.17g)\n%s\n",
+                 "(0x%016llx vs 0x%016llx, makespan %.17g vs %.17g, "
+                 "resumes %llu vs %llu)\n%s\n",
                  nranks, what, kGateWorkers[0], kGateWorkers[i],
                  static_cast<unsigned long long>(runs[0].tracer->hash()),
-                 static_cast<unsigned long long>(runs[i].tracer->hash()), runs[0].makespan_s,
-                 runs[i].makespan_s, d ? vt::to_string(*d).c_str() : "same spans");
+                 static_cast<unsigned long long>(runs[i].tracer->hash()), first.makespan_s,
+                 run.makespan_s, static_cast<unsigned long long>(first.fiber_resumes),
+                 static_cast<unsigned long long>(run.fiber_resumes),
+                 d ? vt::to_string(*d).c_str() : "same spans");
     std::exit(1);
   }
 }
@@ -703,12 +721,11 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
       o.scheduler = &pool;
       Traced& ring = rings.emplace_back();
       o.tracer = ring.tracer.get();
-      ring.makespan_s = mpi::Cluster::run(o, ring_body).makespan_s;
+      ring.run = mpi::Cluster::run(o, ring_body);
       Traced& himeno = himenos.emplace_back();
       o.tracer = himeno.tracer.get();
-      const auto run = mpi::Cluster::run(
+      himeno.run = mpi::Cluster::run(
           o, [&grid](mpi::Rank& rank) { (void)apps::himeno::run_rank(rank, grid); });
-      himeno.makespan_s = run.makespan_s;
     }
     gate_worker_counts("ring", nranks, rings);
     gate_worker_counts("himeno", nranks, himenos);
@@ -718,7 +735,7 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
     r.name = "rank_scaling_" + std::to_string(nranks);
     r.msgs_per_rep = static_cast<double>(nranks) * ring_rounds;
     r.trace_hash = rings[0].tracer->hash();
-    r.virtual_makespan_s = rings[0].makespan_s;
+    r.virtual_makespan_s = rings[0].run.makespan_s;
 
     // Wall reps: end to end (spawn + run + teardown) on the default pool.
     obs::Registry::instance().reset();
@@ -733,7 +750,8 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
     r.metrics.push_back({"rank_scaling.ranks", static_cast<std::uint64_t>(nranks)});
     r.metrics.push_back({"rank_scaling.rss_kb", rss_kb});
     r.metrics.push_back({"rank_scaling.himeno_makespan_us",
-                         static_cast<std::uint64_t>(himenos[0].makespan_s * 1e6)});
+                         static_cast<std::uint64_t>(himenos[0].run.makespan_s * 1e6)});
+    add_fiber_counts(r, rings[0].run);
     out.push_back(std::move(r));
   }
   return out;

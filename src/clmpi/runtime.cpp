@@ -431,9 +431,12 @@ ocl::EventPtr Runtime::enqueue_write_file(ocl::CommandQueue& queue,
   CLMPI_REQUIRE(!path.empty(), "file write needs a path");
   auto* dev = device_;
   auto* disk = &disk_;
+  // Built before the call: the lambda below takes `path` by move, and may
+  // be initialised before this argument is.
+  std::string label = "clEnqueueWriteFile " + path;
 
   return submit(
-      queue, "clEnqueueWriteFile " + path, waits, blocking,
+      queue, std::move(label), waits, blocking,
       [dev, disk, buf, offset, size, path = std::move(path)](vt::TimePoint ready,
                                                              const ocl::EventPtr& event) {
         auto& prof = dev->profile();
@@ -459,9 +462,10 @@ ocl::EventPtr Runtime::enqueue_read_file(ocl::CommandQueue& queue, const ocl::Bu
   CLMPI_REQUIRE(!path.empty(), "file read needs a path");
   auto* dev = device_;
   auto* disk = &disk_;
+  std::string label = "clEnqueueReadFile " + path;  // before the move, as above
 
   return submit(
-      queue, "clEnqueueReadFile " + path, waits, blocking,
+      queue, std::move(label), waits, blocking,
       [dev, disk, buf, offset, size, path = std::move(path)](vt::TimePoint ready,
                                                              const ocl::EventPtr& event) {
         auto& prof = dev->profile();

@@ -51,7 +51,7 @@ class Event : public vt::Completion {
   /// True when the command failed; wait() will rethrow its exception.
   [[nodiscard]] bool failed() const noexcept { return error() != nullptr; }
 
-  /// Block (poll-yield the calling fiber) until complete; returns the
+  /// Block (park the calling fiber) until complete; returns the
   /// virtual completion time. Rethrows the command's exception if it failed.
   /// Off a strand, waiting on an incomplete event throws PreconditionError.
   vt::TimePoint wait() { return Completion::wait("ocl.event.wait"); }

@@ -298,12 +298,15 @@ void Cluster::start(const Options& options, std::function<void(Rank&)> body, Don
     tasks.push_back({[run = run.get(), r] { run->rank_main(r); }, prefix + std::to_string(r)});
   }
   pool.start(core.strand, std::move(tasks), [&core] { return core.backstop(); },
-             [run = std::move(run), done = std::move(done)]() mutable {
+             [run = std::move(run),
+              done = std::move(done)](const sched::StrandStats& stats) mutable {
                try {
                  run->close();
                } catch (...) {
                  if (!run->first_error) run->first_error = std::current_exception();
                }
+               run->result.fiber_resumes = stats.resumes;
+               run->result.fiber_skips = stats.skips;
                std::exception_ptr error = std::move(run->first_error);
                RunResult result = error ? RunResult{} : std::move(run->result);
                run.reset();  // the whole run goes before `done` may free its job

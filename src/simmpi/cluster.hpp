@@ -77,6 +77,11 @@ struct RunResult {
   double makespan_s{0.0};
   /// Fault-injection tallies for the run (all zero when injection is off).
   FaultCounters faults;
+  /// Fiber resumes on the run's strand, and visits that skipped a parked
+  /// fiber whose wait could not return (sched::StrandStats). Deterministic:
+  /// independent of the worker count.
+  std::uint64_t fiber_resumes{0};
+  std::uint64_t fiber_skips{0};
 };
 
 class Cluster {

@@ -164,9 +164,9 @@ void RequestState::count_blocking_wait() const {
   if (!core_.done() && obs::metrics_enabled()) progress_metrics().blocking_waits.add();
 }
 
-// Poll-yield: the waiting fiber stays in its strand's rotation and re-polls
-// per resume, so peer ranks (and the service fibers completing this request)
-// keep running. A deadline that nothing will meet is rescued by the
+// The waiting fiber parks in its strand's rotation and is resumed once the
+// request is done, so peer ranks (and the service fibers completing this
+// request) keep running. A deadline that nothing will meet is rescued by the
 // cluster's backstop once the strand goes idle.
 vt::TimePoint RequestState::wait() {
   count_blocking_wait();

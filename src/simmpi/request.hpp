@@ -141,7 +141,7 @@ class RequestState {
 
   [[nodiscard]] bool done() const noexcept { return core_.done(); }
   /// Blocks until complete, returning the completion time; rethrows the
-  /// operation's exception on failure. Poll-yields the calling fiber; off a
+  /// operation's exception on failure. Parks the calling fiber; off a
   /// strand a pending request throws PreconditionError (nothing there could
   /// complete it). Counts progress.blocking_waits on entry when the request
   /// is still pending.

@@ -72,8 +72,8 @@ std::size_t default_stack_bytes() {
 #endif
 }
 
-/// Fiber resumes per strand checkout. A count, never a time slice: where a
-/// quantum ends must not depend on the host.
+/// Fiber visits (resumes and skips) per strand checkout. A count, never a
+/// time slice: where a quantum ends must not depend on the host.
 constexpr int kQuantum = 64;
 
 /// The Itanium C++ ABI's per-thread exception state (__cxa_eh_globals:
@@ -106,7 +106,9 @@ struct Fiber {
   std::byte* stack{nullptr};   ///< lowest byte; the guard page lies below it
   std::function<void()> fn;
   bool finished{false};
-  Strand* strand{nullptr};
+  /// The parked sched::wait predicate and its evaluator; null while runnable.
+  bool (*holds)(const void*) noexcept {nullptr};
+  const void* pred{nullptr};
   ctx::ExecContext ctx;
   EhState eh{};
   Scheduler::Impl* owner{nullptr};
@@ -127,15 +129,13 @@ struct Strand {
   std::function<bool()> idle;
   // Touched only by the worker holding the strand while it is checked out,
   // under Scheduler::Impl::mutex otherwise.
-  std::deque<Fiber*> ready;  ///< every unfinished fiber (poll-yield)
-  /// Set when the running fiber suspends having done more than re-poll a
-  /// wait predicate (or a fiber was spawned); cleared per resume.
-  bool progressed{false};
-  std::size_t fruitless{0};  ///< resumes without progress since the last one
+  std::deque<Fiber*> ready;  ///< every unfinished fiber, parked ones included
+  std::size_t fruitless{0};  ///< visits skipped since the last resume
+  StrandStats stats;
   /// Ownership, in creation order (the deadlock verdict's order).
   std::vector<std::unique_ptr<Fiber>> fibers;
   /// Called by the worker that closes the strand, after the strand is gone.
-  std::function<void()> on_close;
+  std::function<void(const StrandStats&)> on_close;
 };
 
 thread_local Fiber* t_current = nullptr;
@@ -175,7 +175,7 @@ struct Scheduler::Impl {
   bool run_quantum(Strand& s);  // true = closed
   void worker_loop(int index);
   void resume(Fiber* f);
-  void retire(Fiber* f);
+  void retire(Strand& s, Fiber* f);
 };
 
 namespace {
@@ -256,10 +256,8 @@ std::uint64_t current_strand() noexcept { return t_strand_tag; }
 
 namespace {
 
-/// Suspend the running fiber `f`; `progress` tells its strand whether this
-/// resume did anything beyond re-polling an unchanged wait predicate.
-void suspend(Fiber* f, bool progress) {
-  if (progress) f->strand->progressed = true;
+/// Suspend the running fiber `f`: switch back to the worker that resumed it.
+void suspend(Fiber* f) {
 #ifdef CLMPI_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
@@ -288,13 +286,15 @@ void suspend(Fiber* f, bool progress) {
 
 }  // namespace
 
-void block_step(const char* site, bool entry) {
+void park(bool (*holds)(const void*) noexcept, const void* pred, const char* site) {
   Fiber* f = t_current;
   if (f == nullptr) {
     throw PreconditionError(std::string("blocking wait at ") + site +
                             " off a scheduler strand: nothing else runs here to complete it");
   }
-  suspend(f, entry);
+  f->holds = holds;
+  f->pred = pred;
+  suspend(f);
   if (f->ctx.interrupt) std::rethrow_exception(std::exchange(f->ctx.interrupt, nullptr));
 }
 
@@ -311,7 +311,7 @@ void yield() {
     std::this_thread::yield();
     return;
   }
-  suspend(t_current, /*progress=*/true);
+  suspend(t_current);
 }
 
 Scheduler::Impl::~Impl() {
@@ -354,9 +354,7 @@ void Scheduler::Impl::spawn_here(std::function<void()> fn, std::string label) {
   // append needs no lock and lands at a schedule-determined point.
   Strand* s = t_strand;
   auto f = make_fiber(std::move(fn), std::move(label));
-  f->strand = s;
   s->ready.push_back(f.get());
-  s->progressed = true;  // a fiber that has not run yet: the strand is not quiescent
   s->fibers.push_back(std::move(f));
 }
 
@@ -381,7 +379,7 @@ void Scheduler::Impl::resume(Fiber* f) {
   t_current = nullptr;
 }
 
-void Scheduler::Impl::retire(Fiber* f) {
+void Scheduler::Impl::retire(Strand& s, Fiber* f) {
 #ifdef CLMPI_FIBER_TSAN
   __tsan_destroy_fiber(f->tsan_fiber);
   f->tsan_fiber = nullptr;
@@ -399,7 +397,7 @@ void Scheduler::Impl::retire(Fiber* f) {
   }
   // Drop the Fiber record itself: a persistent scheduler hosts thousands of
   // short strands over its life and must not accumulate their corpses.
-  std::erase_if(f->strand->fibers, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
+  std::erase_if(s.fibers, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
 }
 
 bool Scheduler::Impl::run_quantum(Strand& s) {
@@ -408,24 +406,26 @@ bool Scheduler::Impl::run_quantum(Strand& s) {
   for (int i = 0; i < kQuantum && !s.ready.empty(); ++i) {
     Fiber* f = s.ready.front();
     s.ready.pop_front();
-    resume(f);
-    if (f->finished) {
-      retire(f);
-      s.progressed = true;
-    } else {
-      s.ready.push_back(f);
-    }
-    if (s.progressed) {
-      s.progressed = false;
+    if (f->holds == nullptr || f->ctx.interrupt || f->holds(f->pred)) {
+      f->holds = nullptr;
+      resume(f);
+      ++s.stats.resumes;
       s.fruitless = 0;
-      continue;
+      if (f->finished) {
+        retire(s, f);
+        continue;
+      }
+    } else {
+      ++s.stats.skips;
+      ++s.fruitless;
     }
-    if (++s.fruitless < s.ready.size()) continue;
-    // A full pass in which every fiber only re-polled an unchanged wait:
-    // nothing on the strand can move by itself, so run its backstop, which
-    // may resolve a request (cancel or deadline rescue) or fail a wait (the
-    // deadlock verdict). The pass is counted in the strand's own resumes, so
-    // where the backstop fires is a function of the strand's schedule alone.
+    s.ready.push_back(f);
+    if (s.fruitless < s.ready.size()) continue;
+    // A full pass of parked fibers whose predicates do not hold: nothing on
+    // the strand can move by itself, so run its backstop, which may resolve
+    // a request (cancel or deadline rescue) or fail a wait (the deadlock
+    // verdict). The pass is counted in the strand's own visits, so where the
+    // backstop fires is a function of the strand's schedule alone.
     s.fruitless = 0;
     if (!s.idle()) abort_deadlocked(s);
   }
@@ -458,11 +458,12 @@ void Scheduler::Impl::worker_loop(int index) {
     }
     // The last fiber finished: close the strand (destroying its idle task)
     // and run its close callback without the pool mutex: it may start more.
-    std::function<void()> on_close = std::move(s->on_close);
+    std::function<void(const StrandStats&)> on_close = std::move(s->on_close);
+    const StrandStats stats = s->stats;
     strands.erase(s->tag);
     if (strands.empty() && stopping) work_cv.notify_all();
     lock.unlock();
-    on_close();
+    on_close(stats);
     on_close = nullptr;
     lock.lock();
   }
@@ -491,7 +492,7 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::start(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle,
-                      std::function<void()> on_close) {
+                      std::function<void(const StrandStats&)> on_close) {
   CLMPI_REQUIRE(!tasks.empty(), "a strand needs at least one fiber");
   auto s = std::make_unique<Strand>();
   s->tag = strand;
@@ -499,7 +500,6 @@ void Scheduler::start(std::uint64_t strand, std::vector<Task> tasks, std::functi
   s->on_close = std::move(on_close);
   for (Task& t : tasks) {
     s->fibers.push_back(impl_->make_fiber(std::move(t.fn), std::move(t.label)));
-    s->fibers.back()->strand = s.get();
     s->ready.push_back(s->fibers.back().get());
   }
   std::lock_guard lock(impl_->mutex);
@@ -509,10 +509,12 @@ void Scheduler::start(std::uint64_t strand, std::vector<Task> tasks, std::functi
   if (impl_->parked > 0) impl_->work_cv.notify_one();
 }
 
-void Scheduler::run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle) {
-  std::promise<void> closed;
-  start(strand, std::move(tasks), std::move(idle), [&closed] { closed.set_value(); });
-  closed.get_future().wait();
+StrandStats Scheduler::run(std::uint64_t strand, std::vector<Task> tasks,
+                           std::function<bool()> idle) {
+  std::promise<StrandStats> closed;
+  start(strand, std::move(tasks), std::move(idle),
+        [&closed](const StrandStats& stats) { closed.set_value(stats); });
+  return closed.get_future().get();
 }
 
 ServiceHandle::~ServiceHandle() {

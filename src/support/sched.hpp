@@ -14,17 +14,18 @@
 // rotation; two workers never hold the same strand at once. All parallelism
 // comes from running different strands (clusters) concurrently.
 //
-// Blocking model: poll-yield. A blocked fiber stays in its strand's FIFO and
-// re-checks its predicate on every resume. Progress is read from fiber
-// state alone: a resume counts as progress unless the fiber only re-polled
-// a sched::wait predicate that still does not hold. Entering a wait, a raw
-// yield() and finishing all count. After a full pass over a strand's fibers
-// without progress nothing on the strand can change by itself, so the
-// worker runs the strand's idle task (the runtime's liveness backstop),
-// which reports whether it resolved anything — a cluster's ends with the
-// deadlock verdict, which fails one blocked wait. If not, no wait is left to
-// fail: the worker prints the strand's fibers and aborts. Workers with no
-// runnable strand park on a condition variable.
+// Blocking model: parked predicates. A fiber blocked in sched::wait stays in
+// its strand's FIFO, parked with a reference to its predicate. When its turn
+// comes the worker calls the predicate itself and resumes the fiber only if
+// it holds (or the deadlock verdict picked the wait); otherwise the fiber
+// goes back to the tail without a stack switch. Every resume is progress,
+// and a full pass over a strand's fibers that resumed none is quiescence:
+// nothing on the strand can change by itself, so the worker runs the
+// strand's idle task (the runtime's liveness backstop), which reports
+// whether it resolved anything — a cluster's ends with the deadlock verdict,
+// which fails one blocked wait. If not, no wait is left to fail: the worker
+// prints the strand's fibers and aborts. Workers with no runnable strand
+// park on a condition variable.
 //
 // Determinism contract: the order in which a strand's fibers run, and the
 // points at which its idle task fires, are functions of the strand alone —
@@ -55,10 +56,10 @@ namespace clmpi::sched {
 
 /// Cooperative reschedule point. On a fiber: suspend and hand the worker to
 /// the next ready fiber (the caller resumes later, possibly on a different
-/// worker). On a plain thread: std::this_thread::yield(). Always counts as
-/// progress, so a strand with a fiber spinning on yield() never goes idle:
-/// a poll loop that relies on the idle task (deadlines, cancels) must wait
-/// with sched::wait instead.
+/// worker). On a plain thread: std::this_thread::yield(). A yielded fiber is
+/// resumed on its next visit, so a strand with a fiber spinning on yield()
+/// never goes idle: a poll loop that relies on the idle task (deadlines,
+/// cancels) must wait with sched::wait instead.
 void yield();
 
 /// The strand tag of the calling code (a fiber, or its strand's idle task);
@@ -66,28 +67,34 @@ void yield();
 /// cluster state call it on every entry.
 [[nodiscard]] std::uint64_t current_strand() noexcept;
 
-/// Blocking-wait step: on a fiber, suspend, then rethrow the deadlock
-/// verdict if it picked this wait; off a strand, throw PreconditionError
-/// naming `site` — no other task there can make the awaited progress, so a
-/// wait would spin forever. `entry` marks the first step of a wait, which
-/// counts as progress (the fiber ran since it last suspended); a later step
-/// follows a re-poll that changed nothing.
-void block_step(const char* site, bool entry);
+/// Park the calling fiber until `holds(pred)` returns true, then return (the
+/// predicate is not evaluated again here); rethrow the deadlock verdict if it
+/// picked this wait. Off a strand, throw PreconditionError naming `site`: no
+/// other task there can make the awaited progress. sched::wait's slow path.
+void park(bool (*holds)(const void*) noexcept, const void* pred, const char* site);
 
-/// Fiber-aware blocking wait: poll-yields until `pred()` holds, publishing
-/// `site` as the caller's blocked site. Off a strand it throws
-/// PreconditionError unless `pred()` already holds. `pred` must not change
-/// state, and `site` must be a string literal (or otherwise outlive the
-/// wait). The deadlock verdict may fail an `interruptible` wait, which then
-/// throws its error; pass false where a throw cannot be handled (a service's
-/// idle wait, a join in a destructor). A wait entered while its fiber
-/// unwinds is never interruptible (each fiber has its own exception state).
+/// Fiber-aware blocking wait: returns once `pred()` holds, publishing `site`
+/// as the caller's blocked site meanwhile. Off a strand it throws
+/// PreconditionError unless `pred()` already holds. `site` must be a string
+/// literal (or otherwise outlive the wait). The deadlock verdict may fail an
+/// `interruptible` wait, which then throws its error; pass false where a
+/// throw cannot be handled (a service's idle wait, a join in a destructor).
+/// A wait entered while its fiber unwinds is never interruptible (each fiber
+/// has its own exception state).
+///
+/// Predicate contract: while the fiber is parked, the worker holding its
+/// strand evaluates `pred` on the worker's own stack, once per visit, with
+/// the strand current (current_strand() answers for it) but no fiber (so
+/// ctx::current() is the worker's, not the waiter's). A predicate therefore
+/// reads only the awaited objects' state, changes nothing a resume could
+/// observe besides its own captures, does not throw, and does not read
+/// ctx::current(). `pred` lives on the waiting fiber's stack, which stays
+/// intact while it is parked.
 template <typename Pred>
-void wait(Pred&& pred, const char* site, bool interruptible = true) {
+void wait(const Pred& pred, const char* site, bool interruptible = true) {
   if (pred()) return;
   ctx::BlockedScope blocked(site, interruptible && std::uncaught_exceptions() == 0);
-  block_step(site, /*entry=*/true);
-  while (!pred()) block_step(site, /*entry=*/false);
+  park([](const void* p) noexcept { return (*static_cast<const Pred*>(p))(); }, &pred, site);
 }
 
 /// For the strand's idle task: the first fiber of the calling strand, in
@@ -96,7 +103,7 @@ void wait(Pred&& pred, const char* site, bool interruptible = true) {
 [[nodiscard]] ctx::ExecContext* deadlock_target() noexcept;
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
-/// collective progression): a fiber on the spawner's strand. join() yields
+/// collective progression): a fiber on the spawner's strand. join() waits
 /// until it finished.
 class ServiceHandle {
  public:
@@ -120,6 +127,13 @@ class ServiceHandle {
 /// Spawn `fn` as a service task labelled `label` (becomes its log label) on
 /// the calling fiber's strand. Throws PreconditionError off a strand.
 ServiceHandle spawn_service(std::string label, std::function<void()> fn);
+
+/// What the workers did with one strand's fibers, counted per visit: a
+/// function of the strand alone, like its schedule.
+struct StrandStats {
+  std::uint64_t resumes{0};  ///< visits that switched to the fiber
+  std::uint64_t skips{0};    ///< visits to a parked fiber whose predicate did not hold
+};
 
 /// The fiber worker pool every Cluster::run executes on: a process-wide pool
 /// by default (Cluster::run), or one owned by a svc::Service or a test.
@@ -160,17 +174,18 @@ class Scheduler {
 
   /// Start strand `strand` — `tasks` queued in order before any of them runs
   /// — and return. `idle` is its idle task: run by the worker holding the
-  /// strand, serialized with its fibers, after a full pass in which the
-  /// strand made no progress; it returns whether it resolved anything. If
-  /// not, the strand is deadlocked: the worker prints its fibers and blocked
-  /// sites and aborts. The worker that closes the strand calls `on_close`
-  /// off any strand, without the pool mutex; it must not throw or block on
-  /// this pool, but may start strands. The strand must not exist yet.
+  /// strand, serialized with its fibers, after a full pass that resumed no
+  /// fiber; it returns whether it resolved anything. If not, the strand is
+  /// deadlocked: the worker prints its fibers and blocked sites and aborts.
+  /// The worker that closes the strand calls `on_close` with the strand's
+  /// counts, off any strand, without the pool mutex; it must not throw or
+  /// block on this pool, but may start strands. The strand must not exist
+  /// yet.
   void start(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle,
-             std::function<void()> on_close);
+             std::function<void(const StrandStats&)> on_close);
 
-  /// start() plus a wait until the strand closed and its close ran.
-  void run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
+  /// start() plus a wait until the strand closed; returns its counts.
+  StrandStats run(std::uint64_t strand, std::vector<Task> tasks, std::function<bool()> idle);
 
   struct Impl;
 

@@ -41,7 +41,7 @@ class Completion {
   /// but must not block.
   void on_settle(Callback fn);
 
-  /// Poll-yield the calling fiber until settled (sched::wait, blocked at
+  /// Park the calling fiber until settled (sched::wait, blocked at
   /// `site`, a string literal); return the settle time or rethrow the
   /// failure. Off a strand, waiting on a pending completion throws
   /// PreconditionError.

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,22 @@ TEST(FileIo, HostIsNotBlockedByCheckpoint) {
     runtime.finish(rank.clock());
     EXPECT_GT(rank.now_s(), 0.05);
   });
+}
+
+TEST(FileIo, EventLabelNamesThePath) {
+  const std::string path = testing::TempDir() + "clmpi_label.bin";
+  mpi::Cluster::run(opts(1), [&](mpi::Rank& rank) {
+    ocl::Platform platform(rank.profile(), rank.rank(), rank.tracer());
+    ocl::Context ctx(platform.device());
+    rt::Runtime runtime(rank, platform.device());
+    auto queue = ctx.create_queue();
+    ocl::BufferPtr buf = ctx.create_buffer(64);
+    ocl::EventPtr written = runtime.enqueue_write_file(*queue, buf, true, 0, 64, path, {});
+    ocl::EventPtr loaded = runtime.enqueue_read_file(*queue, buf, true, 0, 64, path, {});
+    EXPECT_EQ(written->label(), "clEnqueueWriteFile " + path);
+    EXPECT_EQ(loaded->label(), "clEnqueueReadFile " + path);
+  });
+  std::remove(path.c_str());
 }
 
 TEST(FileIo, MissingFilePoisonsTheEvent) {

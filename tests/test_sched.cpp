@@ -3,7 +3,8 @@
 //   * Worker-count independence: every cluster runs as one serial strand,
 //     so the SAME workload run on pools of 1, 4 and 16 workers must produce
 //     bit-identical virtual time — equal trace hashes, makespans and fault
-//     counters; a failure names the first differing span. Covered for a
+//     counters — and the same fiber resume and skip counts; a failure names
+//     the first differing span. Covered for a
 //     mixed pure-MPI workload (p2p + probe + collectives + non-blocking
 //     collectives + RMA epochs), a device-transfer workload through the
 //     clMPI runtime (queue workers + dispatcher as service fibers) with and
@@ -19,6 +20,8 @@
 //     spinning.
 //   * Fiber stacks: a pool maps each stack once and reuses it, guard page
 //     included, while fibers alive at once keep distinct stacks.
+//   * Parked waits: the worker evaluates a parked fiber's wait predicate and
+//     switches to the fiber only when the wait can return.
 //   * The context switch: floating-point control state (the rounding mode)
 //     belongs to a fiber, never to the worker that happens to resume it.
 #include <gtest/gtest.h>
@@ -76,6 +79,8 @@ struct Outcome {
   std::shared_ptr<vt::Tracer> tracer;
   double makespan_s{0.0};
   mpi::FaultCounters faults;
+  std::uint64_t fiber_resumes{0};
+  std::uint64_t fiber_skips{0};
 };
 
 void expect_equal(const Outcome& a, const Outcome& b, const std::string& what) {
@@ -87,6 +92,8 @@ void expect_equal(const Outcome& a, const Outcome& b, const std::string& what) {
   EXPECT_EQ(a.faults.drops, b.faults.drops) << what;
   EXPECT_EQ(a.faults.duplicates, b.faults.duplicates) << what;
   EXPECT_EQ(a.faults.delays, b.faults.delays) << what;
+  EXPECT_EQ(a.fiber_resumes, b.fiber_resumes) << what;
+  EXPECT_EQ(a.fiber_skips, b.fiber_skips) << what;
 }
 
 // --- mixed pure-MPI workload -------------------------------------------------
@@ -154,7 +161,7 @@ Outcome run_mixed(sched::Scheduler& pool, int nranks, int iters, Collective coll
   o.scheduler = &pool;
   const mpi::RunResult res = mpi::Cluster::run(
       o, [&](mpi::Rank& r) { mixed_mpi_workload(r, nranks, iters, coll); });
-  return {tracer, res.makespan_s, res.faults};
+  return {tracer, res.makespan_s, res.faults, res.fiber_resumes, res.fiber_skips};
 }
 
 TEST(SchedModeEquality, MixedMpiWorkloadBitIdentical) {
@@ -218,7 +225,7 @@ Outcome run_device(sched::Scheduler& pool, const mpi::FaultPlan& plan,
   // Each rank receives 3 of the 6 alternating transfers; every one either
   // lands or drops.
   EXPECT_EQ(delivered + dropped, 6);
-  return {tracer, res.makespan_s, res.faults};
+  return {tracer, res.makespan_s, res.faults, res.fiber_resumes, res.fiber_skips};
 }
 
 TEST(SchedModeEquality, DeviceTransfersBitIdentical) {
@@ -264,7 +271,7 @@ Outcome run_ring(sched::Scheduler& pool, int nranks) {
     const std::uint64_t n = static_cast<std::uint64_t>(nranks);
     EXPECT_EQ(sum[0], n * (n - 1) / 2);
   });
-  return {tracer, res.makespan_s, res.faults};
+  return {tracer, res.makespan_s, res.faults, res.fiber_resumes, res.fiber_skips};
 }
 
 TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
@@ -308,7 +315,7 @@ Outcome run_fanin(sched::Scheduler& pool) {
     }
     for (auto& r : reqs) r.wait(rank.clock());
   });
-  return {tracer, res.makespan_s, res.faults};
+  return {tracer, res.makespan_s, res.faults, res.fiber_resumes, res.fiber_skips};
 }
 
 TEST(SchedWorkerCount, ContendedFanInBitIdentical) {
@@ -330,7 +337,7 @@ TEST(SchedWorkerCount, Himeno16RanksBitIdentical) {
     o.scheduler = &pool;
     const mpi::RunResult res =
         mpi::Cluster::run(o, [&](mpi::Rank& rank) { (void)apps::himeno::run_rank(rank, cfg); });
-    return Outcome{tracer, res.makespan_s, res.faults};
+    return Outcome{tracer, res.makespan_s, res.faults, res.fiber_resumes, res.fiber_skips};
   });
 }
 
@@ -571,6 +578,40 @@ TEST(SchedStacks, GuardPageSurvivesReuse) {
       },
       testing::KilledBySignal(SIGSEGV), "");
 #endif
+}
+
+TEST(SchedParking, ParkedWaitIsResumedOnlyWhenItCanReturn) {
+  // One fiber waits for a flag that the other sets after yielding K times.
+  // The waiter is resumed twice, to enter the wait and once it holds; each
+  // of the K visits in between evaluates its predicate without a switch.
+  // The yielder is resumed K + 1 times.
+  for (const int k : {1, 8, 64}) {
+    std::vector<sched::StrandStats> runs;
+    for (const int workers : testutil::kGateWorkers) {
+      const auto pool = testutil::make_pool(workers);
+      bool flag = false;
+      int evaluations = 0;
+      runs.push_back(pool->run(
+          1,
+          {{[&] {
+              sched::wait([&] { return ++evaluations, flag; }, "test.flag");
+            },
+            "waiter"},
+           {[&] {
+              for (int i = 0; i < k; ++i) sched::yield();
+              flag = true;
+            },
+            "yielder"}},
+          [] { return false; }));
+      EXPECT_EQ(evaluations, k + 2) << "the inline check, then one per visit";
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const std::string what = std::to_string(k) + " yields, " +
+                               std::to_string(testutil::kGateWorkers[i]) + " workers";
+      EXPECT_EQ(runs[i].resumes, 2u + static_cast<std::uint64_t>(k + 1)) << what;
+      EXPECT_EQ(runs[i].skips, static_cast<std::uint64_t>(k)) << what;
+    }
+  }
 }
 
 TEST(SchedSwitch, FloatingPointControlStaysWithTheFiber) {
